@@ -33,12 +33,19 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path, header_lines, columns, rows):
+    """Write a table; a NaN or Inf anywhere trips the guard and nothing is written."""
+    rows = np.asarray(rows, dtype=float)
+    if not np.all(np.isfinite(rows)):
+        raise NumericalGuardError(
+            f"{os.path.basename(path)}: non-finite values computed; not written")
     with open(path, "w", newline="\n") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        # row blocks as Python floats: they format faster than numpy scalars
+        for lo in range(0, len(rows), 4096):
+            for row in rows[lo:lo + 4096].tolist():
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _sha256(path):
@@ -77,7 +84,7 @@ def _curve_outputs(cfg: RunConfig, curve: CurveSpec, out_dir: str):
                 "tau column: dimensionless time g*t",
                 f"{name} column: {_series_units(name)}",
             ]
-            rows = zip(cfg.times_tau, series[name])
+            rows = np.column_stack([cfg.times_tau, series[name]])
             _write_csv(path, lines, ["tau", name], rows)
             written.append(path)
 
@@ -93,8 +100,9 @@ def _curve_outputs(cfg: RunConfig, curve: CurveSpec, out_dir: str):
                 "re, im: coherent amplitude alpha = re + i*im (dimensionless)",
                 "q: Husimi density, 1/area in phase space",
             ]
-            rows = ((re_axis[j], im_axis[i], grid.values[i, j])
-                    for i in range(len(im_axis)) for j in range(len(re_axis)))
+            re_grid, im_grid = np.meshgrid(re_axis, im_axis)
+            rows = np.column_stack([re_grid.ravel(), im_grid.ravel(),
+                                    grid.values.ravel()])
             _write_csv(path, lines, ["re", "im", "q"], rows)
             written.append(path)
 

@@ -9,6 +9,7 @@ edge, right before the dynamics layer is called.
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +54,24 @@ def _number(obj, key, path, default=None, required=False):
     val = obj[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number, got {val!r}")
-    return float(val)
+    try:
+        num = float(val)
+    except OverflowError:  # an integer literal beyond double range
+        num = math.inf
+    if not math.isfinite(num):
+        raise ConfigError(f"{path}.{key}: expected a finite number, got {val!r}")
+    return num
+
+
+# output file names are "<prefix>_<label>_<observable>.csv" inside output.dir
+_NAME_PATTERN = re.compile(r"[A-Za-z0-9._-]+")
+
+
+def _file_name_part(val, path):
+    if not isinstance(val, str) or not _NAME_PATTERN.fullmatch(val):
+        raise ConfigError(f"{path}: expected a non-empty name of letters, digits, "
+                          f"'.', '_' or '-', got {val!r}")
+    return val
 
 
 @dataclass(frozen=True)
@@ -202,7 +220,7 @@ def parse_config(doc: dict) -> RunConfig:
     out = doc.get("output", {})
     _check_keys(out, _OUTPUT_KEYS, "config.output")
     out_dir = out.get("dir", "twojc_out")
-    prefix = out.get("prefix", "run")
+    prefix = _file_name_part(out.get("prefix", "run"), "config.output.prefix")
 
     curve_docs = doc.get("curves") or [{"label": "base"}]
     if not isinstance(curve_docs, list):
@@ -211,7 +229,7 @@ def parse_config(doc: dict) -> RunConfig:
     for i, cd in enumerate(curve_docs):
         path = f"config.curves[{i}]"
         _check_keys(cd, _CURVE_KEYS, path)
-        label = cd.get("label", f"curve{i}")
+        label = _file_name_part(cd.get("label", f"curve{i}"), f"{path}.label")
         model_kwargs = base_model
         if "model" in cd:
             model_kwargs = _merge_model(doc["model"], cd["model"],
@@ -227,7 +245,7 @@ def parse_config(doc: dict) -> RunConfig:
         if init_name not in _ATOM_INITS:
             raise ConfigError(f"{path}.atom_init: expected one of {sorted(_ATOM_INITS)}")
         n_max = _resolve_n_max(c_nmax_raw, c_mean, obs, q_grid, path)
-        curves.append(CurveSpec(label=str(label), params=params, mean_n=c_mean,
+        curves.append(CurveSpec(label=label, params=params, mean_n=c_mean,
                                 phase=c_phase, n_max=n_max,
                                 atom_init=_ATOM_INITS[init_name]))
     labels = [c.label for c in curves]
@@ -236,7 +254,7 @@ def parse_config(doc: dict) -> RunConfig:
 
     return RunConfig(curves=tuple(curves), times_tau=times_tau,
                      observables=tuple(obs), q_grid=q_grid,
-                     out_dir=str(out_dir), prefix=str(prefix), raw=doc)
+                     out_dir=str(out_dir), prefix=prefix, raw=doc)
 
 
 def _resolve_n_max(raw, mean_n, observables, q_grid, path):

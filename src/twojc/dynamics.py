@@ -20,11 +20,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaln
 
-from ._accel import USE_NUMBA, maybe_njit, prange
 from .errors import NumericalGuardError, TruncationError, TwojcError
-from .spectral import jacobi_eigh, stack_spectra
+from .spectral import stack_spectra
 
 SQRT2 = math.sqrt(2.0)
 
@@ -72,6 +70,11 @@ class FieldInit:
         return np.abs(self.amplitudes) ** 2
 
 
+def _log_factorials(count: int) -> np.ndarray:
+    """ln(p!) for p = 0 .. count - 1."""
+    return np.array([math.lgamma(p + 1.0) for p in range(count)])
+
+
 def auto_n_max(mean_n: float) -> int:
     """Truncation heuristic leaving a wide Poisson tail margin."""
     return int(math.ceil(mean_n + 12.0 * math.sqrt(max(mean_n, 0.0)) + 20.0))
@@ -93,7 +96,8 @@ def coherent_field(mean_n: float, phase: float = 0.0, n_max: int = None,
         amps = np.zeros(n_max + 1, dtype=np.complex128)
         amps[0] = 1.0
     else:
-        logmag = -mean_n / 2.0 + 0.5 * n * math.log(mean_n) - 0.5 * gammaln(n + 1.0)
+        logmag = (-mean_n / 2.0 + 0.5 * n * math.log(mean_n)
+                  - 0.5 * _log_factorials(n_max + 1))
         amps = np.exp(logmag) * np.exp(1j * n * phase)
     return FieldInit(amplitudes=amps, n_max=n_max, mean_n=float(mean_n),
                      atom_init=atom_init)
@@ -147,9 +151,14 @@ class AtomDensity:
 
 @dataclass(frozen=True)
 class FieldDensity:
-    """Reduced field density on Fock levels 0 .. n_max + 2."""
+    """Reduced field density on Fock levels 0 .. n_max + 2.
+
+    factors, when known, holds rows chi_k with matrix = sum_k |chi_k><chi_k|
+    (rank <= 3 for the states built here); husimi_grid works from them.
+    """
 
     matrix: np.ndarray
+    factors: np.ndarray = None
 
     @property
     def n_max(self):
@@ -199,13 +208,14 @@ def reduced_field_density(field: FieldInit, spectra, t: float) -> FieldDensity:
     D = _coeff_batch(E, C, np.array([t]), field.atom_init)[0]
     N = field.n_max
     M = N + 3
+    chi = np.zeros((3, M), dtype=np.complex128)
     rho = np.zeros((M, M), dtype=np.complex128)
     for k in range(3):
-        chi = np.zeros(M, dtype=np.complex128)
-        chi[k:k + N + 1] = field.amplitudes * D[:, k]
-        rho += np.outer(chi, chi.conj())
+        chi[k, k:k + N + 1] = field.amplitudes * D[:, k]
+        rho += np.outer(chi[k], chi[k].conj())
     rho.setflags(write=False)
-    return FieldDensity(matrix=rho)
+    chi.setflags(write=False)
+    return FieldDensity(matrix=rho, factors=chi)
 
 
 # ---------------------------------------------------------------------------
@@ -238,38 +248,34 @@ def purity(rho: AtomDensity) -> float:
 
 
 def hermitian_eigvals(mat) -> np.ndarray:
-    """Eigenvalues of a small complex Hermitian matrix via the real
-    symmetric embedding [[Re, -Im], [Im, Re]] and the in-module Jacobi
-    solver (each eigenvalue of the embedding appears twice)."""
-    m = np.asarray(mat, dtype=np.complex128)
-    k = m.shape[0]
-    emb = np.empty((2 * k, 2 * k))
-    emb[:k, :k] = m.real
-    emb[k:, k:] = m.real
-    emb[:k, k:] = -m.imag
-    emb[k:, :k] = m.imag
-    w, _ = jacobi_eigh(emb)
-    return np.sort(w)[::2]
+    """Ascending eigenvalues of a Hermitian matrix or of a stack of them
+    (last two axes)."""
+    return np.linalg.eigvalsh(np.asarray(mat, dtype=np.complex128))
 
 
 def field_entropy(rho: AtomDensity) -> float:
     """von Neumann entropy of the field through the atomic eigenvalues.
 
     For a joint pure state the field and atom entropies coincide, so the
-    3x3 atomic density is enough; eigenvalues are clipped to [0, 1] and
-    anything below 1e-14 contributes nothing (x ln x -> 0).
+    3x3 atomic density is enough; see entropy_of_eigvals for the clipping.
     """
     m = rho.matrix if isinstance(rho, AtomDensity) else np.asarray(rho)
-    w = np.clip(hermitian_eigvals(m), 0.0, 1.0)
-    w = w[w > 1e-14]
-    return float(-np.sum(w * np.log(w)))
+    return entropy_of_eigvals(hermitian_eigvals(m))
 
 
-def entropy_of_eigvals(w) -> float:
-    """-sum w ln w with the same clipping rules as field_entropy."""
+def entropy_of_eigvals(w):
+    """-sum w ln w over the last axis.
+
+    Eigenvalues are clipped to [0, 1] and anything at or below 1e-14
+    contributes nothing (x ln x -> 0).  A 1-D input gives a float, a
+    stack of spectra an array.
+    """
     w = np.clip(np.asarray(w, dtype=float), 0.0, 1.0)
-    w = w[w > 1e-14]
-    return float(-np.sum(w * np.log(w)))
+    keep = w > 1e-14
+    terms = np.zeros_like(w)
+    terms[keep] = w[keep] * np.log(w[keep])
+    s = -np.sum(terms, axis=-1)
+    return float(s) if s.ndim == 0 else s
 
 
 # computational-basis order (|g,g>, |g,e>, |e,g>, |e,e>)
@@ -284,33 +290,35 @@ _YY[1, 2] = _YY[2, 1] = 1.0
 
 
 def embed_atom_density(rho) -> np.ndarray:
-    """Map the symmetric-sector 3x3 density into the two-qubit
-    computational basis (zero antisymmetric component)."""
+    """Map the symmetric-sector 3x3 density (or a stack of them) into the
+    two-qubit computational basis (zero antisymmetric component)."""
     m = rho.matrix if isinstance(rho, AtomDensity) else np.asarray(rho)
     return _EMBED @ m @ _EMBED.T
 
 
-def concurrence(rho) -> float:
+def concurrence(rho):
     """Two-qubit concurrence of the atomic state.
 
     Accepts the symmetric-sector 3x3 (embedded automatically) or a full
-    4x4 in the computational basis.  Eigenvalues of rho (YY) rho* (YY)
-    are real up to rounding; an imaginary residue above 1e-8 aborts
-    rather than being dropped.
+    4x4 in the computational basis, or a (T, 3, 3) / (T, 4, 4) stack, for
+    which it returns an array.  Eigenvalues of rho (YY) rho* (YY) are
+    real up to rounding; an imaginary residue above 1e-8 aborts rather
+    than being dropped.
     """
     m = rho.matrix if isinstance(rho, AtomDensity) else np.asarray(rho)
-    if m.shape == (3, 3):
+    if m.ndim not in (2, 3) or m.shape[-2:] not in ((3, 3), (4, 4)):
+        raise TwojcError("concurrence expects 3x3 or 4x4 density matrices")
+    if m.shape[-1] == 3:
         m = embed_atom_density(m)
-    elif m.shape != (4, 4):
-        raise TwojcError("concurrence expects a 3x3 or 4x4 density matrix")
     mt = m @ _YY @ m.conj() @ _YY
     ev = np.linalg.eigvals(mt)
-    if np.abs(ev.imag).max() > 1e-8:
+    residue = np.abs(ev.imag).max()
+    if residue > 1e-8:
         raise NumericalGuardError(
-            f"concurrence eigenproblem left imaginary residue {np.abs(ev.imag).max():.2e}")
-    lam = np.sqrt(np.clip(ev.real, 0.0, None))
-    lam[::-1].sort()
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+            f"concurrence eigenproblem left imaginary residue {residue:.2e}")
+    lam = np.sort(np.sqrt(np.clip(ev.real, 0.0, None)), axis=-1)[..., ::-1]
+    c = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+    return float(c) if c.ndim == 0 else c
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +341,10 @@ class QGrid:
         return float(self.values.sum() * dre * dim)
 
 
+# largest |alpha|^2 whose Bargmann partial sums (<= e^{|alpha|^2/2}) stay finite
+_BARGMANN_ALPHA_SQ_MAX = 1400.0
+
+
 def _check_window(rho_dim: int, alpha_sq_max: float):
     n_max = rho_dim - 3
     if alpha_sq_max > 0.5 * n_max:
@@ -349,7 +361,7 @@ def coherent_vector(alpha: complex, dim: int) -> np.ndarray:
         c = np.zeros(dim, dtype=np.complex128)
         c[0] = 1.0
         return c
-    logmag = -aa / 2.0 + 0.5 * p * math.log(aa) - 0.5 * gammaln(p + 1.0)
+    logmag = -aa / 2.0 + 0.5 * p * math.log(aa) - 0.5 * _log_factorials(dim)
     return np.exp(logmag) * np.exp(1j * p * np.angle(alpha))
 
 
@@ -361,74 +373,49 @@ def husimi_q(rho: FieldDensity, alpha: complex) -> float:
     return float(np.real(c.conj() @ (m @ c)) / math.pi)
 
 
-@maybe_njit(parallel=True)
-def _husimi_kernel(rho, re_axis, im_axis, lgam):
-    n_re = re_axis.shape[0]
-    n_im = im_axis.shape[0]
-    P = rho.shape[0]
-    out = np.empty((n_im, n_re))
-    for i in prange(n_im):
-        c = np.empty(P, dtype=np.complex128)
-        for j in range(n_re):
-            re = re_axis[j]
-            im = im_axis[i]
-            aa = re * re + im * im
-            if aa == 0.0:
-                for p in range(P):
-                    c[p] = 0.0
-                c[0] = 1.0
-            else:
-                la = 0.5 * math.log(aa)
-                ang = math.atan2(im, re)
-                for p in range(P):
-                    mag = math.exp(-0.5 * aa + p * la - 0.5 * lgam[p])
-                    c[p] = complex(mag * math.cos(p * ang), mag * math.sin(p * ang))
-            acc = 0.0
-            for p in range(P):
-                s = complex(0.0, 0.0)
-                for q in range(P):
-                    s += rho[p, q] * c[q]
-                acc += (c[p].conjugate() * s).real
-            out[i, j] = acc / math.pi
-    return out
-
-
-def _husimi_grid_numpy(rho, re_axis, im_axis, lgam, chunk=4096):
-    n_re, n_im = len(re_axis), len(im_axis)
-    P = rho.shape[0]
-    alpha = (re_axis[None, :] + 1j * im_axis[:, None]).ravel()
-    out = np.empty(alpha.size)
-    p = np.arange(P)
-    for lo in range(0, alpha.size, chunk):
-        al = alpha[lo:lo + chunk]
-        aa = np.abs(al) ** 2
-        safe = np.where(aa > 0, aa, 1.0)
-        logmag = -aa[:, None] / 2 + 0.5 * p[None, :] * np.log(safe)[:, None] - 0.5 * lgam[None, :]
-        cm = np.exp(logmag) * np.exp(1j * p[None, :] * np.angle(al)[:, None])
-        zero = aa == 0
-        if zero.any():
-            cm[zero] = 0.0
-            cm[zero, 0] = 1.0
-        t = cm @ rho.T
-        out[lo:lo + chunk] = np.einsum("kp,kp->k", cm.conj(), t).real / math.pi
-    return out.reshape(n_im, n_re)
+def _bargmann_factors(rho):
+    """(weights, rows) with rho = sum_k weights[k] |rows[k]><rows[k]|."""
+    if isinstance(rho, FieldDensity) and rho.factors is not None:
+        return np.ones(len(rho.factors)), rho.factors
+    m = rho.matrix if isinstance(rho, FieldDensity) else np.asarray(rho)
+    w, V = np.linalg.eigh(np.asarray(m, dtype=np.complex128))
+    return w, V.T
 
 
 def husimi_grid(rho: FieldDensity, re_axis, im_axis) -> QGrid:
-    """Husimi values over a rectangular grid (numba kernel when enabled)."""
+    """Husimi values over a rectangular grid.
+
+    With rho = sum_k w_k |v_k><v_k| and the Bargmann polynomial
+    v(z) = sum_p v_p z^p / sqrt(p!), <alpha|v> = e^{-|alpha|^2/2} v(conj alpha)
+    (Bargmann 1961), so Q = sum_k w_k |e^{-|alpha|^2/2} v_k(conj alpha)|^2 / pi.
+    Each polynomial is evaluated by Horner over the whole grid at once, as
+    v_0 + z/sqrt(1) (v_1 + z/sqrt(2) (v_2 + ...)).  The field densities
+    built here carry their rank <= 3 factors, so a grid costs three
+    polynomials rather than a quadratic form in the full Fock space.
+    """
     m = rho.matrix if isinstance(rho, FieldDensity) else np.asarray(rho)
     re_axis = np.ascontiguousarray(re_axis, dtype=float)
     im_axis = np.ascontiguousarray(im_axis, dtype=float)
     corners = max(abs(re_axis[0]), abs(re_axis[-1])) ** 2 \
         + max(abs(im_axis[0]), abs(im_axis[-1])) ** 2
     _check_window(m.shape[0], corners)
-    lgam = gammaln(np.arange(m.shape[0]) + 1.0)
-    rho_c = np.ascontiguousarray(m, dtype=np.complex128)
-    if USE_NUMBA:
-        values = _husimi_kernel(rho_c, re_axis, im_axis, lgam)
-    else:
-        values = _husimi_grid_numpy(rho_c, re_axis, im_axis, lgam)
-    return QGrid(re_axis=re_axis, im_axis=im_axis, values=values)
+    if corners > _BARGMANN_ALPHA_SQ_MAX:
+        raise NumericalGuardError(
+            f"|alpha|^2 = {corners:.2f} beyond the {_BARGMANN_ALPHA_SQ_MAX:g} "
+            "that the grid evaluation holds in double precision")
+    weights, rows = _bargmann_factors(rho)
+    z = (re_axis[None, :] - 1j * im_axis[:, None]).ravel()
+    inv_sqrt = 1.0 / np.sqrt(np.arange(1, m.shape[0]))
+    acc = np.repeat(rows[:, -1:], z.size, axis=1)
+    step = np.empty_like(z)
+    for p in range(m.shape[0] - 1, 0, -1):
+        np.multiply(z, inv_sqrt[p - 1], out=step)
+        acc *= step
+        acc += rows[:, p - 1:p]
+    gauss = np.exp(-0.5 * np.abs(z) ** 2)
+    values = (weights @ np.abs(acc * gauss) ** 2) / math.pi
+    return QGrid(re_axis=re_axis, im_axis=im_axis,
+                 values=values.reshape(len(im_axis), len(re_axis)))
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +446,7 @@ def observable_series(field: FieldInit, spectra, times, observables) -> dict:
         if "purity" in observables:
             out["purity"] = np.sum(np.abs(rho) ** 2, axis=(1, 2))
         if "concurrence" in observables:
-            out["concurrence"] = np.array([concurrence(r) for r in rho])
+            out["concurrence"] = concurrence(rho)
         if "entropy" in observables:
-            out["entropy"] = np.array(
-                [entropy_of_eigvals(hermitian_eigvals(r)) for r in rho])
+            out["entropy"] = entropy_of_eigvals(hermitian_eigvals(rho))
     return out

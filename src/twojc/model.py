@@ -96,15 +96,16 @@ class ModelParams:
     f_kind: NonlinearitySelector = F_LINEAR
 
     def __post_init__(self):
+        for name in ("omega0", "g", "kappa", "J_ising", "chi", "omega", "delta"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise TwojcError(f"{name} must be finite, got {value!r}")
         if not (self.omega0 > 0):
             raise TwojcError("omega0 must be positive")
         if not (self.g > 0):
             raise TwojcError("g must be positive")
         if self.chi < 0:
             raise TwojcError("chi must be nonnegative")
-        for name in ("kappa", "J_ising"):
-            if not math.isfinite(getattr(self, name)):
-                raise TwojcError(f"{name} must be finite")
         omega, delta = self.omega, self.delta
         if omega is None and delta is None:
             omega, delta = self.omega0, 0.0
@@ -118,6 +119,9 @@ class ModelParams:
                 raise TwojcError(
                     f"inconsistent (omega, omega0, delta): "
                     f"{omega} - {self.omega0} != {delta}")
+        if not math.isfinite(float(omega) - float(self.omega0)):
+            raise TwojcError(f"omega = {omega!r} and omega0 = {self.omega0!r} "
+                             "do not give a finite detuning")
         object.__setattr__(self, "omega", float(omega))
         # stored delta is exactly omega - omega0 by construction
         object.__setattr__(self, "delta", float(omega) - float(self.omega0))

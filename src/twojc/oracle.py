@@ -19,9 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
-from ._accel import USE_NUMBA, maybe_njit
 from .dynamics import AtomInit, FieldInit
 from .errors import NumericalGuardError, TruncationError
 from .model import HKind, ModelParams, eval_h, ladder_factor
@@ -115,22 +113,21 @@ def excitation_sectors(M: int):
     return sectors
 
 
-@maybe_njit
-def _jacobi_cyclic_kernel(mat, max_sweeps):
+def jacobi_eigh_cyclic(mat):
     """Cyclic-by-rows Jacobi for a small symmetric matrix.
 
     Deliberately a different sweep strategy than the analytic layer's
     solver; this copy exists so the cross-check cannot share a bug.
     """
-    n = mat.shape[0]
-    A = mat.copy()
+    A = np.array(mat, dtype=np.float64)
+    n = A.shape[0]
     V = np.eye(n)
     nrm = 0.0
     for i in range(n):
         for j in range(n):
             nrm += A[i, j] * A[i, j]
     tol = 1e-14 * math.sqrt(nrm)
-    for _ in range(max_sweeps):
+    for _ in range(80):
         off = 0.0
         for i in range(n - 1):
             for j in range(i + 1, n):
@@ -164,15 +161,7 @@ def _jacobi_cyclic_kernel(mat, max_sweeps):
                     vkq = V[k, q]
                     V[k, p] = c * vkp - s * vkq
                     V[k, q] = s * vkp + c * vkq
-    w = np.empty(n)
-    for i in range(n):
-        w[i] = A[i, i]
-    return w, V
-
-
-def jacobi_eigh_cyclic(mat):
-    a = np.ascontiguousarray(mat, dtype=np.float64)
-    return _jacobi_cyclic_kernel(a, 80)
+    return np.diag(A).copy(), V
 
 
 class SectorPropagator:
@@ -205,55 +194,21 @@ class SectorPropagator:
 
 # ---------------------------------------------------------------------------
 # fixed-step RK4 on the full matrix
+#
+# One RK4 step of size h multiplies the state by the Taylor polynomial
+# P(h) = sum_{j<=4} (-i h H)^j / j!, so n steps are P(h)^n.  Intervals of
+# one length share a single P^n, formed by repeated squaring, and each
+# sample is then one matrix-vector product.  Where the squarings would
+# cost more than the steps themselves (a large joint space, few steps),
+# the state is stepped through the nonzeros of H instead.
 
-@maybe_njit
-def _rk4_csr_kernel(data, indices, indptr, psi, h, n_steps):
-    dim = psi.shape[0]
-    k1 = np.empty(dim, dtype=np.complex128)
-    k2 = np.empty(dim, dtype=np.complex128)
-    k3 = np.empty(dim, dtype=np.complex128)
-    k4 = np.empty(dim, dtype=np.complex128)
-    tmp = np.empty(dim, dtype=np.complex128)
-    for _ in range(n_steps):
-        for i in range(dim):
-            acc = complex(0.0, 0.0)
-            for jj in range(indptr[i], indptr[i + 1]):
-                acc += data[jj] * psi[indices[jj]]
-            k1[i] = acc
-        for i in range(dim):
-            tmp[i] = psi[i] - 0.5j * h * k1[i]
-        for i in range(dim):
-            acc = complex(0.0, 0.0)
-            for jj in range(indptr[i], indptr[i + 1]):
-                acc += data[jj] * tmp[indices[jj]]
-            k2[i] = acc
-        for i in range(dim):
-            tmp[i] = psi[i] - 0.5j * h * k2[i]
-        for i in range(dim):
-            acc = complex(0.0, 0.0)
-            for jj in range(indptr[i], indptr[i + 1]):
-                acc += data[jj] * tmp[indices[jj]]
-            k3[i] = acc
-        for i in range(dim):
-            tmp[i] = psi[i] - 1j * h * k3[i]
-        for i in range(dim):
-            acc = complex(0.0, 0.0)
-            for jj in range(indptr[i], indptr[i + 1]):
-                acc += data[jj] * tmp[indices[jj]]
-            k4[i] = acc
-        for i in range(dim):
-            psi[i] = psi[i] - (1j * h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-    return psi
-
-
-def _rk4_scipy(Hs, psi, h, n_steps):
-    for _ in range(n_steps):
-        k1 = Hs @ psi
-        k2 = Hs @ (psi - 0.5j * h * k1)
-        k3 = Hs @ (psi - 0.5j * h * k2)
-        k4 = Hs @ (psi - 1j * h * k3)
-        psi = psi - (1j * h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return psi
+# Measured costs on one x86-64 thread: a complex multiply-add inside a dense
+# matrix product and inside a matrix-vector product, and a stepped RK4 step's
+# fixed overhead and its cost per nonzero of H.  Only their ratios matter.
+_GEMM_MAC_S = 0.14e-9
+_MATVEC_MAC_S = 0.65e-9
+_STEP_S = 40e-6
+_STEP_NONZERO_S = 65e-9
 
 
 def _auto_dt(H):
@@ -263,19 +218,78 @@ def _auto_dt(H):
     return _RK4_STEP_FRACTION / bound
 
 
+def _rk4_step_matrix(H, h):
+    """P(h) = I + A + A^2/2 + A^3/6 + A^4/24 with A = -i h H, in Horner form."""
+    A = (-1j * h) * H
+    eye = np.eye(H.shape[0])
+    P = eye + A / 4.0
+    for j in (3.0, 2.0, 1.0):
+        P = eye + (A @ P) / j
+    return P
+
+
+def _matrix_power(P, n):
+    """P^n for n >= 1 by repeated squaring."""
+    result = None
+    while True:
+        if n & 1:
+            result = P if result is None else result @ P
+        n >>= 1
+        if not n:
+            return result
+        P = P @ P
+
+
+def _power_pays(dim, nnz, n_steps, uses):
+    """Whether one P^n shared by `uses` intervals of n_steps steps each
+    (three products to form P, up to 2 log2 n to raise it, one
+    matrix-vector product per interval) beats stepping through them all."""
+    power = ((3 + 2 * n_steps.bit_length()) * dim ** 3 * _GEMM_MAC_S
+             + uses * dim ** 2 * _MATVEC_MAC_S)
+    stepping = uses * n_steps * (_STEP_S + nnz * _STEP_NONZERO_S)
+    return power < stepping
+
+
+class _SparseRows:
+    """H x from the nonzeros of H, summed row by row."""
+
+    def __init__(self, H):
+        rows, self.cols = np.nonzero(H)
+        self.vals = H[rows, self.cols].astype(np.complex128)
+        self.rows, self.starts = np.unique(rows, return_index=True)
+        self.dim = H.shape[0]
+
+    def __matmul__(self, x):
+        y = np.zeros(self.dim, dtype=np.complex128)
+        if self.vals.size:
+            y[self.rows] = np.add.reduceat(self.vals * x[self.cols], self.starts)
+        return y
+
+
+def _rk4_steps(Hs, psi, h, n_steps):
+    for _ in range(n_steps):
+        k1 = Hs @ psi
+        k2 = Hs @ (psi - 0.5j * h * k1)
+        k3 = Hs @ (psi - 0.5j * h * k2)
+        k4 = Hs @ (psi - 1j * h * k3)
+        psi = psi - (1j * h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return psi
+
+
 class _Rk4Engine:
     def __init__(self, H, dt):
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise ValueError("Hamiltonian must be a square matrix")
+        self.H = H
         self.dim = H.shape[0]
         self.dt = _auto_dt(H) if dt is None else float(dt)
-        Hs = scipy.sparse.csr_matrix(H)
-        self._csr = Hs
-        self._data = Hs.data.astype(np.complex128)
-        self._indices = Hs.indices.astype(np.int64)
-        self._indptr = Hs.indptr.astype(np.int64)
+        self._nnz = int(np.count_nonzero(H))
+        self._sparse = None
+        self._powers = {}  # span -> P^n, kept while more intervals of that span follow
 
-    def advance(self, psi_flat, span):
+    def advance(self, psi_flat, span, uses_left=1):
+        """The state `span` later; `uses_left` counts the intervals of this
+        span still to come, this one included."""
         if psi_flat.shape[0] != self.dim:
             raise ValueError(
                 f"state dimension {psi_flat.shape[0]} does not match the "
@@ -284,10 +298,34 @@ class _Rk4Engine:
             return psi_flat
         n_steps = max(1, int(math.ceil(span / self.dt))) if math.isfinite(self.dt) else 1
         h = span / n_steps
-        if USE_NUMBA:
-            return _rk4_csr_kernel(self._data, self._indices, self._indptr,
-                                   psi_flat, h, n_steps)
-        return _rk4_scipy(self._csr, psi_flat, h, n_steps)
+        power = self._powers.pop(span, None)
+        if power is None and _power_pays(self.dim, self._nnz, n_steps, uses_left):
+            power = _matrix_power(_rk4_step_matrix(self.H, h), n_steps)
+        if power is None:
+            if self._sparse is None:
+                self._sparse = _SparseRows(self.H)
+            return _rk4_steps(self._sparse, psi_flat, h, n_steps)
+        if uses_left > 1:
+            self._powers[span] = power
+        return power @ psi_flat
+
+
+def _shared_spans(spans, tol):
+    """Spans that differ by at most `tol` from a neighbour in sorted order
+    form one cluster.  Returns each span replaced by its cluster's mean and,
+    for each interval, how many intervals of its cluster remain from it on."""
+    order = np.argsort(spans, kind="stable")
+    starts = np.diff(spans[order], prepend=-np.inf) > tol
+    label = np.empty(len(spans), dtype=np.int64)
+    label[order] = np.cumsum(starts) - 1
+    counts = np.bincount(label)
+    means = np.bincount(label, weights=spans) / counts
+    left = np.empty_like(label)
+    seen = np.zeros_like(counts)
+    for i in range(len(label) - 1, -1, -1):
+        seen[label[i]] += 1
+        left[i] = seen[label[i]]
+    return means[label], left
 
 
 def _check_norm(psi_flat, n0):
@@ -313,19 +351,28 @@ def evolve_numeric(H: np.ndarray, psi0: JointState, t: float, dt: float = None) 
 
 
 def evolve_numeric_sampled(H: np.ndarray, psi0: JointState, times, dt: float = None):
-    """RK4 samples at the given times (ascending, from psi0.time)."""
+    """RK4 samples at the given times (ascending, from psi0.time).
+
+    Sample times carry rounding, so intervals that agree to a few ulps of
+    the latest time (evenly spaced samples) are integrated with one common
+    length, their mean.
+    """
     engine = _Rk4Engine(H, dt)
     psi = psi0.amplitudes.reshape(-1).astype(np.complex128).copy()
     n0 = np.linalg.norm(psi)
+    times = np.asarray(times, dtype=float).reshape(-1)
+    spans = np.diff(times, prepend=psi0.time)
+    if np.any(spans < 0):
+        raise ValueError("sample times must be ascending")
+    if not len(times):
+        return []
+    tol = 4.0 * np.finfo(float).eps * max(abs(psi0.time), float(np.abs(times).max()))
+    shared, uses_left = _shared_spans(spans, tol)
     out = []
-    prev = psi0.time
-    for t in times:
-        if t < prev:
-            raise ValueError("sample times must be ascending")
-        psi = engine.advance(psi, float(t - prev))
-        prev = float(t)
+    for t, span, left in zip(times, shared, uses_left):
+        psi = engine.advance(psi, float(span), int(left))
         _check_norm(psi, n0)
-        out.append(JointState(amplitudes=psi.reshape(4, -1).copy(), time=prev))
+        out.append(JointState(amplitudes=psi.reshape(4, -1).copy(), time=float(t)))
     return out
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import maybe_njit
 from .model import ModelParams, PhotonBlock, build_block
 
 __all__ = [
@@ -78,21 +77,22 @@ class BlockSpectrum:
     used_fallback: bool
 
 
-@maybe_njit
-def _jacobi_kernel(mat, max_rot):
-    """Classical Jacobi (largest off-diagonal pivot) for a small
-    symmetric matrix.  Returns eigenvalues and eigenvector columns;
-    iterates until the largest off-diagonal is below 1e-14 * ||mat||_F.
+def jacobi_eigh(mat):
+    """Eigenvalues and eigenvector columns of a small symmetric matrix.
+
+    Classical Jacobi (largest off-diagonal pivot), iterated until the
+    largest off-diagonal is below 1e-14 * ||mat||_F; the reference that the
+    closed form is checked against, and its fallback.
     """
-    n = mat.shape[0]
-    A = mat.copy()
+    A = np.array(mat, dtype=np.float64)
+    n = A.shape[0]
     V = np.eye(n)
     nrm = 0.0
     for i in range(n):
         for j in range(n):
             nrm += A[i, j] * A[i, j]
     tol = 1e-14 * math.sqrt(nrm)
-    for _ in range(max_rot):
+    for _ in range(60 * n * n):
         p, q, big = 0, 1, -1.0
         for i in range(n - 1):
             for j in range(i + 1, n):
@@ -125,16 +125,7 @@ def _jacobi_kernel(mat, max_rot):
             vkq = V[k, q]
             V[k, p] = c * vkp - s * vkq
             V[k, q] = s * vkp + c * vkq
-    w = np.empty(n)
-    for i in range(n):
-        w[i] = A[i, i]
-    return w, V
-
-
-def jacobi_eigh(mat):
-    """Eigenvalues and eigenvector columns of a small symmetric matrix."""
-    a = np.ascontiguousarray(mat, dtype=np.float64)
-    return _jacobi_kernel(a, 60 * a.shape[0] * a.shape[0])
+    return np.diag(A).copy(), V
 
 
 def cardano(block: PhotonBlock) -> CardanoIntermediates:

@@ -183,6 +183,47 @@ class TestCliEntry:
         cfg = write_cfg(tmp_path, doc)
         assert main(["run", cfg]) == 3
 
+    @pytest.mark.parametrize("key, value", [("omega0", math.inf),
+                                            ("delta", math.nan),
+                                            ("g", 10 ** 400)])
+    def test_non_finite_model_number_is_config_error(self, tmp_path, capsys,
+                                                      key, value):
+        doc = deep(BASE, output={"dir": str(tmp_path / "out"), "prefix": "x"})
+        doc["model"][key] = value
+        assert main(["run", write_cfg(tmp_path, doc)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_result_is_not_written(self, tmp_path, capsys):
+        # finite couplings whose block entries overflow
+        doc = deep(BASE, output={"dir": str(tmp_path / "out"), "prefix": "x"})
+        doc["model"].update(kappa=1e308, J=-1e308)
+        assert main(["run", write_cfg(tmp_path, doc)]) == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert os.listdir(tmp_path / "out") == []
+
+    def test_csv_guard(self, tmp_path):
+        from twojc.cli import _write_csv
+        from twojc.errors import NumericalGuardError
+        path = tmp_path / "t.csv"
+        with pytest.raises(NumericalGuardError):
+            _write_csv(str(path), [], ["a", "b"], [[0.0, 1.0], [math.inf, 2.0]])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("where", ["prefix", "label"])
+    @pytest.mark.parametrize("name", ["a/b", "..\\x", "", "a b", 7])
+    def test_file_name_parts_restricted(self, tmp_path, where, name):
+        doc = deep(BASE, output={"dir": str(tmp_path / "out"), "prefix": "x"})
+        if where == "prefix":
+            doc["output"]["prefix"] = name
+        else:
+            doc["curves"] = [{"label": name}]
+        with pytest.raises(ConfigError, match=where):
+            parse_config(doc)
+        assert main(["run", write_cfg(tmp_path, doc)]) == 2
+
     def test_dump_spectrum(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, deep(BASE))
         assert main(["dump-spectrum", "--n", "2", cfg]) == 0

@@ -95,6 +95,12 @@ class TestModelParams:
         {"omega0": 1.0, "g": 0.1, "chi": -0.1},
         {"omega0": 1.0, "g": 0.1, "kappa": math.inf},
         {"omega0": 1.0, "g": 0.1, "J_ising": math.nan},
+        {"omega0": math.inf, "g": 0.1},
+        {"omega0": 1.0, "g": math.inf},
+        {"omega0": 1.0, "g": 0.1, "chi": math.inf},
+        {"omega0": 1.0, "g": 0.1, "delta": math.nan},
+        {"omega0": 1.0, "g": 0.1, "omega": -math.inf},
+        {"omega0": 1e308, "g": 0.1, "delta": 1e308},  # omega overflows
     ])
     def test_invalid_params_rejected(self, kw):
         with pytest.raises(TwojcError):
