@@ -1,90 +1,15 @@
-"""The numba kernels and their numpy fallbacks must agree."""
-
-import os
-import subprocess
-import sys
+"""The Jacobi eigensolver, the plain-Python reference behind the closed form."""
 
 import numpy as np
-import pytest
-import scipy.sparse
-from scipy.special import gammaln
 
-from twojc._accel import USE_NUMBA
-from twojc.dynamics import _husimi_grid_numpy, _husimi_kernel
-from twojc.oracle import _rk4_csr_kernel, _rk4_scipy
-from twojc.spectral import _jacobi_kernel
-
-
-def _pure(fn):
-    return fn.py_func if hasattr(fn, "py_func") else fn
-
-
-def random_density(rng, dim):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
-
-
-def test_husimi_paths_agree():
-    rng = np.random.default_rng(0)
-    rho = random_density(rng, 23)
-    re_axis = np.linspace(-3.0, 3.0, 41)
-    im_axis = np.linspace(-2.5, 2.5, 37)
-    lgam = gammaln(np.arange(23) + 1.0)
-    a = _pure(_husimi_kernel)(rho, re_axis, im_axis, lgam)
-    b = _husimi_grid_numpy(rho, re_axis, im_axis, lgam, chunk=100)
-    np.testing.assert_allclose(a, b, rtol=1e-11, atol=1e-14)
-    if USE_NUMBA:
-        c = _husimi_kernel(rho, re_axis, im_axis, lgam)
-        np.testing.assert_allclose(c, b, rtol=1e-11, atol=1e-14)
-
-
-def test_rk4_paths_agree():
-    rng = np.random.default_rng(1)
-    dim = 40
-    a = rng.normal(size=(dim, dim))
-    H = np.triu(a) + np.triu(a, 1).T
-    H[np.abs(H) < 1.0] = 0.0  # sparsify
-    Hs = scipy.sparse.csr_matrix(H)
-    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    psi0 /= np.linalg.norm(psi0)
-    h, n_steps = 1e-3, 400
-    a_out = _pure(_rk4_csr_kernel)(Hs.data.astype(np.complex128),
-                                   Hs.indices.astype(np.int64),
-                                   Hs.indptr.astype(np.int64),
-                                   psi0.copy(), h, n_steps)
-    b_out = _rk4_scipy(Hs, psi0.copy(), h, n_steps)
-    np.testing.assert_allclose(a_out, b_out, atol=1e-12)
-    if USE_NUMBA:
-        c_out = _rk4_csr_kernel(Hs.data.astype(np.complex128),
-                                Hs.indices.astype(np.int64),
-                                Hs.indptr.astype(np.int64),
-                                psi0.copy(), h, n_steps)
-        np.testing.assert_allclose(c_out, b_out, atol=1e-12)
+from twojc.spectral import jacobi_eigh
 
 
 def test_jacobi_kernel_python_path():
     rng = np.random.default_rng(2)
     a = rng.normal(size=(3, 3))
     a = a + a.T
-    w1, v1 = _pure(_jacobi_kernel)(a.copy(), 540)
-    np.testing.assert_allclose(np.sort(w1), np.linalg.eigvalsh(a), atol=1e-12)
-    if USE_NUMBA:
-        w2, v2 = _jacobi_kernel(a.copy(), 540)
-        np.testing.assert_allclose(np.sort(w2), np.sort(w1), atol=1e-13)
-
-
-def test_env_flag_disables_numba():
-    code = ("import twojc._accel as a; "
-            "print(a.USE_NUMBA); "
-            "import twojc; import numpy as np; "
-            "p = twojc.ModelParams(omega0=1.0, g=1.0, f_kind=twojc.F_BUCK_SUKUMAR); "
-            "s = twojc.block_spectrum(p, 0); "
-            "print(float(np.abs(np.sort(s.energies) "
-            "- np.array([-np.sqrt(10), 0, np.sqrt(10)])).max()))")
-    env = dict(os.environ, TWOJC_NUMBA="0")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, check=True)
-    lines = out.stdout.strip().splitlines()
-    assert lines[0] == "False"
-    assert float(lines[1]) < 1e-12
+    w, v = jacobi_eigh(a.copy())
+    np.testing.assert_allclose(np.sort(w), np.linalg.eigvalsh(a), atol=1e-12)
+    np.testing.assert_allclose(v @ np.diag(w) @ v.T, a, atol=1e-12)
+    np.testing.assert_allclose(v.T @ v, np.eye(3), atol=1e-12)
