@@ -42,10 +42,8 @@ def _write_csv(path, header_lines, columns, rows):
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write(",".join(columns) + "\n")
-        # row blocks as Python floats: they format faster than numpy scalars
-        for lo in range(0, len(rows), 4096):
-            for row in rows[lo:lo + 4096].tolist():
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for row in rows.tolist():
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _sha256(path):

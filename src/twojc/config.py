@@ -68,6 +68,8 @@ _NAME_PATTERN = re.compile(r"[A-Za-z0-9._-]+")
 
 
 def _file_name_part(val, path):
+    if isinstance(val, int) and not isinstance(val, bool):
+        val = str(val)
     if not isinstance(val, str) or not _NAME_PATTERN.fullmatch(val):
         raise ConfigError(f"{path}: expected a non-empty name of letters, digits, "
                           f"'.', '_' or '-', got {val!r}")

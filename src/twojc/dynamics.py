@@ -341,8 +341,9 @@ class QGrid:
         return float(self.values.sum() * dre * dim)
 
 
-# largest |alpha|^2 whose Bargmann partial sums (<= e^{|alpha|^2/2}) stay finite
-_BARGMANN_ALPHA_SQ_MAX = 1400.0
+_HORNER_RESCALE_EVERY = 32  # Horner steps between checks of the partial sums
+_HORNER_RESCALE_ABOVE = 1e150  # ... which are rescaled once they pass this
+_HUSIMI_CHUNK = 1 << 18  # partial sums held at once, rows x points
 
 
 def _check_window(rho_dim: int, alpha_sq_max: float):
@@ -374,12 +375,46 @@ def husimi_q(rho: FieldDensity, alpha: complex) -> float:
 
 
 def _bargmann_factors(rho):
-    """(weights, rows) with rho = sum_k weights[k] |rows[k]><rows[k]|."""
+    """(weights, rows) with rho = sum_k weights[k] |rows[k]><rows[k]|.
+
+    A bare matrix is factored by eigh; eigenpairs below its numerical rank
+    (|w| <= dim * eps * max |w|, as in numpy.linalg.matrix_rank) are dropped.
+    """
     if isinstance(rho, FieldDensity) and rho.factors is not None:
         return np.ones(len(rho.factors)), rho.factors
     m = rho.matrix if isinstance(rho, FieldDensity) else np.asarray(rho)
     w, V = np.linalg.eigh(np.asarray(m, dtype=np.complex128))
-    return w, V.T
+    keep = np.abs(w) > m.shape[0] * np.finfo(float).eps * np.abs(w).max(initial=0.0)
+    return w[keep], V.T[keep]
+
+
+def _bargmann_amplitudes(rows, z):
+    """e^{-|z|^2/2} v_k(z) for each row v_k, by Horner over the points z.
+
+    The partial sums grow like e^{|z|^2/2}, beyond double range for
+    |z|^2 > 1400.  Once they pass 1e150 they are divided by their largest
+    modulus per point, every few steps, and the Gaussian is applied to the
+    log of the accumulated scale at the end.
+    """
+    dim = rows.shape[1]
+    inv_sqrt = 1.0 / np.sqrt(np.arange(1, dim))
+    acc = np.empty((len(rows), z.size), dtype=np.complex128)
+    acc[:] = rows[:, -1:]
+    log_scale = np.zeros(z.size)   # acc holds the partial sums * e^{-log_scale}
+    inv_scale = None               # e^{-log_scale}, once any point is rescaled
+    step = np.empty_like(z)
+    for p in range(dim - 1, 0, -1):
+        np.multiply(z, inv_sqrt[p - 1], out=step)
+        acc *= step
+        acc += rows[:, p - 1:p] if inv_scale is None else rows[:, p - 1:p] * inv_scale
+        if p % _HORNER_RESCALE_EVERY == 0:
+            big = np.abs(acc).max(axis=0)
+            if big.max() > _HORNER_RESCALE_ABOVE:
+                np.maximum(big, 1.0, out=big)
+                acc /= big
+                inv_scale = 1.0 / big if inv_scale is None else inv_scale / big
+                log_scale += np.log(big)
+    return acc * np.exp(log_scale - 0.5 * np.abs(z) ** 2)
 
 
 def husimi_grid(rho: FieldDensity, re_axis, im_axis) -> QGrid:
@@ -388,7 +423,7 @@ def husimi_grid(rho: FieldDensity, re_axis, im_axis) -> QGrid:
     With rho = sum_k w_k |v_k><v_k| and the Bargmann polynomial
     v(z) = sum_p v_p z^p / sqrt(p!), <alpha|v> = e^{-|alpha|^2/2} v(conj alpha)
     (Bargmann 1961), so Q = sum_k w_k |e^{-|alpha|^2/2} v_k(conj alpha)|^2 / pi.
-    Each polynomial is evaluated by Horner over the whole grid at once, as
+    Each polynomial is evaluated by Horner over the grid points at once, as
     v_0 + z/sqrt(1) (v_1 + z/sqrt(2) (v_2 + ...)).  The field densities
     built here carry their rank <= 3 factors, so a grid costs three
     polynomials rather than a quadratic form in the full Fock space.
@@ -399,21 +434,13 @@ def husimi_grid(rho: FieldDensity, re_axis, im_axis) -> QGrid:
     corners = max(abs(re_axis[0]), abs(re_axis[-1])) ** 2 \
         + max(abs(im_axis[0]), abs(im_axis[-1])) ** 2
     _check_window(m.shape[0], corners)
-    if corners > _BARGMANN_ALPHA_SQ_MAX:
-        raise NumericalGuardError(
-            f"|alpha|^2 = {corners:.2f} beyond the {_BARGMANN_ALPHA_SQ_MAX:g} "
-            "that the grid evaluation holds in double precision")
     weights, rows = _bargmann_factors(rho)
     z = (re_axis[None, :] - 1j * im_axis[:, None]).ravel()
-    inv_sqrt = 1.0 / np.sqrt(np.arange(1, m.shape[0]))
-    acc = np.repeat(rows[:, -1:], z.size, axis=1)
-    step = np.empty_like(z)
-    for p in range(m.shape[0] - 1, 0, -1):
-        np.multiply(z, inv_sqrt[p - 1], out=step)
-        acc *= step
-        acc += rows[:, p - 1:p]
-    gauss = np.exp(-0.5 * np.abs(z) ** 2)
-    values = (weights @ np.abs(acc * gauss) ** 2) / math.pi
+    values = np.zeros(z.size)
+    chunk = max(1, _HUSIMI_CHUNK // max(1, len(rows)))
+    for lo in range(0, z.size, chunk):
+        amps = _bargmann_amplitudes(rows, z[lo:lo + chunk])
+        values[lo:lo + chunk] = weights @ np.abs(amps) ** 2 / math.pi
     return QGrid(re_axis=re_axis, im_axis=im_axis,
                  values=values.reshape(len(im_axis), len(re_axis)))
 

@@ -198,18 +198,7 @@ class SectorPropagator:
 # One RK4 step of size h multiplies the state by the Taylor polynomial
 # P(h) = sum_{j<=4} (-i h H)^j / j!, so n steps are P(h)^n.  Intervals of
 # one length share a single P^n, formed by repeated squaring, and each
-# sample is then one matrix-vector product.  Where the squarings would
-# cost more than the steps themselves (a large joint space, few steps),
-# the state is stepped through the nonzeros of H instead.
-
-# Measured costs on one x86-64 thread: a complex multiply-add inside a dense
-# matrix product and inside a matrix-vector product, and a stepped RK4 step's
-# fixed overhead and its cost per nonzero of H.  Only their ratios matter.
-_GEMM_MAC_S = 0.14e-9
-_MATVEC_MAC_S = 0.65e-9
-_STEP_S = 40e-6
-_STEP_NONZERO_S = 65e-9
-
+# sample is then one matrix-vector product.
 
 def _auto_dt(H):
     bound = float(np.abs(H).sum(axis=1).max())  # Gershgorin bound on |E|
@@ -240,42 +229,6 @@ def _matrix_power(P, n):
         P = P @ P
 
 
-def _power_pays(dim, nnz, n_steps, uses):
-    """Whether one P^n shared by `uses` intervals of n_steps steps each
-    (three products to form P, up to 2 log2 n to raise it, one
-    matrix-vector product per interval) beats stepping through them all."""
-    power = ((3 + 2 * n_steps.bit_length()) * dim ** 3 * _GEMM_MAC_S
-             + uses * dim ** 2 * _MATVEC_MAC_S)
-    stepping = uses * n_steps * (_STEP_S + nnz * _STEP_NONZERO_S)
-    return power < stepping
-
-
-class _SparseRows:
-    """H x from the nonzeros of H, summed row by row."""
-
-    def __init__(self, H):
-        rows, self.cols = np.nonzero(H)
-        self.vals = H[rows, self.cols].astype(np.complex128)
-        self.rows, self.starts = np.unique(rows, return_index=True)
-        self.dim = H.shape[0]
-
-    def __matmul__(self, x):
-        y = np.zeros(self.dim, dtype=np.complex128)
-        if self.vals.size:
-            y[self.rows] = np.add.reduceat(self.vals * x[self.cols], self.starts)
-        return y
-
-
-def _rk4_steps(Hs, psi, h, n_steps):
-    for _ in range(n_steps):
-        k1 = Hs @ psi
-        k2 = Hs @ (psi - 0.5j * h * k1)
-        k3 = Hs @ (psi - 0.5j * h * k2)
-        k4 = Hs @ (psi - 1j * h * k3)
-        psi = psi - (1j * h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return psi
-
-
 class _Rk4Engine:
     def __init__(self, H, dt):
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -283,8 +236,6 @@ class _Rk4Engine:
         self.H = H
         self.dim = H.shape[0]
         self.dt = _auto_dt(H) if dt is None else float(dt)
-        self._nnz = int(np.count_nonzero(H))
-        self._sparse = None
         self._powers = {}  # span -> P^n, kept while more intervals of that span follow
 
     def advance(self, psi_flat, span, uses_left=1):
@@ -296,15 +247,10 @@ class _Rk4Engine:
                 f"{self.dim}-dimensional Hamiltonian")
         if span == 0.0:
             return psi_flat
-        n_steps = max(1, int(math.ceil(span / self.dt))) if math.isfinite(self.dt) else 1
-        h = span / n_steps
         power = self._powers.pop(span, None)
-        if power is None and _power_pays(self.dim, self._nnz, n_steps, uses_left):
-            power = _matrix_power(_rk4_step_matrix(self.H, h), n_steps)
         if power is None:
-            if self._sparse is None:
-                self._sparse = _SparseRows(self.H)
-            return _rk4_steps(self._sparse, psi_flat, h, n_steps)
+            n_steps = max(1, int(math.ceil(span / self.dt))) if math.isfinite(self.dt) else 1
+            power = _matrix_power(_rk4_step_matrix(self.H, span / n_steps), n_steps)
         if uses_left > 1:
             self._powers[span] = power
         return power @ psi_flat

@@ -213,7 +213,7 @@ class TestCliEntry:
         assert not path.exists()
 
     @pytest.mark.parametrize("where", ["prefix", "label"])
-    @pytest.mark.parametrize("name", ["a/b", "..\\x", "", "a b", 7])
+    @pytest.mark.parametrize("name", ["a/b", "..\\x", "", "a b", 7.5, True])
     def test_file_name_parts_restricted(self, tmp_path, where, name):
         doc = deep(BASE, output={"dir": str(tmp_path / "out"), "prefix": "x"})
         if where == "prefix":
@@ -223,6 +223,13 @@ class TestCliEntry:
         with pytest.raises(ConfigError, match=where):
             parse_config(doc)
         assert main(["run", write_cfg(tmp_path, doc)]) == 2
+
+    def test_numeric_file_name_parts_become_strings(self, tmp_path):
+        doc = deep(BASE, output={"dir": str(tmp_path / "out"), "prefix": 3},
+                   curves=[{"label": 7}])
+        cfg = parse_config(doc)
+        assert cfg.prefix == "3"
+        assert cfg.curves[0].label == "7"
 
     def test_dump_spectrum(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, deep(BASE))

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 import twojc
+from twojc import dynamics
 from twojc import (F_BUCK_SUKUMAR, ModelParams, coherent_field, concurrence,
                    husimi_grid, husimi_q, jacobi_eigh, observable_series,
                    reduced_atom_density)
-from twojc.dynamics import (FieldDensity, embed_atom_density,
+from twojc.dynamics import (FieldDensity, _bargmann_factors, embed_atom_density,
                             entropy_of_eigvals, hermitian_eigvals)
-from twojc.oracle import (_power_pays, _rk4_steps, _SparseRows,
-                          build_joint_hamiltonian, evolve_numeric,
+from twojc.oracle import (build_joint_hamiltonian, evolve_numeric,
                           evolve_numeric_sampled, joint_initial_state)
 
 
@@ -54,12 +54,35 @@ class TestHusimiGrid:
         np.testing.assert_allclose(from_factors, ref, rtol=0, atol=1e-14)
         np.testing.assert_allclose(from_matrix, ref, rtol=0, atol=1e-14)
 
-    def test_beyond_double_range_is_guarded(self):
-        rho = np.zeros((3000, 3000))
-        rho[0, 0] = 1.0
-        ax = np.linspace(-27.0, 27.0, 3)
-        with pytest.raises(twojc.NumericalGuardError, match="double precision"):
-            husimi_grid(rho, ax, ax)
+    def test_matches_single_point_beyond_double_range(self):
+        # |alpha|^2 > 1400: the unscaled Horner sums e^{|alpha|^2/2} overflow
+        n_max = 2900
+        rng = np.random.default_rng(7)
+        chi = np.zeros((3, n_max + 3))
+        chi[:, 1300:1600] = rng.normal(size=(3, 300))
+        chi /= math.sqrt(np.sum(chi ** 2))
+        rho = FieldDensity(matrix=chi.T @ chi, factors=chi)
+        re_axis = np.linspace(36.0, 38.0, 3)
+        im_axis = np.linspace(-1.5, 1.5, 3)
+        grid = husimi_grid(rho, re_axis, im_axis).values
+        ref = np.array([[husimi_q(rho, complex(re, im)) for re in re_axis]
+                        for im in im_axis])
+        assert np.all(ref > 1e-6)
+        np.testing.assert_allclose(grid, ref, rtol=1e-9, atol=0)
+
+    def test_full_rank_matrix_in_point_chunks(self, monkeypatch):
+        rho = random_densities(np.random.default_rng(11), 1, 15)[0]
+        monkeypatch.setattr(dynamics, "_HUSIMI_CHUNK", 64)  # 4 points a chunk
+        ax = np.linspace(-1.7, 1.7, 5)
+        ref = np.array([[husimi_q(rho, complex(re, im)) for re in ax] for im in ax])
+        np.testing.assert_allclose(husimi_grid(rho, ax, ax).values, ref,
+                                   rtol=0, atol=1e-14)
+
+    def test_bare_matrix_keeps_its_numerical_rank(self):
+        rng = np.random.default_rng(3)
+        chi = rng.normal(size=(3, 40)) + 1j * rng.normal(size=(3, 40))
+        weights, rows = _bargmann_factors(chi.T @ chi.conj())
+        assert len(weights) == len(rows) == 3
 
 
 class TestBatchedSeries:
@@ -150,21 +173,6 @@ class TestRk4Powers:
                             [1.7], dt)[0]
         np.testing.assert_allclose(out.amplitudes.reshape(-1), ref,
                                    rtol=0, atol=1e-12)
-
-    def test_stepping_path_matches_sequential_loop(self):
-        H, psi0, dt = self.system()
-        psi = psi0.amplitudes.reshape(-1).astype(complex)
-        n = math.ceil(0.6 / dt)
-        stepped = _rk4_steps(_SparseRows(H), psi, 0.6 / n, n)
-        ref = reference_rk4(H, psi, [0.6], dt)[0]
-        np.testing.assert_allclose(stepped, ref, rtol=0, atol=1e-12)
-
-    def test_path_choice_follows_dimension_and_steps(self):
-        # many evenly spaced samples of a mid-size space: squaring
-        assert _power_pays(dim=388, nnz=962, n_steps=304, uses=199)
-        # one short span of a large space: stepping
-        assert not _power_pays(dim=4012, nnz=10022, n_steps=10_000, uses=1)
-        assert not _power_pays(dim=388, nnz=962, n_steps=1, uses=1)
 
     def test_descending_times_rejected(self):
         H, psi0, _ = self.system()
