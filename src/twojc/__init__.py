@@ -9,10 +9,10 @@ independent brute-force oracle for cross-validation.
 from .model import (FKind, HKind, ModelParams, NonlinearitySelector,
                     PhotonBlock, F_BUCK_SUKUMAR, F_LINEAR, H_KERR, H_STANDARD,
                     build_block, eval_f, eval_h, ladder_factor, validity_ratios)
-from .spectral import (BlockSpectrum, CardanoIntermediates, block_spectrum,
+from .spectral import (CardanoIntermediates, SpectrumTable, block_spectrum,
                        cardano, eigenvalues, eigenvector_coeffs, jacobi_eigh,
-                       rabi_frequencies, rabi_frequencies_trig, spectrum_table,
-                       weighting_amplitudes)
+                       rabi_frequencies, rabi_frequencies_trig, solve_blocks,
+                       spectrum_table, weighting_amplitudes)
 from .dynamics import (AtomDensity, AtomInit, EvolutionCoeffs, FieldDensity,
                        FieldInit, QGrid, atomic_inversion, auto_n_max,
                        coherent_field, concurrence, embed_atom_density,

@@ -114,10 +114,8 @@ def _curve_outputs(cfg: RunConfig, curve: CurveSpec, out_dir: str):
         cols = (["n", "E1", "E2", "E3", "E1_over_g", "E2_over_g", "E3_over_g",
                  "omega21", "omega31", "omega23",
                  "lam11", "lam22", "lam33", "lam21", "lam31", "lam23"])
-        rows = []
-        for s in spectra:
-            e = s.energies
-            rows.append([s.n, *e, *(e / params.g), *s.rabi, *s.lam_diag, *s.lam_off])
+        rows = np.column_stack([spectra.n, spectra.energies, spectra.energies / params.g,
+                                spectra.rabi, spectra.lam_diag, spectra.lam_off])
         _write_csv(path, lines, cols, rows)
         written.append(path)
     return written
@@ -165,14 +163,14 @@ def _cmd_dump_spectrum(args):
         raise ConfigError(f"--n must be in [0, {curve.n_max}]")
     s = spectral.block_spectrum(curve.params, args.n)
     doc = {
-        "n": s.n,
-        "energies_rad_per_time": list(s.energies),
-        "energies_over_g": list(s.energies / curve.params.g),
-        "coeff_rows": [list(row) for row in s.coeffs],
-        "rabi_21_31_23": list(s.rabi),
-        "lam_diag_11_22_33": list(s.lam_diag),
-        "lam_off_21_31_23": list(s.lam_off),
-        "used_numeric_fallback": s.used_fallback,
+        "n": int(s.n),
+        "energies_rad_per_time": s.energies.tolist(),
+        "energies_over_g": (s.energies / curve.params.g).tolist(),
+        "coeff_rows": s.coeffs.tolist(),
+        "rabi_21_31_23": s.rabi.tolist(),
+        "lam_diag_11_22_33": s.lam_diag.tolist(),
+        "lam_off_21_31_23": s.lam_off.tolist(),
+        "used_numeric_fallback": bool(s.used_fallback),
     }
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import AtomInit, auto_n_max
-from .errors import ConfigError
+from .errors import ConfigError, TwojcError
 from .model import (FKind, HKind, ModelParams, NonlinearitySelector)
 
 OBSERVABLES = ("inversion", "purity", "concurrence", "entropy",
@@ -46,21 +46,47 @@ def _check_keys(obj, allowed, path):
             raise ConfigError(f"{path}.{key}: unknown key")
 
 
-def _number(obj, key, path, default=None, required=False):
-    if key not in obj:
-        if required:
-            raise ConfigError(f"{path}.{key}: required")
-        return default
-    val = obj[key]
+def _finite(val, where):
     if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {val!r}")
+        raise ConfigError(f"{where}: expected a number, got {val!r}")
     try:
         num = float(val)
     except OverflowError:  # an integer literal beyond double range
         num = math.inf
     if not math.isfinite(num):
-        raise ConfigError(f"{path}.{key}: expected a finite number, got {val!r}")
+        raise ConfigError(f"{where}: expected a finite number, got {val!r}")
     return num
+
+
+def _number(obj, key, path, default=None, required=False):
+    if key not in obj:
+        if required:
+            raise ConfigError(f"{path}.{key}: required")
+        return default
+    return _finite(obj[key], f"{path}.{key}")
+
+
+def _numbers(obj, key, path):
+    """A list of finite numbers as a tuple, or None when the key is absent."""
+    if key not in obj:
+        return None
+    val = obj[key]
+    if not isinstance(val, list):
+        raise ConfigError(f"{path}.{key}: expected a list of numbers, got {val!r}")
+    return tuple(_finite(v, f"{path}.{key}[{i}]") for i, v in enumerate(val))
+
+
+def _count(obj, key, path, default=None):
+    val = obj.get(key, default)
+    if isinstance(val, bool) or not isinstance(val, int) or val < 1:
+        raise ConfigError(f"{path}.{key}: expected a positive integer, got {val!r}")
+    return val
+
+
+def _choice(val, choices, where):
+    if not isinstance(val, str) or val not in choices:
+        raise ConfigError(f"{where}: expected one of {sorted(choices)}, got {val!r}")
+    return choices[val]
 
 
 # output file names are "<prefix>_<label>_<observable>.csv" inside output.dir
@@ -92,8 +118,9 @@ class QGridSpec:
 
     @property
     def corner_alpha_sq(self):
-        return (max(abs(self.re_min), abs(self.re_max)) ** 2
-                + max(abs(self.im_min), abs(self.im_max)) ** 2)
+        re = max(abs(self.re_min), abs(self.re_max))
+        im = max(abs(self.im_min), abs(self.im_max))
+        return re * re + im * im  # inf rather than OverflowError for huge bounds
 
 
 DEFAULT_QGRID = QGridSpec(re_min=-6.0, re_max=6.0, re_count=241,
@@ -125,13 +152,11 @@ class RunConfig:
 def _parse_selector(spec, kind_map, table, path, default):
     if spec is None:
         return default
-    if spec not in kind_map:
-        raise ConfigError(f"{path}: expected one of {sorted(kind_map)}, got {spec!r}")
-    kind = kind_map[spec]
+    kind = _choice(spec, kind_map, path)
     if kind in (HKind.CUSTOM, FKind.CUSTOM):
-        if table is None:
-            raise ConfigError(f"{path}: custom kind needs a value table")
-        return NonlinearitySelector(kind, tuple(table))
+        if not table:
+            raise ConfigError(f"{path}: custom kind needs a non-empty value table")
+        return NonlinearitySelector(kind, table)
     return NonlinearitySelector(kind)
 
 
@@ -145,11 +170,11 @@ def _parse_model(obj, path):
         chi=_number(obj, "chi", path, default=0.0),
         omega=_number(obj, "omega", path),
         delta=_number(obj, "delta", path),
-        h_kind=_parse_selector(obj.get("h_kind"), _H_KINDS, obj.get("h_table"),
-                               f"{path}.h_kind",
+        h_kind=_parse_selector(obj.get("h_kind"), _H_KINDS,
+                               _numbers(obj, "h_table", path), f"{path}.h_kind",
                                NonlinearitySelector(HKind.STANDARD)),
-        f_kind=_parse_selector(obj.get("f_kind"), _F_KINDS, obj.get("f_table"),
-                               f"{path}.f_kind",
+        f_kind=_parse_selector(obj.get("f_kind"), _F_KINDS,
+                               _numbers(obj, "f_table", path), f"{path}.f_kind",
                                NonlinearitySelector(FKind.LINEAR)),
     )
     return kwargs
@@ -181,9 +206,7 @@ def parse_config(doc: dict) -> RunConfig:
     _check_keys(tg, _TIME_KEYS, "config.time_grid")
     start = _number(tg, "start", "config.time_grid", required=True)
     stop = _number(tg, "stop", "config.time_grid", required=True)
-    count = tg.get("count")
-    if not isinstance(count, int) or count < 1:
-        raise ConfigError("config.time_grid.count: expected a positive integer")
+    count = _count(tg, "count", "config.time_grid")
     if count > 1 and stop <= start:
         raise ConfigError("config.time_grid: stop must exceed start")
     times_tau = np.linspace(start, stop, count)
@@ -192,17 +215,14 @@ def parse_config(doc: dict) -> RunConfig:
     if "q_grid" in doc:
         qg = doc["q_grid"]
         _check_keys(qg, _QGRID_KEYS, "config.q_grid")
-        times = qg.get("times", [])
-        if not isinstance(times, list):
-            raise ConfigError("config.q_grid.times: expected a list of tau values")
         q_grid = QGridSpec(
             re_min=_number(qg, "re_min", "config.q_grid", default=-6.0),
             re_max=_number(qg, "re_max", "config.q_grid", default=6.0),
-            re_count=int(qg.get("re_count", 241)),
+            re_count=_count(qg, "re_count", "config.q_grid", default=241),
             im_min=_number(qg, "im_min", "config.q_grid", default=-6.0),
             im_max=_number(qg, "im_max", "config.q_grid", default=6.0),
-            im_count=int(qg.get("im_count", 241)),
-            times_tau=tuple(float(t) for t in times))
+            im_count=_count(qg, "im_count", "config.q_grid", default=241),
+            times_tau=_numbers(qg, "times", "config.q_grid") or ())
     if "qfunction" in obs and not q_grid.times_tau:
         raise ConfigError("config.q_grid.times: required when qfunction is requested")
 
@@ -213,9 +233,7 @@ def parse_config(doc: dict) -> RunConfig:
     n_max_raw = fld.get("n_max", "auto")
 
     atom_init_name = doc.get("atom_init", "both_excited")
-    if atom_init_name not in _ATOM_INITS:
-        raise ConfigError(
-            f"config.atom_init: expected one of {sorted(_ATOM_INITS)}")
+    _choice(atom_init_name, _ATOM_INITS, "config.atom_init")
 
     base_model = _parse_model(doc["model"], "config.model")
 
@@ -236,20 +254,22 @@ def parse_config(doc: dict) -> RunConfig:
         if "model" in cd:
             model_kwargs = _merge_model(doc["model"], cd["model"],
                                         f"{path}.model")
-        params = ModelParams(**model_kwargs)
+        try:
+            params = ModelParams(**model_kwargs)
+        except TwojcError as exc:
+            raise ConfigError(f"{path}.model: {exc}") from exc
         c_mean, c_phase, c_nmax_raw = mean_n, phase, n_max_raw
         if "field" in cd:
             _check_keys(cd["field"], _FIELD_KEYS, f"{path}.field")
             c_mean = _number(cd["field"], "mean_n", f"{path}.field", default=mean_n)
             c_phase = _number(cd["field"], "phase", f"{path}.field", default=phase)
             c_nmax_raw = cd["field"].get("n_max", n_max_raw)
-        init_name = cd.get("atom_init", atom_init_name)
-        if init_name not in _ATOM_INITS:
-            raise ConfigError(f"{path}.atom_init: expected one of {sorted(_ATOM_INITS)}")
+        c_init = _choice(cd.get("atom_init", atom_init_name), _ATOM_INITS,
+                         f"{path}.atom_init")
         n_max = _resolve_n_max(c_nmax_raw, c_mean, obs, q_grid, path)
         curves.append(CurveSpec(label=label, params=params, mean_n=c_mean,
                                 phase=c_phase, n_max=n_max,
-                                atom_init=_ATOM_INITS[init_name]))
+                                atom_init=c_init))
     labels = [c.label for c in curves]
     if len(set(labels)) != len(labels):
         raise ConfigError("config.curves: labels must be unique")
@@ -264,9 +284,12 @@ def _resolve_n_max(raw, mean_n, observables, q_grid, path):
         n_max = auto_n_max(mean_n)
         if "qfunction" in observables:
             # the phase-space window needs n_max >= 2 max|alpha|^2
-            n_max = max(n_max, int(math.ceil(2.0 * q_grid.corner_alpha_sq)))
+            need = 2.0 * q_grid.corner_alpha_sq
+            if not math.isfinite(need):
+                raise ConfigError("config.q_grid: window too large for any n_max")
+            n_max = max(n_max, int(math.ceil(need)))
         return n_max
-    if not isinstance(raw, int) or raw < 2:
+    if isinstance(raw, bool) or not isinstance(raw, int) or raw < 2:
         raise ConfigError(f"{path}: n_max must be an integer >= 2 or \"auto\"")
     return raw
 

@@ -22,7 +22,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import NumericalGuardError, TruncationError, TwojcError
-from .spectral import stack_spectra
 
 SQRT2 = math.sqrt(2.0)
 
@@ -99,8 +98,13 @@ def coherent_field(mean_n: float, phase: float = 0.0, n_max: int = None,
         logmag = (-mean_n / 2.0 + 0.5 * n * math.log(mean_n)
                   - 0.5 * _log_factorials(n_max + 1))
         amps = np.exp(logmag) * np.exp(1j * n * phase)
-    return FieldInit(amplitudes=amps, n_max=n_max, mean_n=float(mean_n),
-                     atom_init=atom_init)
+    try:
+        return FieldInit(amplitudes=amps, n_max=n_max, mean_n=float(mean_n),
+                         atom_init=atom_init)
+    except NumericalGuardError:
+        raise
+    except TwojcError as exc:  # log-space rounding, which grows with mean_n
+        raise NumericalGuardError(f"coherent field at mean_n = {mean_n!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -116,8 +120,9 @@ def _init_column(atom_init: AtomInit) -> int:
     return 0 if atom_init is AtomInit.BOTH_EXCITED else 1
 
 
-def _coeff_batch(E, C, times, atom_init):
+def _coeff_batch(spectra, times, atom_init):
     """D[t, n, k] over a time array; (T, n_max+1, 3) complex."""
+    E, C = spectra.energies, spectra.coeffs
     col = _init_column(atom_init)
     W = C[:, :, col][:, :, None] * C              # (N+1, 3, 3) over j
     phases = np.exp(-1j * E[None, :, :] * np.asarray(times)[:, None, None])
@@ -125,9 +130,8 @@ def _coeff_batch(E, C, times, atom_init):
 
 
 def evolve_coeffs(spectra, atom_init: AtomInit, t: float) -> EvolutionCoeffs:
-    """Branch coefficients at time t from the block spectra."""
-    E, C, _, _, _ = stack_spectra(spectra)
-    D = _coeff_batch(E, C, np.array([t]), atom_init)[0]
+    """Branch coefficients at time t from the spectrum table."""
+    D = _coeff_batch(spectra, np.array([t]), atom_init)[0]
     return EvolutionCoeffs(time=float(t), atom_init=atom_init, coeffs=D)
 
 
@@ -195,8 +199,7 @@ def _rho_atoms_batch(A, D):
 
 
 def reduced_atom_density(field: FieldInit, spectra, t: float) -> AtomDensity:
-    E, C, _, _, _ = stack_spectra(spectra)
-    D = _coeff_batch(E, C, np.array([t]), field.atom_init)
+    D = _coeff_batch(spectra, np.array([t]), field.atom_init)
     rho = _rho_atoms_batch(field.amplitudes, D)[0]
     rho.setflags(write=False)
     return AtomDensity(matrix=rho)
@@ -204,8 +207,7 @@ def reduced_atom_density(field: FieldInit, spectra, t: float) -> AtomDensity:
 
 def reduced_field_density(field: FieldInit, spectra, t: float) -> FieldDensity:
     """rho_F(t) = sum_k |chi_k><chi_k| with chi_k[n+k-1] = A_n D_k^(n)."""
-    E, C, _, _, _ = stack_spectra(spectra)
-    D = _coeff_batch(E, C, np.array([t]), field.atom_init)[0]
+    D = _coeff_batch(spectra, np.array([t]), field.atom_init)[0]
     N = field.n_max
     M = N + 3
     chi = np.zeros((3, M), dtype=np.complex128)
@@ -225,14 +227,12 @@ def inversion_series(field: FieldInit, spectra, times) -> np.ndarray:
     """<D_Z>(t) for each t; D_Z = (sigma_z^(1) + sigma_z^(2)) / 2."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if field.atom_init is AtomInit.BOTH_EXCITED:
-        E, C, O, ld, lo = stack_spectra(spectra)
         Pn = field.probabilities
-        const = float(np.sum(Pn * ld.sum(axis=1)))
-        cosines = np.cos(O[None, :, :] * times[:, None, None])
-        return const + 2.0 * np.einsum("n,nk,tnk->t", Pn, lo, cosines)
+        const = float(np.sum(Pn * spectra.lam_diag.sum(axis=1)))
+        cosines = np.cos(spectra.rabi[None, :, :] * times[:, None, None])
+        return const + 2.0 * np.einsum("n,nk,tnk->t", Pn, spectra.lam_off, cosines)
     # symmetric start: no closed form with these amplitudes; use rho_A
-    E, C, _, _, _ = stack_spectra(spectra)
-    D = _coeff_batch(E, C, times, field.atom_init)
+    D = _coeff_batch(spectra, times, field.atom_init)
     rho = _rho_atoms_batch(field.amplitudes, D)
     return np.real(rho[:, 0, 0] - rho[:, 2, 2])
 
@@ -301,23 +301,23 @@ def concurrence(rho):
 
     Accepts the symmetric-sector 3x3 (embedded automatically) or a full
     4x4 in the computational basis, or a (T, 3, 3) / (T, 4, 4) stack, for
-    which it returns an array.  Eigenvalues of rho (YY) rho* (YY) are
-    real up to rounding; an imaginary residue above 1e-8 aborts rather
-    than being dropped.
+    which it returns an array.  With rho = A A^dagger (A = V sqrt(w) from
+    eigh), the lambda_i are the singular values of A^T (YY) A: no square
+    roots of near-zero eigenvalues of rho (YY) rho* (YY).  Input that is
+    not Hermitian to 1e-8 aborts.
     """
     m = rho.matrix if isinstance(rho, AtomDensity) else np.asarray(rho)
     if m.ndim not in (2, 3) or m.shape[-2:] not in ((3, 3), (4, 4)):
         raise TwojcError("concurrence expects 3x3 or 4x4 density matrices")
+    defect = np.abs(m - m.conj().swapaxes(-1, -2)).max()
+    if defect > 1e-8:
+        raise NumericalGuardError(f"concurrence input is not Hermitian: defect {defect:.2e}")
     if m.shape[-1] == 3:
         m = embed_atom_density(m)
-    mt = m @ _YY @ m.conj() @ _YY
-    ev = np.linalg.eigvals(mt)
-    residue = np.abs(ev.imag).max()
-    if residue > 1e-8:
-        raise NumericalGuardError(
-            f"concurrence eigenproblem left imaginary residue {residue:.2e}")
-    lam = np.sort(np.sqrt(np.clip(ev.real, 0.0, None)), axis=-1)[..., ::-1]
-    c = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+    w, V = np.linalg.eigh(m)
+    A = V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    lam = np.linalg.svd(A.swapaxes(-1, -2) @ _YY @ A, compute_uv=False)
+    c = np.maximum(0.0, lam[..., 0] - lam[..., 1:].sum(axis=-1))
     return float(c) if c.ndim == 0 else c
 
 
@@ -467,8 +467,7 @@ def observable_series(field: FieldInit, spectra, times, observables) -> dict:
     if "inversion" in observables:
         out["inversion"] = inversion_series(field, spectra, times)
     if need_rho:
-        E, C, _, _, _ = stack_spectra(spectra)
-        D = _coeff_batch(E, C, times, field.atom_init)
+        D = _coeff_batch(spectra, times, field.atom_init)
         rho = _rho_atoms_batch(field.amplitudes, D)
         if "purity" in observables:
             out["purity"] = np.sum(np.abs(rho) ** 2, axis=(1, 2))

@@ -15,7 +15,7 @@ All frequencies are angular, in units with hbar = 1.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -63,11 +63,14 @@ class NonlinearitySelector:
             raise TwojcError("custom_table only applies to the CUSTOM kind")
 
     def table_value(self, n):
-        if n < 0 or n >= len(self.custom_table):
+        """Tabulated value at index n (an int or an index array)."""
+        n = np.asarray(n)
+        outside = (n < 0) | (n >= len(self.custom_table))
+        if np.any(outside):
             raise TwojcError(
                 f"custom nonlinearity table has {len(self.custom_table)} entries; "
-                f"index {n} out of range")
-        return self.custom_table[n]
+                f"index {n[outside].flat[0]} out of range")
+        return np.asarray(self.custom_table)[n]
 
 
 H_STANDARD = NonlinearitySelector(HKind.STANDARD)
@@ -137,7 +140,7 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class PhotonBlock:
-    """3x3 symmetric-sector block for a fixed photon index n.
+    """3x3 symmetric-sector block for photon index n, or a stack of them.
 
     matrix holds (in rad/time)
 
@@ -147,56 +150,62 @@ class PhotonBlock:
 
     with f_m = f(m) sqrt(m) and F_i = (n+i)(h(n+i) - 1).  freq_scale is
     a characteristic frequency used for degeneracy thresholds downstream.
+    An index array n gives the stack: every field but freq_scale gains n's axes.
     """
 
     n: int
     matrix: np.ndarray
     f_np1: float
     f_np2: float
-    F_n0: float
-    F_n1: float
-    F_n2: float
     freq_scale: float = field(default=0.0)
 
+    @classmethod
+    def stack(cls, blocks):
+        """One block whose fields stack those of `blocks` along a new first axis."""
+        return cls(**{f.name: np.stack([getattr(b, f.name) for b in blocks])
+                      for f in fields(cls)})
 
-def eval_h(selector: NonlinearitySelector, params: ModelParams, n: int) -> float:
-    """Cavity nonlinearity h(n); dimensionless."""
-    if n < 0:
-        raise TwojcError("photon index must be nonnegative")
+
+def _check_index(n, least=0):
+    if np.any(np.asarray(n) < least):
+        raise TwojcError(f"photon index must be >= {least}")
+
+
+def eval_h(selector: NonlinearitySelector, params: ModelParams, n):
+    """Cavity nonlinearity h(n) for an index or an index array; dimensionless."""
+    _check_index(n)
     kind = selector.kind
     if kind is HKind.STANDARD:
-        return 1.0
+        return np.ones(np.shape(n))[()]
     if kind is HKind.KERR:
         return 1.0 + (params.chi / params.omega0) * n
     return selector.table_value(n)
 
 
-def eval_f(selector: NonlinearitySelector, n: int) -> float:
-    """Coupling weight f(n); dimensionless."""
-    if n < 0:
-        raise TwojcError("photon index must be nonnegative")
+def eval_f(selector: NonlinearitySelector, n):
+    """Coupling weight f(n) for an index or an index array; dimensionless."""
+    _check_index(n)
     kind = selector.kind
     if kind is FKind.LINEAR:
-        return 1.0
+        return np.ones(np.shape(n))[()]
     if kind is FKind.BUCK_SUKUMAR:
-        return math.sqrt(n)
+        return np.sqrt(n)
     return selector.table_value(n)
 
 
-def ladder_factor(selector: NonlinearitySelector, m: int) -> float:
-    """Ladder product f_m = f(m) * sqrt(m), for m >= 1.
+def ladder_factor(selector: NonlinearitySelector, m):
+    """Ladder product f_m = f(m) * sqrt(m), for m >= 1 (or an array of them).
 
     This is the matrix element weight of a f(n) between |m> and |m-1>.
     For the intensity-dependent sqrt coupling it is exactly m.
     """
-    if m <= 0:
-        raise TwojcError("ladder factor needs m >= 1")
+    _check_index(m, least=1)
     if selector.kind is FKind.BUCK_SUKUMAR:
-        return float(m)  # sqrt(m)*sqrt(m), exact for integer m
-    return eval_f(selector, m) * math.sqrt(m)
+        return np.asarray(m, dtype=float)[()]  # sqrt(m)*sqrt(m), exact for integer m
+    return eval_f(selector, m) * np.sqrt(m)
 
 
-def shift_factor(params: ModelParams, m: int) -> float:
+def shift_factor(params: ModelParams, m):
     """omega0 * m * (h(m) - 1): the anharmonic part of the cavity energy."""
     if params.h_kind.kind is HKind.KERR:
         # avoids the (chi/omega0)*omega0 round trip
@@ -204,28 +213,24 @@ def shift_factor(params: ModelParams, m: int) -> float:
     return params.omega0 * m * (eval_h(params.h_kind, params, m) - 1.0)
 
 
-def build_block(params: ModelParams, n: int) -> PhotonBlock:
-    """Assemble the symmetric-sector block for photon index n."""
-    if n < 0:
-        raise TwojcError("photon index must be nonnegative")
+def build_block(params: ModelParams, n) -> PhotonBlock:
+    """Assemble the symmetric-sector block for photon index n; an index
+    array n gives the stacked blocks of every index at once."""
+    _check_index(n)
     f1 = ladder_factor(params.f_kind, n + 1)
     f2 = ladder_factor(params.f_kind, n + 2)
-    wF0 = shift_factor(params, n)
-    wF1 = shift_factor(params, n + 1)
-    wF2 = shift_factor(params, n + 2)
     g, J, kap, dlt = params.g, params.J_ising, params.kappa, params.delta
     off1 = SQRT2 * g * f1
     off2 = SQRT2 * g * f2
-    mat = np.array([
-        [wF0 + dlt + J, off1, 0.0],
-        [off1, wF1 - J + 2.0 * kap, off2],
-        [0.0, off2, wF2 - dlt + J],
-    ])
+    mat = np.zeros(np.shape(n) + (3, 3))
+    mat[..., 0, 0] = shift_factor(params, n) + dlt + J
+    mat[..., 1, 1] = shift_factor(params, n + 1) - J + 2.0 * kap
+    mat[..., 2, 2] = shift_factor(params, n + 2) - dlt + J
+    mat[..., 0, 1] = mat[..., 1, 0] = off1
+    mat[..., 1, 2] = mat[..., 2, 1] = off2
     mat.setflags(write=False)
     scale = g + abs(params.chi) + abs(kap - J) + abs(dlt)
-    return PhotonBlock(n=n, matrix=mat, f_np1=f1, f_np2=f2,
-                       F_n0=wF0 / params.omega0, F_n1=wF1 / params.omega0,
-                       F_n2=wF2 / params.omega0, freq_scale=scale)
+    return PhotonBlock(n=n, matrix=mat, f_np1=f1, f_np2=f2, freq_scale=scale)
 
 
 def validity_ratios(params: ModelParams, weights: np.ndarray) -> dict:
@@ -237,8 +242,8 @@ def validity_ratios(params: ModelParams, weights: np.ndarray) -> dict:
     """
     w = np.asarray(weights, dtype=float)
     ns = np.arange(len(w))
-    mean_f = float(sum(w[n] * eval_f(params.f_kind, n) for n in ns))
-    mean_h = float(sum(w[n] * eval_h(params.h_kind, params, n) for n in ns))
+    mean_f = float(np.sum(w * eval_f(params.f_kind, ns)))
+    mean_h = float(np.sum(w * eval_h(params.h_kind, params, ns)))
     return {
         "g_f_over_omega0_h": params.g * mean_f / (params.omega0 * mean_h),
         "g_f_over_omega": params.g * mean_f / params.omega if params.omega else math.inf,

@@ -67,13 +67,12 @@ def build_joint_hamiltonian(params: ModelParams, n_max: int) -> np.ndarray:
     IM = np.eye(M)
     # a f(n): |m> -> f(m) sqrt(m) |m-1>
     lower = np.zeros((M, M))
-    for m in range(1, M):
-        lower[m - 1, m] = ladder_factor(params.f_kind, m)
+    m = np.arange(M)
+    lower[m[:-1], m[1:]] = ladder_factor(params.f_kind, m[1:])
     if params.h_kind.kind is HKind.KERR:
         shift = params.chi * np.arange(M, dtype=float) ** 2
     else:
-        shift = np.array([params.omega0 * m * (eval_h(params.h_kind, params, m) - 1.0)
-                          for m in range(M)])
+        shift = params.omega0 * m * (eval_h(params.h_kind, params, m) - 1.0)
     H = (np.kron(I4, np.diag(shift))
          + 0.5 * params.delta * np.kron(sz1 + sz2, IM)
          + params.g * (np.kron(sm1 + sm2, lower.T) + np.kron(sp1 + sp2, lower))

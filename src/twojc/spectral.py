@@ -13,14 +13,14 @@ backs the formula up wherever it degenerates.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
 from .model import ModelParams, PhotonBlock, build_block
 
 __all__ = [
-    "CardanoIntermediates", "BlockSpectrum", "cardano", "eigenvalues",
+    "CardanoIntermediates", "SpectrumTable", "cardano", "eigenvalues", "solve_blocks",
     "eigenvector_coeffs", "rabi_frequencies", "rabi_frequencies_trig",
     "weighting_amplitudes", "block_spectrum", "spectrum_table", "jacobi_eigh",
 ]
@@ -33,48 +33,56 @@ _QUALITY_TOL = 5e-12
 _DEGENERACY = 1e-14
 
 
+def _row(obj, k):
+    """The same dataclass with every field indexed by k (nested ones too)."""
+    return type(obj)(**{f.name: _row(v, k) if is_dataclass(v) else v[k]
+                        for f in fields(obj) for v in [getattr(obj, f.name)]})
+
+
 @dataclass(frozen=True)
 class CardanoIntermediates:
-    """Characteristic-polynomial data for one block.
+    """Characteristic-polynomial data for a block or a stack of blocks.
 
     beta, gamma, eta are the cubic coefficients; Q, R, theta the
-    trigonometric-solution quantities; F_sum, delta_plus, delta_minus, G
-    the photon-number combinations that the closed-form parameter
-    expressions are written in.  degenerate marks the (near) triple root
-    branch where theta is meaningless.
+    trigonometric-solution quantities.  degenerate marks the (near)
+    triple root branch where theta is meaningless.  Every field has the
+    leading shape of the blocks.
     """
 
-    beta: float
-    gamma: float
-    eta: float
-    Q: float
-    R: float
-    theta: float
-    F_sum: float
-    delta_plus: float
-    delta_minus: float
-    G: float
-    degenerate: bool = False
+    beta: np.ndarray
+    gamma: np.ndarray
+    eta: np.ndarray
+    Q: np.ndarray
+    R: np.ndarray
+    theta: np.ndarray
+    degenerate: np.ndarray
 
 
 @dataclass(frozen=True)
-class BlockSpectrum:
-    """Eigensystem of one photon block in the fixed Cardano labeling.
+class SpectrumTable:
+    """Eigensystems of a stack of photon blocks in the fixed Cardano labeling.
 
-    coeffs[j] is eigenvector j expressed in the symmetric basis
-    (|e,e,n>, sym|n+1>, |g,g,n+2>); rabi = (E1-E2, E1-E3, E3-E2);
-    lam_diag / lam_off are the inversion weighting amplitudes
-    (11, 22, 33) and (21, 31, 23).
+    Row i belongs to photon index n[i]: energies (N, 3); coeffs (N, 3, 3),
+    where coeffs[i, j] is eigenvector j in the symmetric basis
+    (|e,e,n>, sym|n+1>, |g,g,n+2>); rabi = (E1-E2, E1-E3, E3-E2); lam_diag /
+    lam_off are the inversion weighting amplitudes (11, 22, 33) and (21, 31,
+    23); used_fallback (N,) marks rows solved by Jacobi.  table[k] is row k.
     """
 
-    n: int
+    n: np.ndarray
     energies: np.ndarray
     coeffs: np.ndarray
     rabi: np.ndarray
     lam_diag: np.ndarray
     lam_off: np.ndarray
     intermediates: CardanoIntermediates
-    used_fallback: bool
+    used_fallback: np.ndarray
+
+    def __len__(self):
+        return len(self.n)
+
+    def __getitem__(self, k):
+        return _row(self, k)
 
 
 def jacobi_eigh(mat):
@@ -131,72 +139,66 @@ def jacobi_eigh(mat):
 def cardano(block: PhotonBlock) -> CardanoIntermediates:
     """Characteristic-polynomial coefficients and Cardano quantities."""
     H = block.matrix
-    h00, h11, h22 = H[0, 0], H[1, 1], H[2, 2]
-    h01, h12 = H[0, 1], H[1, 2]
+    h00, h11, h22 = H[..., 0, 0], H[..., 1, 1], H[..., 2, 2]
+    h01, h12 = H[..., 0, 1], H[..., 1, 2]
     beta = -(h00 + h11 + h22)
     gamma = h00 * h11 + h00 * h22 + h11 * h22 - h01 * h01 - h12 * h12
     det = h00 * (h11 * h22 - h12 * h12) - h01 * h01 * h22
     eta = -det
     Q = (3.0 * gamma - beta * beta) / 9.0
     R = (9.0 * beta * gamma - 27.0 * eta - 2.0 * beta ** 3) / 54.0
-    degenerate = -Q <= _DEGENERACY * block.freq_scale ** 2
-    if degenerate or Q >= 0.0:
-        theta = 0.0
-    else:
-        # rounding can push |R / sqrt(-Q^3)| slightly past 1 near repeated roots
-        theta = math.acos(max(-1.0, min(1.0, R / math.sqrt(-Q ** 3))))
-    f1sq = block.f_np1 ** 2
-    f2sq = block.f_np2 ** 2
-    return CardanoIntermediates(
-        beta=beta, gamma=gamma, eta=eta, Q=Q, R=R, theta=theta,
-        F_sum=block.F_n0 + block.F_n1 + block.F_n2,
-        delta_plus=f2sq + f1sq, delta_minus=f2sq - f1sq,
-        G=block.F_n0 * f2sq + block.F_n2 * f1sq,
-        degenerate=degenerate)
+    degenerate = -Q <= _DEGENERACY * np.square(block.freq_scale)
+    trig = ~degenerate & (Q < 0.0)
+    # rounding can push |R / sqrt(-Q^3)| slightly past 1 near repeated roots
+    cos3 = np.clip(R / np.sqrt(-np.where(trig, Q, -1.0) ** 3), -1.0, 1.0)
+    theta = np.where(trig, np.arccos(cos3), 0.0)
+    return CardanoIntermediates(beta=beta, gamma=gamma, eta=eta, Q=Q, R=R,
+                                theta=theta, degenerate=degenerate)
 
 
 def _char_poly(H, E):
-    """det(H - E I) and its derivative for the tridiagonal block."""
-    d0, d1, d2 = H[0, 0] - E, H[1, 1] - E, H[2, 2] - E
-    a2, b2 = H[0, 1] ** 2, H[1, 2] ** 2
+    """det(H - E I) and its derivative for tridiagonal blocks; E carries the
+    roots on its last axis."""
+    d0 = H[..., 0, 0, None] - E
+    d1 = H[..., 1, 1, None] - E
+    d2 = H[..., 2, 2, None] - E
+    a2, b2 = H[..., 0, 1, None] ** 2, H[..., 1, 2, None] ** 2
     p = d0 * d1 * d2 - b2 * d0 - a2 * d2
     dp = -(d1 * d2 + d0 * d2 + d0 * d1) + a2 + b2
     return p, dp
 
 
 def eigenvalues(inter: CardanoIntermediates, block: PhotonBlock) -> np.ndarray:
-    """The three roots in the fixed j = 1, 2, 3 labeling.
+    """The three roots in the fixed j = 1, 2, 3 labeling, on the last axis.
 
     Each Cardano root is polished with two guarded Newton steps on
-    det(H - E I); near a triple root all three collapse to -beta/3.
+    det(H - E I); a root stops at the first step that is not finite or
+    larger than 1e-6 max(1, max|H|).  Near a triple root all three
+    collapse to -beta/3.
     """
-    if inter.degenerate:
-        return np.full(3, -inter.beta / 3.0)
-    amp = 2.0 * math.sqrt(-inter.Q)
     H = block.matrix
-    scale = max(1.0, float(np.abs(H).max()))
-    out = np.empty(3)
-    for j in range(3):
-        E = -inter.beta / 3.0 + amp * math.cos((inter.theta + 2.0 * j * math.pi) / 3.0)
-        for _ in range(2):
-            p, dp = _char_poly(H, E)
-            if dp == 0.0:
-                break
+    third = (-inter.beta / 3.0)[..., None]
+    amp = 2.0 * np.sqrt(np.where(inter.degenerate, 0.0, -inter.Q))[..., None]
+    E = third + amp * np.cos((inter.theta[..., None] + 2.0 * np.arange(3) * np.pi) / 3.0)
+    scale = np.maximum(1.0, np.abs(H).max(axis=(-2, -1)))[..., None]
+    active = ~inter.degenerate[..., None]
+    for _ in range(2):
+        p, dp = _char_poly(H, E)
+        with np.errstate(divide="ignore", invalid="ignore"):
             corr = p / dp
-            if not math.isfinite(corr) or abs(corr) > 1e-6 * scale:
-                break
-            E -= corr
-        out[j] = E
-    return out
+        active = active & (dp != 0.0) & np.isfinite(corr) & (np.abs(corr) <= 1e-6 * scale)
+        E = np.where(active, E - corr, E)
+    return np.where(inter.degenerate[..., None], third, E)
 
 
-def _adjugate_row(H, E):
-    """Unnormalized eigenvector for eigenvalue E (adjugate column)."""
-    return np.array([
-        H[0, 1] * H[1, 2],
-        H[1, 2] * (E - H[0, 0]),
-        (E - H[1, 1]) * (E - H[0, 0]) - H[0, 1] ** 2,
-    ])
+def _adjugate_rows(H, E):
+    """Unnormalized eigenvectors for the roots E (adjugate columns), one
+    row per root."""
+    h00, h11 = H[..., 0, 0, None], H[..., 1, 1, None]
+    h01, h12 = H[..., 0, 1, None], H[..., 1, 2, None]
+    return np.stack([np.broadcast_to(h01 * h12, E.shape),
+                     h12 * (E - h00),
+                     (E - h11) * (E - h00) - h01 ** 2], axis=-1)
 
 
 def _fallback_coeffs(H, energies, rows):
@@ -212,12 +214,8 @@ def _fallback_coeffs(H, energies, rows):
         v = V[:, k]
         ref = rows[j]
         s = float(ref @ v)
-        if s == 0.0:
-            # deterministic sign: first nonzero component positive
-            for comp in v:
-                if comp != 0.0:
-                    s = comp
-                    break
+        if s == 0.0:  # deterministic sign: first nonzero component positive
+            s = v[np.flatnonzero(v)[0]]
         C[j] = v if s >= 0.0 else -v
     return C
 
@@ -225,97 +223,83 @@ def _fallback_coeffs(H, energies, rows):
 def eigenvector_coeffs(energies, block: PhotonBlock):
     """Row-orthonormal eigenvector coefficients in the symmetric basis.
 
-    Returns (C, used_fallback).  The adjugate formula is used wherever
-    its normalization is healthy; rows with a tiny normalization (e.g.
-    g = 0 makes every component vanish) or any residual orthonormality
-    defect switch the whole block to the Jacobi path.
+    Returns (C, used_fallback), C with the blocks' leading shape plus
+    (3, 3).  The adjugate formula is used wherever its normalization is
+    healthy; a block with a tiny row normalization (e.g. g = 0 makes every
+    component vanish) or any residual orthonormality defect is solved by
+    Jacobi instead, and only those blocks are.
     """
     H = block.matrix
-    hnorm2 = float(np.sum(H * H))
-    rows = [_adjugate_row(H, E) for E in energies]
-    if hnorm2 == 0.0:
-        return np.eye(3), True
-    C = np.empty((3, 3))
-    for j, v in enumerate(rows):
-        N = math.sqrt(float(v @ v))
-        if N <= _NORM_FLOOR * hnorm2:
-            return _fallback_coeffs(H, energies, rows), True
-        C[j] = v / N
-    defect = float(np.abs(C @ C.T - np.eye(3)).max())
-    if defect > _QUALITY_TOL:
-        return _fallback_coeffs(H, energies, rows), True
-    return C, False
+    hnorm2 = np.sum(H * H, axis=(-2, -1))
+    rows = _adjugate_rows(H, energies)
+    norm = np.sqrt((rows[..., None, :] @ rows[..., :, None])[..., 0, 0])
+    healthy = norm > _NORM_FLOOR * hnorm2[..., None]
+    C = rows / np.where(healthy, norm, 1.0)[..., None]
+    defect = np.abs(C @ np.swapaxes(C, -1, -2) - np.eye(3)).max(axis=(-2, -1))
+    used_fallback = ~healthy.all(axis=-1) | (defect > _QUALITY_TOL)
+    for k in map(tuple, np.argwhere(used_fallback)):
+        C[k] = np.eye(3) if hnorm2[k] == 0.0 else _fallback_coeffs(
+            H[k], energies[k], rows[k])
+    return C, used_fallback
 
 
 def rabi_frequencies(energies) -> np.ndarray:
-    """(E1-E2, E1-E3, E3-E2) from the stored roots.
+    """(E1-E2, E1-E3, E3-E2) from the stored roots, on the last axis.
 
     The first entry is built as the sum of the other two, so the
     identity O21 = O23 + O31 holds bit-exactly.
     """
-    e1, e2, e3 = energies
-    o31 = e1 - e3
-    o23 = e3 - e2
-    return np.array([o23 + o31, o31, o23])
+    o31 = energies[..., 0] - energies[..., 2]
+    o23 = energies[..., 2] - energies[..., 1]
+    return np.stack([o23 + o31, o31, o23], axis=-1)
 
 
 def rabi_frequencies_trig(inter: CardanoIntermediates) -> np.ndarray:
     """Same three frequencies from the trigonometric root form."""
-    if inter.degenerate:
-        return np.zeros(3)
-    m3q = math.sqrt(-3.0 * inter.Q)
-    c = math.cos(inter.theta / 3.0)
-    s = math.sin(inter.theta / 3.0)
-    return np.array([
-        m3q * (math.sqrt(3.0) * c + s),
-        m3q * (math.sqrt(3.0) * c - s),
-        2.0 * m3q * s,
-    ])
+    m3q = np.sqrt(np.where(inter.degenerate, 0.0, -3.0 * inter.Q))
+    c = np.cos(inter.theta / 3.0)
+    s = np.sin(inter.theta / 3.0)
+    return np.stack([m3q * (math.sqrt(3.0) * c + s),
+                     m3q * (math.sqrt(3.0) * c - s),
+                     2.0 * m3q * s], axis=-1)
 
 
 def weighting_amplitudes(C):
     """Inversion weighting amplitudes from the coefficient rows.
 
     lam[j,k] = C_j1 C_k1 (C_j1 C_k1 - C_j3 C_k3); returns the diagonal
-    (11, 22, 33) and the off-diagonal triple (21, 31, 23).
+    (11, 22, 33) and the off-diagonal triple (21, 31, 23), on the last axis.
     """
-    c1 = C[:, 0]
-    c3 = C[:, 2]
-    p1 = np.outer(c1, c1)
-    p3 = np.outer(c3, c3)
+    c1 = C[..., :, 0]
+    c3 = C[..., :, 2]
+    p1 = c1[..., :, None] * c1[..., None, :]
+    p3 = c3[..., :, None] * c3[..., None, :]
     lam = p1 * (p1 - p3)
-    diag = np.array([lam[0, 0], lam[1, 1], lam[2, 2]])
-    off = np.array([lam[1, 0], lam[2, 0], lam[1, 2]])
+    diag = np.stack([lam[..., 0, 0], lam[..., 1, 1], lam[..., 2, 2]], axis=-1)
+    off = np.stack([lam[..., 1, 0], lam[..., 2, 0], lam[..., 1, 2]], axis=-1)
     return diag, off
 
 
-def block_spectrum(params: ModelParams, n: int) -> BlockSpectrum:
-    """Full closed-form eigensystem of the block with photon index n."""
-    block = build_block(params, n)
+def solve_blocks(block: PhotonBlock) -> SpectrumTable:
+    """Closed-form eigensystems of a block or a stack of blocks at once."""
     inter = cardano(block)
     energies = eigenvalues(inter, block)
     C, fell_back = eigenvector_coeffs(energies, block)
     lam_diag, lam_off = weighting_amplitudes(C)
-    energies = np.asarray(energies)
-    rabi = rabi_frequencies(energies)
-    for arr in (energies, C, rabi, lam_diag, lam_off):
+    table = SpectrumTable(n=np.array(block.n), energies=energies, coeffs=C,
+                          rabi=rabi_frequencies(energies), lam_diag=lam_diag,
+                          lam_off=lam_off, intermediates=inter,
+                          used_fallback=fell_back)
+    for arr in (table.n, energies, C, table.rabi, lam_diag, lam_off, fell_back):
         arr.setflags(write=False)
-    return BlockSpectrum(n=n, energies=energies, coeffs=C, rabi=rabi,
-                         lam_diag=lam_diag, lam_off=lam_off,
-                         intermediates=inter, used_fallback=fell_back)
+    return table
 
 
-def spectrum_table(params: ModelParams, n_max: int) -> list:
-    """Block spectra for every photon index in [0, n_max]."""
-    return [block_spectrum(params, n) for n in range(n_max + 1)]
+def spectrum_table(params: ModelParams, n_max: int) -> SpectrumTable:
+    """Block spectra for every photon index in [0, n_max], as one table."""
+    return solve_blocks(build_block(params, np.arange(n_max + 1)))
 
 
-def stack_spectra(spectra):
-    """Stack a spectrum table into arrays (energies, coeffs, rabi,
-    lam_diag, lam_off), each indexed by photon number first."""
-    E = np.stack([s.energies for s in spectra])
-    C = np.stack([s.coeffs for s in spectra])
-    O = np.stack([s.rabi for s in spectra])
-    ld = np.stack([s.lam_diag for s in spectra])
-    lo = np.stack([s.lam_off for s in spectra])
-    return E, C, O, ld, lo
+def block_spectrum(params: ModelParams, n: int) -> SpectrumTable:
+    """The spectrum_table row of photon index n, solved alone."""
+    return solve_blocks(build_block(params, np.array([n])))[0]

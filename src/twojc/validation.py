@@ -13,7 +13,7 @@ import numpy as np
 
 from . import approx, dynamics, oracle, spectral
 from .errors import FixtureIntegrityError
-from .model import (F_BUCK_SUKUMAR, F_LINEAR, H_KERR, ModelParams)
+from .model import F_BUCK_SUKUMAR, F_LINEAR, H_KERR, ModelParams, PhotonBlock
 
 def _payload_digest(payload: dict) -> str:
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -69,38 +69,30 @@ def random_params(rng):
 
 def check_spectral_identities(n_draws=1000, seed=20240117):
     """Closed-form roots vs the Jacobi solver, plus the polynomial and
-    frequency identities, over random parameter draws."""
+    frequency identities, over random parameter draws solved as one stack."""
     rng = np.random.default_rng(seed)
-    worst = dict(eig=0.0, trace=0.0, pair=0.0, prod=0.0, rabi_sum=0.0,
-                 rabi_q=0.0, complete=0.0, orth=0.0)
-    for _ in range(n_draws):
-        params = random_params(rng)
-        n = int(rng.integers(0, 101))
-        s = spectral.block_spectrum(params, n)
-        block = spectral.build_block(params, n)
-        inter = s.intermediates
-        hnorm = max(1.0, float(np.linalg.norm(block.matrix)))
-        w, _ = spectral.jacobi_eigh(block.matrix)
-        worst["eig"] = max(worst["eig"], float(np.max(np.abs(
-            np.sort(s.energies) - np.sort(w)))) / hnorm)
-        e1, e2, e3 = s.energies
-        worst["trace"] = max(worst["trace"],
-                             abs(e1 + e2 + e3 + inter.beta) / max(1.0, abs(inter.beta)))
-        worst["pair"] = max(worst["pair"],
-                            abs(e1 * e2 + e1 * e3 + e2 * e3 - inter.gamma)
-                            / max(1.0, abs(inter.gamma)))
-        worst["prod"] = max(worst["prod"],
-                            abs(e1 * e2 * e3 + inter.eta) / max(1.0, abs(inter.eta)))
-        o21, o31, o23 = s.rabi
-        worst["rabi_sum"] = max(worst["rabi_sum"],
-                                abs(o21 - (o23 + o31)) / max(1.0, abs(o21)))
-        lhs = (o23 + 2.0 * o31) ** 2 / 3.0 + o23 ** 2
-        rhs = 4.0 * abs(3.0 * inter.Q)
-        worst["rabi_q"] = max(worst["rabi_q"], abs(lhs - rhs) / max(1e-300, rhs))
-        total = float(s.lam_diag.sum() + 2.0 * s.lam_off.sum())
-        worst["complete"] = max(worst["complete"], abs(total - 1.0))
-        worst["orth"] = max(worst["orth"], float(np.abs(
-            s.coeffs @ s.coeffs.T - np.eye(3)).max()))
+    draws = [(random_params(rng), int(rng.integers(0, 101))) for _ in range(n_draws)]
+    block = PhotonBlock.stack([spectral.build_block(p, n) for p, n in draws])
+    s = spectral.solve_blocks(block)
+    inter = s.intermediates
+    w = np.array([spectral.jacobi_eigh(H)[0] for H in block.matrix])
+    hnorm = np.maximum(1.0, np.linalg.norm(block.matrix, axis=(1, 2)))
+    e1, e2, e3 = s.energies.T
+    o21, o31, o23 = s.rabi.T
+    quad = (o23 + 2.0 * o31) ** 2 / 3.0 + o23 ** 2
+    rhs = 4.0 * np.abs(3.0 * inter.Q)
+    worst = {
+        "eig": np.abs(np.sort(s.energies) - np.sort(w)).max(axis=1) / hnorm,
+        "trace": np.abs(e1 + e2 + e3 + inter.beta) / np.maximum(1.0, np.abs(inter.beta)),
+        "pair": (np.abs(e1 * e2 + e1 * e3 + e2 * e3 - inter.gamma)
+                 / np.maximum(1.0, np.abs(inter.gamma))),
+        "prod": np.abs(e1 * e2 * e3 + inter.eta) / np.maximum(1.0, np.abs(inter.eta)),
+        "rabi_sum": np.abs(o21 - (o23 + o31)) / np.maximum(1.0, np.abs(o21)),
+        "rabi_q": np.abs(quad - rhs) / np.maximum(1e-300, rhs),
+        "complete": np.abs(s.lam_diag.sum(axis=1) + 2.0 * s.lam_off.sum(axis=1) - 1.0),
+        "orth": np.abs(s.coeffs @ np.swapaxes(s.coeffs, 1, 2) - np.eye(3)).max(axis=(1, 2)),
+    }
+    worst = {k: float(v.max()) for k, v in worst.items()}
     passed = (worst["eig"] < 1e-9 and worst["trace"] < 1e-9
               and worst["pair"] < 1e-9 and worst["prod"] < 1e-9
               and worst["rabi_sum"] < 1e-9 and worst["rabi_q"] < 1e-9

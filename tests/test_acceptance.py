@@ -41,9 +41,10 @@ def report(criterion, passed, detail):
 
 @pytest.fixture(scope="module")
 def sweep_blocks():
-    """>= 10^4 random draws: spectra plus their Jacobi reference."""
+    """>= 10^4 random draws, solved as one stack, plus their per-draw
+    Jacobi reference."""
     rng = np.random.default_rng(20240903)
-    draws = []
+    blocks = []
     for trial in range(10000):
         g = 10.0 ** rng.uniform(-4, 0)
         J = rng.uniform(-1, 1) * g
@@ -52,12 +53,10 @@ def sweep_blocks():
             chi=rng.uniform(0, 1) * g, delta=rng.uniform(-1, 1) * g,
             h_kind=H_KERR,
             f_kind=F_BUCK_SUKUMAR if trial % 2 else twojc.F_LINEAR)
-        n = int(rng.integers(0, 101))
-        s = twojc.block_spectrum(params, n)
-        block = build_block(params, n)
-        w, _ = jacobi_eigh(block.matrix)
-        draws.append((s, block, w))
-    return draws
+        blocks.append(build_block(params, int(rng.integers(0, 101))))
+    table = twojc.solve_blocks(twojc.PhotonBlock.stack(blocks))
+    return [(table[k], block, jacobi_eigh(block.matrix)[0])
+            for k, block in enumerate(blocks)]
 
 
 @pytest.fixture(scope="module")

@@ -4,10 +4,12 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twojc import ConfigError, FixtureIntegrityError
 from twojc.cli import main, run_config
-from twojc.config import load_config, parse_config
+from twojc.config import RunConfig, load_config, parse_config
 from twojc.validation import (check_spectral_identities, check_t0_anchors,
                               check_unitarity, fixture_document,
                               load_fixture, load_fixture_file)
@@ -243,6 +245,96 @@ class TestCliEntry:
     def test_dump_spectrum_block_out_of_range(self, tmp_path):
         cfg = write_cfg(tmp_path, deep(BASE))
         assert main(["dump-spectrum", "--n", "99", cfg]) == 2
+
+
+# (config path, JSON literal put there, exit code); the literal goes into the
+# file text as written, so 1e400 reaches the parser as the JSON number
+INPUT_EDGE_PROBES = [
+    ("q_grid.re_count", '"x"', 2), ("q_grid.re_count", "0", 2),
+    ("q_grid.re_count", "-3", 2), ("q_grid.re_count", "10.7", 2),
+    ("q_grid.re_count", "true", 2), ("q_grid.times", '["a"]', 2),
+    ("q_grid.times", "[true]", 2), ("q_grid.times", "[1e400]", 2),
+    ("model.f_table", '["a", 1.0]', 2), ("model.f_table", "5", 2),
+    ("time_grid.count", "true", 2), ("field.mean_n", "1e4", 3),
+]
+
+
+@pytest.mark.parametrize("where, literal, code", INPUT_EDGE_PROBES)
+def test_input_edge_exit_codes(tmp_path, capsys, where, literal, code):
+    doc = deep(BASE, q_grid={"times": [0.5], "re_count": 5, "im_count": 5},
+               output={"dir": str(tmp_path / "out"), "prefix": "x"})
+    doc["model"].update(f_kind="custom", f_table=[1.0] * 60)
+    doc["field"]["n_max"] = "auto"
+    section, key = where.split(".")
+    doc[section][key] = "@"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc).replace('"@"', literal))
+    assert main(["run", str(path)]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    if code == 2:
+        assert err.startswith(f"config error: config.{where}")
+    else:
+        assert err.startswith("numerical guard: coherent field at mean_n = 10000.0")
+
+
+SMALL = {
+    "model": {"omega0": 1.0, "g": 0.1, "kappa": 0.2, "J": 0.05, "chi": 0.01,
+              "delta": 0.0, "h_kind": "kerr", "f_kind": "custom",
+              "f_table": [1.0] * 12},
+    "field": {"mean_n": 1.0, "phase": 0.0, "n_max": 8},
+    "atom_init": "both_excited",
+    "time_grid": {"start": 0.0, "stop": 1.0, "count": 3},
+    "observables": ["inversion", "qfunction"],
+    "q_grid": {"re_min": -1.0, "re_max": 1.0, "re_count": 3, "im_min": -1.0,
+               "im_max": 1.0, "im_count": 3, "times": [0.5]},
+    "curves": [{"label": "a", "model": {"kappa": 0.3}, "field": {"mean_n": 2.0},
+                "atom_init": "symmetric"}],
+    "output": {"dir": "out", "prefix": "p"},
+}
+
+
+def _paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+SMALL_PATHS = sorted(_paths(SMALL), key=repr)
+# integers stay small: parse_config allocates the time grid, so a huge count
+# is an allocation, not a parse
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 6, 10 ** 6) | st.floats()
+    | st.sampled_from([10 ** 400, "auto", "custom", "kerr", "symmetric"])
+    | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=6), kids,
+                                                              max_size=3),
+    max_leaves=8)
+
+
+def _put(doc, path, value):
+    """Set doc[path] = value unless an earlier edit removed a parent."""
+    try:
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    except (KeyError, IndexError, TypeError):
+        pass
+
+
+@given(st.lists(st.tuples(st.sampled_from(SMALL_PATHS), JSON_VALUES),
+                min_size=1, max_size=3))
+@settings(deadline=None)
+def test_parse_config_returns_config_or_config_error(edits):
+    doc = json.loads(json.dumps(SMALL))
+    for path, value in edits:
+        _put(doc, path, value)
+    try:
+        assert isinstance(parse_config(doc), RunConfig)
+    except ConfigError:
+        pass
 
 
 def test_shipped_configs_parse():

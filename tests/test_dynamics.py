@@ -233,6 +233,19 @@ class TestConcurrence:
         assert np.all(series >= 0.0)
         assert np.all(series <= 1.0 + 1e-10)
 
+    def test_pure_states_match_closed_form(self):
+        # a|e,e> + b|sym> + c|g,g> has concurrence |2ac - b^2|; near-product
+        # states (b^2 close to 2ac) are where square roots of the eigenvalues
+        # of rho rho~ lose half the digits
+        rng = np.random.default_rng(71)
+        psi = rng.normal(size=(600, 3)) + 1j * rng.normal(size=(600, 3))
+        rel = np.concatenate([np.zeros(100), 10.0 ** rng.uniform(-12, -3, 300)])
+        psi[:400, 1] = np.sqrt(2.0 * psi[:400, 0] * psi[:400, 2]) * (1.0 + rel)
+        psi /= np.linalg.norm(psi, axis=1)[:, None]
+        exact = np.abs(2.0 * psi[:, 0] * psi[:, 2] - psi[:, 1] ** 2)
+        rho = psi[:, :, None] * psi[:, None, :].conj()
+        np.testing.assert_allclose(concurrence(rho), exact, rtol=0, atol=1e-13)
+
     def test_imaginary_residue_raises(self):
         # a grossly non-Hermitian input cannot be silently accepted
         rng = np.random.default_rng(8)

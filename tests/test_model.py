@@ -215,6 +215,22 @@ class TestBuildBlock:
         np.testing.assert_allclose(build_block(custom, n).matrix,
                                    build_block(ref, n).matrix, rtol=1e-13)
 
+    def test_index_array_builds_every_block(self):
+        h_table = NonlinearitySelector(HKind.CUSTOM, tuple(1.0 + 0.01 * m for m in range(9)))
+        f_table = NonlinearitySelector(FKind.CUSTOM, tuple(math.sqrt(m) for m in range(9)))
+        for p in (ModelParams(omega0=1.0, g=0.3, kappa=0.2, chi=0.05, delta=0.1,
+                              h_kind=H_KERR, f_kind=F_BUCK_SUKUMAR),
+                  ModelParams(omega0=2.0, g=0.3, h_kind=h_table, f_kind=f_table)):
+            stacked = build_block(p, np.arange(7))
+            assert stacked.matrix.shape == (7, 3, 3)
+            for n in range(7):
+                single = build_block(p, n)
+                np.testing.assert_array_equal(stacked.matrix[n], single.matrix)
+                assert stacked.f_np1[n] == single.f_np1
+                assert stacked.f_np2[n] == single.f_np2
+        with pytest.raises(TwojcError, match="index 9 out of range"):
+            build_block(ModelParams(omega0=1.0, g=0.3, f_kind=f_table), np.arange(8))
+
 
 def test_validity_ratios_reports_small_numbers():
     p = ModelParams(omega0=1.0, g=5e-4, f_kind=F_BUCK_SUKUMAR)

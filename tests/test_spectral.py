@@ -1,4 +1,7 @@
+import glob
 import math
+import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,8 +9,10 @@ import pytest
 from twojc import (F_BUCK_SUKUMAR, F_LINEAR, H_KERR, ModelParams, PhotonBlock,
                    block_spectrum, build_block, cardano, eigenvalues,
                    eigenvector_coeffs, jacobi_eigh, rabi_frequencies,
-                   rabi_frequencies_trig, weighting_amplitudes)
+                   rabi_frequencies_trig, solve_blocks, spectrum_table,
+                   weighting_amplitudes)
 from twojc.approx import kerr_weight_amplitudes
+from twojc.config import load_config
 
 from conftest import random_draw
 
@@ -17,8 +22,7 @@ SQRT2 = math.sqrt(2.0)
 def manual_block(matrix, f1=0.0, f2=0.0, scale=1.0):
     """Blocks outside the ModelParams domain (e.g. decoupled g = 0)."""
     m = np.asarray(matrix, dtype=float)
-    return PhotonBlock(n=0, matrix=m, f_np1=f1, f_np2=f2,
-                       F_n0=0.0, F_n1=0.0, F_n2=0.0, freq_scale=scale)
+    return PhotonBlock(n=0, matrix=m, f_np1=f1, f_np2=f2, freq_scale=scale)
 
 
 class TestCardano:
@@ -322,3 +326,44 @@ class TestJacobi:
                 np.testing.assert_allclose(np.sort(w), np.linalg.eigvalsh(a),
                                            rtol=1e-12, atol=1e-12)
                 np.testing.assert_allclose(V @ np.diag(w) @ V.T, a, atol=1e-12)
+
+
+def assert_rows_identical(a, b):
+    """Every field of two spectrum rows (intermediates included) bit-equal."""
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "intermediates":
+            assert_rows_identical(x, y)
+        else:
+            np.testing.assert_array_equal(x, y, err_msg=f.name)
+
+
+class TestSpectrumTable:
+    CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..",
+                                            "configs", "*.json")))
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
+    def test_rows_equal_single_block_solves(self, path):
+        for curve in load_config(path).curves:
+            table = spectrum_table(curve.params, curve.n_max)
+            assert len(table) == curve.n_max + 1
+            np.testing.assert_array_equal(table.n, np.arange(curve.n_max + 1))
+            # every third row and the last eight: vector loops handle an array tail apart
+            for k in sorted({*range(0, len(table), 3), *range(len(table) - 8, len(table))}):
+                row = block_spectrum(curve.params, k)
+                assert row.n == k and row.energies.shape == (3,)
+                assert_rows_identical(table[k], row)
+
+    def test_fallback_only_on_the_decoupled_row(self):
+        rng = np.random.default_rng(67)
+        healthy = [build_block(*random_draw(rng)) for _ in range(4)]
+        decoupled = manual_block(np.diag([0.3, -0.2, 0.45]), scale=0.5)
+        blocks = healthy[:2] + [decoupled] + healthy[2:]
+        table = solve_blocks(PhotonBlock.stack(blocks))
+        np.testing.assert_array_equal(table.used_fallback,
+                                      [False, False, True, False, False])
+        alone = solve_blocks(decoupled)
+        assert alone.used_fallback
+        np.testing.assert_array_equal(table.coeffs[2], alone.coeffs)
+        for k, block in zip((0, 1, 3, 4), healthy):
+            assert_rows_identical(table[k], solve_blocks(block))
