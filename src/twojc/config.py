@@ -26,6 +26,11 @@ _F_KINDS = {"linear": FKind.LINEAR, "buck_sukumar": FKind.BUCK_SUKUMAR,
             "custom": FKind.CUSTOM}
 _ATOM_INITS = {"both_excited": AtomInit.BOTH_EXCITED, "symmetric": AtomInit.SYMMETRIC}
 
+# largest time_grid.count, q_grid.re_count/im_count and n_max (also an "auto"
+# one): every count sizes an array, so a bigger one is a config error rather
+# than an allocation failure at run time
+MAX_COUNT = 10 ** 6
+
 _MODEL_KEYS = {"omega0", "omega", "g", "kappa", "J", "chi", "delta",
                "h_kind", "f_kind", "h_table", "f_table"}
 _FIELD_KEYS = {"mean_n", "phase", "n_max"}
@@ -78,8 +83,9 @@ def _numbers(obj, key, path):
 
 def _count(obj, key, path, default=None):
     val = obj.get(key, default)
-    if isinstance(val, bool) or not isinstance(val, int) or val < 1:
-        raise ConfigError(f"{path}.{key}: expected a positive integer, got {val!r}")
+    if isinstance(val, bool) or not isinstance(val, int) or not 1 <= val <= MAX_COUNT:
+        raise ConfigError(f"{path}.{key}: expected an integer in [1, {MAX_COUNT}], "
+                          f"got {val!r}")
     return val
 
 
@@ -282,15 +288,20 @@ def parse_config(doc: dict) -> RunConfig:
 def _resolve_n_max(raw, mean_n, observables, q_grid, path):
     if raw == "auto" or raw is None:
         n_max = auto_n_max(mean_n)
+        if n_max > MAX_COUNT:
+            raise ConfigError(f"{path}: \"auto\" n_max for mean_n = {mean_n!r} "
+                              f"is above {MAX_COUNT}")
         if "qfunction" in observables:
             # the phase-space window needs n_max >= 2 max|alpha|^2
             need = 2.0 * q_grid.corner_alpha_sq
-            if not math.isfinite(need):
-                raise ConfigError("config.q_grid: window too large for any n_max")
+            if not need <= MAX_COUNT:
+                raise ConfigError(f"config.q_grid: window needs n_max >= {need:.6g}, "
+                                  f"above {MAX_COUNT}")
             n_max = max(n_max, int(math.ceil(need)))
         return n_max
-    if isinstance(raw, bool) or not isinstance(raw, int) or raw < 2:
-        raise ConfigError(f"{path}: n_max must be an integer >= 2 or \"auto\"")
+    if isinstance(raw, bool) or not isinstance(raw, int) or not 2 <= raw <= MAX_COUNT:
+        raise ConfigError(f"{path}: n_max must be an integer in [2, {MAX_COUNT}] "
+                          f"or \"auto\"")
     return raw
 
 

@@ -120,18 +120,54 @@ def _init_column(atom_init: AtomInit) -> int:
     return 0 if atom_init is AtomInit.BOTH_EXCITED else 1
 
 
-def _coeff_batch(spectra, times, atom_init):
-    """D[t, n, k] over a time array; (T, n_max+1, 3) complex."""
-    E, C = spectra.energies, spectra.coeffs
-    col = _init_column(atom_init)
-    W = C[:, :, col][:, :, None] * C              # (N+1, 3, 3) over j
-    phases = np.exp(-1j * E[None, :, :] * np.asarray(times)[:, None, None])
-    return np.einsum("njk,tnj->tnk", W, phases)
+# phases per time chunk (times x levels x 3); a chunk's temporaries take about
+# 70 bytes per phase, so a series holds ~9 MB whatever its number of times
+_SERIES_CHUNK = 1 << 17
+
+
+def _time_chunks(n_times: int, n_levels: int):
+    """Slices of a time axis, each holding about _SERIES_CHUNK phases."""
+    step = max(1, _SERIES_CHUNK // (3 * n_levels))
+    return [slice(lo, lo + step) for lo in range(0, n_times, step)]
+
+
+def _fold_weights(spectra, atom_init: AtomInit, amplitudes=None):
+    """W[k, j, n] = A_n C[n, j, init] C[n, j, k]; (3, 3, N+1) over (k, j, n).
+
+    Without amplitudes A_n = 1, and the rows are the bare D_k^(n)(t).
+    """
+    C = spectra.coeffs
+    W = C[:, :, _init_column(atom_init)][:, :, None] * C
+    if amplitudes is not None:
+        W = amplitudes[:, None, None] * W
+    return np.ascontiguousarray(W.transpose(2, 1, 0))
+
+
+def _branch_rows(weights, energies, times):
+    """Rows X[t, k, n + k] = sum_j W[k, j, n] e^{-i E[n, j] t}; (T, 3, N+3).
+
+    With the weights of _fold_weights, row k is chi_k[n + k] = A_n D_k^(n)(t),
+    the branch-k amplitudes on their Fock levels, and entries outside
+    k .. k + N are zero; so rho_A = X X^dagger and rho_F = X^T X^*.
+    """
+    n_levels = energies.shape[0]
+    x = np.multiply.outer(times, -energies.T)     # (T, 3, N+1): -E t
+    phases = np.empty(x.shape, dtype=np.complex128)
+    np.cos(x, out=phases.real)
+    np.sin(x, out=phases.imag)
+    branch = np.einsum("tjn,kjn->tkn", phases, weights)
+    rows = np.zeros((len(times), 3, n_levels + 2), dtype=np.complex128)
+    for k in range(3):
+        rows[:, k, k:k + n_levels] = branch[:, k]
+    return rows
 
 
 def evolve_coeffs(spectra, atom_init: AtomInit, t: float) -> EvolutionCoeffs:
     """Branch coefficients at time t from the spectrum table."""
-    D = _coeff_batch(spectra, np.array([t]), atom_init)[0]
+    rows = _branch_rows(_fold_weights(spectra, atom_init), spectra.energies,
+                        np.array([float(t)]))[0]
+    levels = len(spectra)
+    D = np.stack([rows[k, k:k + levels] for k in range(3)], axis=1)
     return EvolutionCoeffs(time=float(t), atom_init=atom_init, coeffs=D)
 
 
@@ -176,45 +212,31 @@ class FieldDensity:
         return float(np.sum(np.arange(self.matrix.shape[0]) * np.diag(self.matrix).real))
 
 
-def _rho_atoms_batch(A, D):
-    """rho_A[t] from padded shifted sums; (T, 3, 3) complex.
+def _rho_atoms(field: FieldInit, spectra, times) -> np.ndarray:
+    """rho_A(t) = X X^dagger over a time array, one chunk at a time; (T, 3, 3).
 
-    Entry (k, j) sums A_{n+j-k} A_n^* D_k^{(n+j-k)} D_j^{(n)*}; amplitude
-    and coefficient indices outside [0, n_max] count as zero.
+    Entry (k, j) sums A_{n+j-k} A_n^* D_k^{(n+j-k)} D_j^{(n)*} over n: the
+    Gram matrix of the branch rows (_branch_rows).
     """
-    T = D.shape[0]
-    Np1 = len(A)
-    Ap = np.concatenate([np.zeros(2, np.complex128), A, np.zeros(2, np.complex128)])
-    Dp = np.concatenate([np.zeros((T, 2, 3), np.complex128), D,
-                         np.zeros((T, 2, 3), np.complex128)], axis=1)
-    idx = np.arange(Np1)
-    rho = np.empty((T, 3, 3), dtype=np.complex128)
-    for k in range(3):
-        for j in range(3):
-            s = j - k
-            rho[:, k, j] = np.sum(
-                Ap[None, idx + 2 + s] * np.conj(A)[None, :]
-                * Dp[:, idx + 2 + s, k] * np.conj(D[:, idx, j]), axis=1)
+    weights = _fold_weights(spectra, field.atom_init, field.amplitudes)
+    rho = np.empty((len(times), 3, 3), dtype=np.complex128)
+    for part in _time_chunks(len(times), len(spectra)):
+        X = _branch_rows(weights, spectra.energies, times[part])
+        np.matmul(X, X.conj().swapaxes(1, 2), out=rho[part])
     return rho
 
 
 def reduced_atom_density(field: FieldInit, spectra, t: float) -> AtomDensity:
-    D = _coeff_batch(spectra, np.array([t]), field.atom_init)
-    rho = _rho_atoms_batch(field.amplitudes, D)[0]
+    rho = _rho_atoms(field, spectra, np.array([float(t)]))[0]
     rho.setflags(write=False)
     return AtomDensity(matrix=rho)
 
 
 def reduced_field_density(field: FieldInit, spectra, t: float) -> FieldDensity:
     """rho_F(t) = sum_k |chi_k><chi_k| with chi_k[n+k-1] = A_n D_k^(n)."""
-    D = _coeff_batch(spectra, np.array([t]), field.atom_init)[0]
-    N = field.n_max
-    M = N + 3
-    chi = np.zeros((3, M), dtype=np.complex128)
-    rho = np.zeros((M, M), dtype=np.complex128)
-    for k in range(3):
-        chi[k, k:k + N + 1] = field.amplitudes * D[:, k]
-        rho += np.outer(chi[k], chi[k].conj())
+    weights = _fold_weights(spectra, field.atom_init, field.amplitudes)
+    chi = _branch_rows(weights, spectra.energies, np.array([float(t)]))[0]
+    rho = chi.T @ chi.conj()
     rho.setflags(write=False)
     chi.setflags(write=False)
     return FieldDensity(matrix=rho, factors=chi)
@@ -229,11 +251,13 @@ def inversion_series(field: FieldInit, spectra, times) -> np.ndarray:
     if field.atom_init is AtomInit.BOTH_EXCITED:
         Pn = field.probabilities
         const = float(np.sum(Pn * spectra.lam_diag.sum(axis=1)))
-        cosines = np.cos(spectra.rabi[None, :, :] * times[:, None, None])
-        return const + 2.0 * np.einsum("n,nk,tnk->t", Pn, spectra.lam_off, cosines)
+        out = np.empty(len(times))
+        for part in _time_chunks(len(times), len(spectra)):
+            cosines = np.cos(spectra.rabi[None, :, :] * times[part, None, None])
+            out[part] = const + 2.0 * np.einsum("n,nk,tnk->t", Pn, spectra.lam_off, cosines)
+        return out
     # symmetric start: no closed form with these amplitudes; use rho_A
-    D = _coeff_batch(spectra, times, field.atom_init)
-    rho = _rho_atoms_batch(field.amplitudes, D)
+    rho = _rho_atoms(field, spectra, times)
     return np.real(rho[:, 0, 0] - rho[:, 2, 2])
 
 
@@ -467,8 +491,7 @@ def observable_series(field: FieldInit, spectra, times, observables) -> dict:
     if "inversion" in observables:
         out["inversion"] = inversion_series(field, spectra, times)
     if need_rho:
-        D = _coeff_batch(spectra, times, field.atom_init)
-        rho = _rho_atoms_batch(field.amplitudes, D)
+        rho = _rho_atoms(field, spectra, times)
         if "purity" in observables:
             out["purity"] = np.sum(np.abs(rho) ** 2, axis=(1, 2))
         if "concurrence" in observables:

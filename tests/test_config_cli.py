@@ -4,12 +4,12 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twojc import ConfigError, FixtureIntegrityError
 from twojc.cli import main, run_config
-from twojc.config import RunConfig, load_config, parse_config
+from twojc.config import MAX_COUNT, RunConfig, load_config, parse_config
 from twojc.validation import (check_spectral_identities, check_t0_anchors,
                               check_unitarity, fixture_document,
                               load_fixture, load_fixture_file)
@@ -80,6 +80,34 @@ class TestConfigParsing:
         cfg = parse_config(doc)
         # default +-6 grid corners need 2 * 72 Fock levels
         assert cfg.curves[0].n_max == 144
+
+    def test_counts_are_bounded(self):
+        for section, key in (("time_grid", "count"), ("q_grid", "re_count"),
+                             ("q_grid", "im_count")):
+            doc = deep(BASE, q_grid={"times": [0.5]})
+            doc[section][key] = MAX_COUNT
+            assert isinstance(parse_config(doc), RunConfig)
+            doc[section][key] = MAX_COUNT + 1
+            with pytest.raises(ConfigError, match=f"config.{section}.{key}: expected an "
+                                                  f"integer in \\[1, {MAX_COUNT}\\]"):
+                parse_config(doc)
+
+    def test_n_max_is_bounded(self):
+        doc = deep(BASE)
+        doc["field"]["n_max"] = MAX_COUNT + 1
+        with pytest.raises(ConfigError, match="n_max must be an integer in"):
+            parse_config(doc)
+        doc["field"].update(n_max="auto", mean_n=float(MAX_COUNT))
+        with pytest.raises(ConfigError, match='"auto" n_max for mean_n = 1000000.0'):
+            parse_config(doc)
+        doc["field"]["mean_n"] = 1e300
+        with pytest.raises(ConfigError, match="is above"):
+            parse_config(doc)
+        doc = deep(BASE, observables=["qfunction"],
+                   q_grid={"times": [0.5], "re_max": 1e3, "im_max": 1e3})
+        doc["field"]["n_max"] = "auto"
+        with pytest.raises(ConfigError, match="window needs n_max >= 4e\\+06"):
+            parse_config(doc)
 
     def test_duplicate_curve_labels(self):
         doc = deep(BASE, curves=[{"label": "a"}, {"label": "a"}])
@@ -256,6 +284,7 @@ INPUT_EDGE_PROBES = [
     ("q_grid.times", "[true]", 2), ("q_grid.times", "[1e400]", 2),
     ("model.f_table", '["a", 1.0]', 2), ("model.f_table", "5", 2),
     ("time_grid.count", "true", 2), ("field.mean_n", "1e4", 3),
+    ("time_grid.count", "1" + "0" * 30, 2),
 ]
 
 
@@ -326,6 +355,7 @@ def _put(doc, path, value):
 
 @given(st.lists(st.tuples(st.sampled_from(SMALL_PATHS), JSON_VALUES),
                 min_size=1, max_size=3))
+@example([(("time_grid", "count"), 10 ** 400)])
 @settings(deadline=None)
 def test_parse_config_returns_config_or_config_error(edits):
     doc = json.loads(json.dumps(SMALL))

@@ -1,19 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.stats
 
-from twojc import (F_BUCK_SUKUMAR, F_LINEAR, ModelParams, NumericalGuardError,
+from twojc import (F_BUCK_SUKUMAR, F_LINEAR, H_KERR, ModelParams, NumericalGuardError,
                    TruncationError, atomic_inversion, build_block,
                    coherent_field, concurrence, embed_atom_density,
                    evolve_coeffs, field_entropy, husimi_grid, husimi_q,
                    inversion_series, observable_series, purity,
                    reduced_atom_density, reduced_field_density, spectrum_table)
-from twojc.dynamics import (AtomDensity, AtomInit, FieldDensity, auto_n_max,
-                            coherent_vector, entropy_of_eigvals,
-                            hermitian_eigvals)
+from twojc.dynamics import (SERIES_OBSERVABLES, AtomDensity, AtomInit, FieldDensity,
+                            _time_chunks, auto_n_max, coherent_vector,
+                            entropy_of_eigvals, hermitian_eigvals)
 from twojc.features import local_maxima, nearest_extremum
 
 SQRT2 = math.sqrt(2.0)
@@ -384,3 +385,59 @@ class TestShiftInvarianceOfObservables:
                                           ["inversion", "purity", "entropy"]))
         for key in ("inversion", "purity", "entropy"):
             np.testing.assert_allclose(outs[0][key], outs[1][key], atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def large_n_kerr():
+    """mean_n 1000 (n_max 1400) with Kerr and sqrt coupling, both starts."""
+    params = ModelParams(omega0=1.0, g=1.0, kappa=0.25, chi=0.125, h_kind=H_KERR,
+                         f_kind=F_BUCK_SUKUMAR)
+    fields = [coherent_field(1000.0, atom_init=init) for init in AtomInit]
+    return fields, spectrum_table(params, fields[0].n_max)
+
+
+class TestTimeChunks:
+    """observable_series and inversion_series work through the time axis in
+    chunks; nothing may change where one chunk ends and the next begins."""
+
+    def test_series_match_per_time_densities(self, large_n_kerr):
+        fields, spectra = large_n_kerr
+        c = _time_chunks(1, len(spectra))[0].stop
+        assert 1 < c < 100
+        for n_times in (1, c - 1, c, c + 1, 2 * c + 3):
+            times = np.linspace(0.1, 7.0, n_times)
+            for field in fields:
+                out = observable_series(field, spectra, times, SERIES_OBSERVABLES)
+                rhos = [reduced_atom_density(field, spectra, float(t)) for t in times]
+                ref = {"purity": [purity(r) for r in rhos],
+                       "concurrence": [concurrence(r) for r in rhos],
+                       "entropy": [field_entropy(r) for r in rhos],
+                       "inversion": [atomic_inversion(field, spectra, float(t))
+                                     for t in times]}
+                for name in SERIES_OBSERVABLES:
+                    np.testing.assert_allclose(out[name], ref[name], rtol=0, atol=1e-14,
+                                               err_msg=f"{name}, T = {n_times}")
+
+    def test_closed_form_inversion_unchanged_by_chunks(self, large_n_kerr):
+        (field, _), spectra = large_n_kerr
+        Pn = field.probabilities
+        c = _time_chunks(1, len(spectra))[0].stop
+        for n_times in (1, c - 1, c, c + 1, 2 * c + 3):
+            times = np.linspace(0.1, 7.0, n_times)
+            cosines = np.cos(spectra.rabi[None, :, :] * times[:, None, None])
+            ref = (float(np.sum(Pn * spectra.lam_diag.sum(axis=1)))
+                   + 2.0 * np.einsum("n,nk,tnk->t", Pn, spectra.lam_off, cosines))
+            assert np.array_equal(inversion_series(field, spectra, times), ref)
+
+    def test_purity_series_memory_is_bounded(self, large_n_kerr):
+        # one (T, N+1, 3) complex array at T = 4000, N = 1400 is 134 MB
+        (field, _), spectra = large_n_kerr
+        times = np.linspace(0.0, 50.0, 4000)
+        tracemalloc.start()
+        try:
+            out = observable_series(field, spectra, times, ["purity"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out["purity"].shape == (4000,)
+        assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
