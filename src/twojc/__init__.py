@@ -10,7 +10,7 @@ from .model import (FKind, HKind, ModelParams, NonlinearitySelector,
                     PhotonBlock, F_BUCK_SUKUMAR, F_LINEAR, H_KERR, H_STANDARD,
                     build_block, eval_f, eval_h, ladder_factor, validity_ratios)
 from .spectral import (CardanoIntermediates, SpectrumTable, block_spectrum,
-                       cardano, eigenvalues, eigenvector_coeffs, jacobi_eigh,
+                       cardano, eigenvalues, eigenvector_coeffs,
                        rabi_frequencies, rabi_frequencies_trig, solve_blocks,
                        spectrum_table, weighting_amplitudes)
 from .dynamics import (AtomDensity, AtomInit, EvolutionCoeffs, FieldDensity,

@@ -191,25 +191,34 @@ class AtomDensity:
 
 @dataclass(frozen=True)
 class FieldDensity:
-    """Reduced field density on Fock levels 0 .. n_max + 2.
+    """Reduced field density on Fock levels 0 .. n_max + 2, held as its factors.
 
-    factors, when known, holds rows chi_k with matrix = sum_k |chi_k><chi_k|
-    (rank <= 3 for the states built here); husimi_grid works from them.
+    factors (K, n_max + 3) holds rows chi_k with rho_F = sum_k |chi_k><chi_k|
+    (K = 3 for the states built here); the dense matrix is formed only when
+    .matrix is read.
     """
 
-    matrix: np.ndarray
-    factors: np.ndarray = None
+    factors: np.ndarray
+
+    @property
+    def matrix(self):
+        return self.factors.T @ self.factors.conj()
 
     @property
     def n_max(self):
-        return self.matrix.shape[0] - 3
+        return self.factors.shape[1] - 3
+
+    def _populations(self):
+        """Diagonal of rho_F: sum_k |chi_k[p]|^2 per Fock level p."""
+        return np.sum(np.abs(self.factors) ** 2, axis=0)
 
     @property
     def trace_defect(self):
-        return abs(float(np.trace(self.matrix).real) - 1.0)
+        return abs(float(np.sum(self._populations())) - 1.0)
 
     def mean_photons(self):
-        return float(np.sum(np.arange(self.matrix.shape[0]) * np.diag(self.matrix).real))
+        pop = self._populations()
+        return float(np.sum(np.arange(len(pop)) * pop))
 
 
 def _rho_atoms(field: FieldInit, spectra, times) -> np.ndarray:
@@ -236,10 +245,8 @@ def reduced_field_density(field: FieldInit, spectra, t: float) -> FieldDensity:
     """rho_F(t) = sum_k |chi_k><chi_k| with chi_k[n+k-1] = A_n D_k^(n)."""
     weights = _fold_weights(spectra, field.atom_init, field.amplitudes)
     chi = _branch_rows(weights, spectra.energies, np.array([float(t)]))[0]
-    rho = chi.T @ chi.conj()
-    rho.setflags(write=False)
     chi.setflags(write=False)
-    return FieldDensity(matrix=rho, factors=chi)
+    return FieldDensity(factors=chi)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +264,11 @@ def inversion_series(field: FieldInit, spectra, times) -> np.ndarray:
             out[part] = const + 2.0 * np.einsum("n,nk,tnk->t", Pn, spectra.lam_off, cosines)
         return out
     # symmetric start: no closed form with these amplitudes; use rho_A
-    rho = _rho_atoms(field, spectra, times)
+    return _inversion_of(_rho_atoms(field, spectra, times))
+
+
+def _inversion_of(rho) -> np.ndarray:
+    """<D_Z> from a (T, 3, 3) stack of atomic densities."""
     return np.real(rho[:, 0, 0] - rho[:, 2, 2])
 
 
@@ -391,25 +402,11 @@ def coherent_vector(alpha: complex, dim: int) -> np.ndarray:
 
 
 def husimi_q(rho: FieldDensity, alpha: complex) -> float:
-    """Q(alpha) = <alpha| rho |alpha> / pi at a single phase-space point."""
-    m = rho.matrix if isinstance(rho, FieldDensity) else np.asarray(rho)
-    _check_window(m.shape[0], abs(alpha) ** 2)
-    c = coherent_vector(alpha, m.shape[0])
-    return float(np.real(c.conj() @ (m @ c)) / math.pi)
-
-
-def _bargmann_factors(rho):
-    """(weights, rows) with rho = sum_k weights[k] |rows[k]><rows[k]|.
-
-    A bare matrix is factored by eigh; eigenpairs below its numerical rank
-    (|w| <= dim * eps * max |w|, as in numpy.linalg.matrix_rank) are dropped.
-    """
-    if isinstance(rho, FieldDensity) and rho.factors is not None:
-        return np.ones(len(rho.factors)), rho.factors
-    m = rho.matrix if isinstance(rho, FieldDensity) else np.asarray(rho)
-    w, V = np.linalg.eigh(np.asarray(m, dtype=np.complex128))
-    keep = np.abs(w) > m.shape[0] * np.finfo(float).eps * np.abs(w).max(initial=0.0)
-    return w[keep], V.T[keep]
+    """Q(alpha) = sum_k |<alpha|chi_k>|^2 / pi at a single phase-space point."""
+    dim = rho.factors.shape[1]
+    _check_window(dim, abs(alpha) ** 2)
+    overlaps = rho.factors @ coherent_vector(alpha, dim).conj()
+    return float(np.sum(np.abs(overlaps) ** 2) / math.pi)
 
 
 def _bargmann_amplitudes(rows, z):
@@ -444,27 +441,26 @@ def _bargmann_amplitudes(rows, z):
 def husimi_grid(rho: FieldDensity, re_axis, im_axis) -> QGrid:
     """Husimi values over a rectangular grid.
 
-    With rho = sum_k w_k |v_k><v_k| and the Bargmann polynomial
+    With rho = sum_k |v_k><v_k| and the Bargmann polynomial
     v(z) = sum_p v_p z^p / sqrt(p!), <alpha|v> = e^{-|alpha|^2/2} v(conj alpha)
-    (Bargmann 1961), so Q = sum_k w_k |e^{-|alpha|^2/2} v_k(conj alpha)|^2 / pi.
+    (Bargmann 1961), so Q = sum_k |e^{-|alpha|^2/2} v_k(conj alpha)|^2 / pi.
     Each polynomial is evaluated by Horner over the grid points at once, as
-    v_0 + z/sqrt(1) (v_1 + z/sqrt(2) (v_2 + ...)).  The field densities
-    built here carry their rank <= 3 factors, so a grid costs three
-    polynomials rather than a quadratic form in the full Fock space.
+    v_0 + z/sqrt(1) (v_1 + z/sqrt(2) (v_2 + ...)).  A FieldDensity is its
+    rank <= 3 factors, so a grid costs three polynomials rather than a
+    quadratic form in the full Fock space.
     """
-    m = rho.matrix if isinstance(rho, FieldDensity) else np.asarray(rho)
+    rows = rho.factors
     re_axis = np.ascontiguousarray(re_axis, dtype=float)
     im_axis = np.ascontiguousarray(im_axis, dtype=float)
     corners = max(abs(re_axis[0]), abs(re_axis[-1])) ** 2 \
         + max(abs(im_axis[0]), abs(im_axis[-1])) ** 2
-    _check_window(m.shape[0], corners)
-    weights, rows = _bargmann_factors(rho)
+    _check_window(rows.shape[1], corners)
     z = (re_axis[None, :] - 1j * im_axis[:, None]).ravel()
     values = np.zeros(z.size)
     chunk = max(1, _HUSIMI_CHUNK // max(1, len(rows)))
     for lo in range(0, z.size, chunk):
         amps = _bargmann_amplitudes(rows, z[lo:lo + chunk])
-        values[lo:lo + chunk] = weights @ np.abs(amps) ** 2 / math.pi
+        values[lo:lo + chunk] = np.sum(np.abs(amps) ** 2, axis=0) / math.pi
     return QGrid(re_axis=re_axis, im_axis=im_axis,
                  values=values.reshape(len(im_axis), len(re_axis)))
 
@@ -479,8 +475,9 @@ def observable_series(field: FieldInit, spectra, times, observables) -> dict:
     """Evaluate the requested scalar observables on a shared time grid.
 
     Returns {name: array}; branch coefficients and densities are reused
-    across observables.  Times are in absolute units (multiply tau = g t
-    by 1/g upstream).
+    across observables, so rho_A is built at most once (a symmetric start
+    reads its inversion from it too).  Times are in absolute units
+    (multiply tau = g t by 1/g upstream).
     """
     times = np.asarray(times, dtype=float)
     bad = [o for o in observables if o not in SERIES_OBSERVABLES]
@@ -488,10 +485,14 @@ def observable_series(field: FieldInit, spectra, times, observables) -> dict:
         raise TwojcError(f"unknown observables: {bad}")
     out = {}
     need_rho = any(o in observables for o in ("purity", "concurrence", "entropy"))
-    if "inversion" in observables:
-        out["inversion"] = inversion_series(field, spectra, times)
     if need_rho:
         rho = _rho_atoms(field, spectra, times)
+    if "inversion" in observables:
+        if need_rho and field.atom_init is AtomInit.SYMMETRIC:
+            out["inversion"] = _inversion_of(rho)
+        else:
+            out["inversion"] = inversion_series(field, spectra, times)
+    if need_rho:
         if "purity" in observables:
             out["purity"] = np.sum(np.abs(rho) ** 2, axis=(1, 2))
         if "concurrence" in observables:

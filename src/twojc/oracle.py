@@ -6,10 +6,10 @@ atomic and field operators (never from the 3x3 blocks), on the basis
 levels m in [0, n_max + 2].  Two structurally different propagators are
 provided: exact per-sector evolution (total excitation is conserved, so
 the matrix splits into blocks of dimension <= 4 that are diagonalized
-once by a local cyclic Jacobi sweep), and a fixed-step 4th-order
-Runge-Kutta integrator over the full matrix.  The analytic layer is
-deliberately not imported for any numerics here, so agreement between
-the two code paths is meaningful.
+once by a local cyclic Jacobi sweep, the package's one hand-written
+eigensolver), and a fixed-step 4th-order Runge-Kutta integrator over the
+full matrix.  The analytic layer is deliberately not imported for any
+numerics here, so agreement between the two code paths is meaningful.
 
 The top two Fock levels are a truncation buffer: runs that populate
 them beyond 1e-10 are rejected.
@@ -115,8 +115,9 @@ def excitation_sectors(M: int):
 def jacobi_eigh_cyclic(mat):
     """Cyclic-by-rows Jacobi for a small symmetric matrix.
 
-    Deliberately a different sweep strategy than the analytic layer's
-    solver; this copy exists so the cross-check cannot share a bug.
+    The package's only hand-written eigensolver, kept for independence:
+    the analytic layer uses the closed form and LAPACK, so a reference
+    built on this cannot share a bug with them.
     """
     A = np.array(mat, dtype=np.float64)
     n = A.shape[0]

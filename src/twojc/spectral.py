@@ -8,8 +8,10 @@ fixed phase labeling
 
 which downstream amplitude labels depend on (roots are never re-sorted;
 with theta in [0, pi] this makes E_1 >= E_3 >= E_2).  Eigenvector rows
-come from the adjugate of (H - E I); an in-module Jacobi eigensolver
-backs the formula up wherever it degenerates.
+come from the adjugate of (H - E I); LAPACK's eigh backs the formula up
+wherever it degenerates.  The package's one hand-written eigensolver is
+the oracle's cyclic Jacobi, which the roots are checked against so that
+the reference shares no code with this module.
 """
 
 import math
@@ -22,7 +24,7 @@ from .model import ModelParams, PhotonBlock, build_block
 __all__ = [
     "CardanoIntermediates", "SpectrumTable", "cardano", "eigenvalues", "solve_blocks",
     "eigenvector_coeffs", "rabi_frequencies", "rabi_frequencies_trig",
-    "weighting_amplitudes", "block_spectrum", "spectrum_table", "jacobi_eigh",
+    "weighting_amplitudes", "block_spectrum", "spectrum_table",
 ]
 
 # fallback threshold for the adjugate normalization, scaled by ||H||_F^2
@@ -66,7 +68,8 @@ class SpectrumTable:
     where coeffs[i, j] is eigenvector j in the symmetric basis
     (|e,e,n>, sym|n+1>, |g,g,n+2>); rabi = (E1-E2, E1-E3, E3-E2); lam_diag /
     lam_off are the inversion weighting amplitudes (11, 22, 33) and (21, 31,
-    23); used_fallback (N,) marks rows solved by Jacobi.  table[k] is row k.
+    23); used_fallback (N,) marks rows solved by the eigh fallback.
+    table[k] is row k.
     """
 
     n: np.ndarray
@@ -83,57 +86,6 @@ class SpectrumTable:
 
     def __getitem__(self, k):
         return _row(self, k)
-
-
-def jacobi_eigh(mat):
-    """Eigenvalues and eigenvector columns of a small symmetric matrix.
-
-    Classical Jacobi (largest off-diagonal pivot), iterated until the
-    largest off-diagonal is below 1e-14 * ||mat||_F; the reference that the
-    closed form is checked against, and its fallback.
-    """
-    A = np.array(mat, dtype=np.float64)
-    n = A.shape[0]
-    V = np.eye(n)
-    nrm = 0.0
-    for i in range(n):
-        for j in range(n):
-            nrm += A[i, j] * A[i, j]
-    tol = 1e-14 * math.sqrt(nrm)
-    for _ in range(60 * n * n):
-        p, q, big = 0, 1, -1.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                aij = abs(A[i, j])
-                if aij > big:
-                    big = aij
-                    p, q = i, j
-        if big <= tol:
-            break
-        apq = A[p, q]
-        tau = 0.5 * (A[q, q] - A[p, p]) / apq
-        if tau >= 0.0:
-            t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-        else:
-            t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-        c = 1.0 / math.sqrt(1.0 + t * t)
-        s = t * c
-        for k in range(n):
-            akp = A[k, p]
-            akq = A[k, q]
-            A[k, p] = c * akp - s * akq
-            A[k, q] = s * akp + c * akq
-        for k in range(n):
-            apk = A[p, k]
-            aqk = A[q, k]
-            A[p, k] = c * apk - s * aqk
-            A[q, k] = s * apk + c * aqk
-        for k in range(n):
-            vkp = V[k, p]
-            vkq = V[k, q]
-            V[k, p] = c * vkp - s * vkq
-            V[k, q] = s * vkp + c * vkq
-    return np.diag(A).copy(), V
 
 
 def cardano(block: PhotonBlock) -> CardanoIntermediates:
@@ -202,9 +154,9 @@ def _adjugate_rows(H, E):
 
 
 def _fallback_coeffs(H, energies, rows):
-    """Orthonormal rows from the Jacobi eigensystem, matched to the
-    requested eigenvalue labels and sign-aligned with the adjugate rows."""
-    w, V = jacobi_eigh(H)
+    """Orthonormal rows from LAPACK's eigh, matched to the requested
+    eigenvalue labels and sign-aligned with the adjugate rows."""
+    w, V = np.linalg.eigh(H)
     taken = np.zeros(len(w), dtype=bool)
     C = np.empty((3, 3))
     for j in range(3):
@@ -227,7 +179,7 @@ def eigenvector_coeffs(energies, block: PhotonBlock):
     (3, 3).  The adjugate formula is used wherever its normalization is
     healthy; a block with a tiny row normalization (e.g. g = 0 makes every
     component vanish) or any residual orthonormality defect is solved by
-    Jacobi instead, and only those blocks are.
+    eigh instead, and only those blocks are.
     """
     H = block.matrix
     hnorm2 = np.sum(H * H, axis=(-2, -1))

@@ -25,9 +25,9 @@ from twojc.features import (beat_nodes, collapse_width, grid_lobes,
                             revival_spacing)
 from twojc.oracle import (SectorPropagator, build_joint_hamiltonian,
                           evolve_numeric_sampled, inversion_of,
-                          joint_initial_state, partial_trace_atoms,
-                          require_buffer_empty)
-from twojc.spectral import build_block, jacobi_eigh
+                          jacobi_eigh_cyclic, joint_initial_state,
+                          partial_trace_atoms, require_buffer_empty)
+from twojc.spectral import build_block
 from twojc.validation import load_fixture
 
 
@@ -42,7 +42,7 @@ def report(criterion, passed, detail):
 @pytest.fixture(scope="module")
 def sweep_blocks():
     """>= 10^4 random draws, solved as one stack, plus their per-draw
-    Jacobi reference."""
+    reference from the oracle's cyclic Jacobi."""
     rng = np.random.default_rng(20240903)
     blocks = []
     for trial in range(10000):
@@ -55,7 +55,7 @@ def sweep_blocks():
             f_kind=F_BUCK_SUKUMAR if trial % 2 else twojc.F_LINEAR)
         blocks.append(build_block(params, int(rng.integers(0, 101))))
     table = twojc.solve_blocks(twojc.PhotonBlock.stack(blocks))
-    return [(table[k], block, jacobi_eigh(block.matrix)[0])
+    return [(table[k], block, jacobi_eigh_cyclic(block.matrix)[0])
             for k, block in enumerate(blocks)]
 
 

@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 import scipy.stats
 
+from twojc import dynamics
 from twojc import (F_BUCK_SUKUMAR, F_LINEAR, H_KERR, ModelParams, NumericalGuardError,
                    TruncationError, atomic_inversion, build_block,
                    coherent_field, concurrence, embed_atom_density,
@@ -141,6 +142,18 @@ class TestInversion:
         _, field, spectra = small_system
         vals = inversion_series(field, spectra, np.linspace(0, 12, 400))
         assert np.all(np.abs(vals) <= 1.0 + 1e-10)
+
+    def test_symmetric_series_builds_rho_once(self, symmetric_system, monkeypatch):
+        _, field, spectra = symmetric_system
+        times = np.linspace(0.0, 6.0, 80)
+        ref = inversion_series(field, spectra, times)
+        calls = []
+        build = dynamics._rho_atoms
+        monkeypatch.setattr(dynamics, "_rho_atoms",
+                            lambda *args: calls.append(1) or build(*args))
+        out = observable_series(field, spectra, times, ["inversion", "purity"])
+        assert len(calls) == 1
+        np.testing.assert_array_equal(out["inversion"], ref)
 
 
 class TestReducedAtomDensity:
@@ -308,6 +321,20 @@ class TestFieldDensity:
             assert np.abs(rho.matrix - rho.matrix.conj().T).max() < 1e-12
             assert np.linalg.eigvalsh(rho.matrix).min() > -1e-8
             assert rho.mean_photons() < field.mean_n + 3.0
+
+    def test_memory_is_its_factors(self):
+        # the dense (N+3)^2 complex matrix alone would be 64 MB here
+        p = ModelParams(omega0=1.0, g=1.0, kappa=0.25, f_kind=F_BUCK_SUKUMAR)
+        field = coherent_field(1400.0, n_max=2000)
+        spectra = spectrum_table(p, 2000)
+        tracemalloc.start()
+        try:
+            rho = reduced_field_density(field, spectra, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rho.factors.shape == (3, 2003)
+        assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_nonzero_atom_entropy_matches_field_entropy(self, small_system):
         _, field, spectra = small_system

@@ -11,12 +11,13 @@ import pytest
 import twojc
 from twojc import dynamics
 from twojc import (F_BUCK_SUKUMAR, ModelParams, coherent_field, concurrence,
-                   husimi_grid, husimi_q, jacobi_eigh, observable_series,
+                   husimi_grid, husimi_q, observable_series,
                    reduced_atom_density)
-from twojc.dynamics import (FieldDensity, _bargmann_factors, embed_atom_density,
+from twojc.dynamics import (FieldDensity, coherent_vector, embed_atom_density,
                             entropy_of_eigvals, hermitian_eigvals)
 from twojc.oracle import (build_joint_hamiltonian, evolve_numeric,
-                          evolve_numeric_sampled, joint_initial_state)
+                          evolve_numeric_sampled, jacobi_eigh_cyclic,
+                          joint_initial_state)
 
 
 def random_densities(rng, count, dim, rank=None):
@@ -28,10 +29,10 @@ def random_densities(rng, count, dim, rank=None):
 
 
 def jacobi_entropy(rho):
-    """Per-matrix reference: real symmetric embedding, Jacobi, each
-    eigenvalue of the embedding taken once."""
+    """Per-matrix reference: real symmetric embedding, the oracle's cyclic
+    Jacobi, each eigenvalue of the embedding taken once."""
     emb = np.block([[rho.real, -rho.imag], [rho.imag, rho.real]])
-    w, _ = jacobi_eigh(emb)
+    w, _ = jacobi_eigh_cyclic(emb)
     return entropy_of_eigvals(np.sort(w)[::2])
 
 
@@ -42,17 +43,20 @@ class TestHusimiGrid:
         M = n_max + 3
         chi = rng.normal(size=(3, M)) + 1j * rng.normal(size=(3, M))
         chi /= math.sqrt(np.sum(np.abs(chi) ** 2))
-        rho = FieldDensity(matrix=chi.T @ chi.conj(), factors=chi)
+        rho = FieldDensity(factors=chi)
         # the grid corners sit on the edge of the trusted window
         half = math.sqrt(0.25 * n_max) * (1.0 - 1e-12)
         re_axis = np.linspace(-half, half, 9)
         im_axis = np.linspace(-half, half, 7)
         ref = np.array([[husimi_q(rho, complex(re, im)) for re in re_axis]
                         for im in im_axis])
-        from_factors = husimi_grid(rho, re_axis, im_axis).values
-        from_matrix = husimi_grid(rho.matrix, re_axis, im_axis).values
-        np.testing.assert_allclose(from_factors, ref, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(from_matrix, ref, rtol=0, atol=1e-14)
+        # the quadratic form in the dense matrix, independent of both kernels
+        c = np.array([[coherent_vector(complex(re, im), M) for re in re_axis]
+                      for im in im_axis])
+        quad = np.einsum("ijp,pq,ijq->ij", c.conj(), rho.matrix, c).real / math.pi
+        grid = husimi_grid(rho, re_axis, im_axis).values
+        np.testing.assert_allclose(grid, ref, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(ref, quad, rtol=0, atol=1e-14)
 
     def test_matches_single_point_beyond_double_range(self):
         # |alpha|^2 > 1400: the unscaled Horner sums e^{|alpha|^2/2} overflow
@@ -61,7 +65,7 @@ class TestHusimiGrid:
         chi = np.zeros((3, n_max + 3))
         chi[:, 1300:1600] = rng.normal(size=(3, 300))
         chi /= math.sqrt(np.sum(chi ** 2))
-        rho = FieldDensity(matrix=chi.T @ chi, factors=chi)
+        rho = FieldDensity(factors=chi)
         re_axis = np.linspace(36.0, 38.0, 3)
         im_axis = np.linspace(-1.5, 1.5, 3)
         grid = husimi_grid(rho, re_axis, im_axis).values
@@ -71,18 +75,15 @@ class TestHusimiGrid:
         np.testing.assert_allclose(grid, ref, rtol=1e-9, atol=0)
 
     def test_full_rank_matrix_in_point_chunks(self, monkeypatch):
-        rho = random_densities(np.random.default_rng(11), 1, 15)[0]
+        rng = np.random.default_rng(11)
+        chi = rng.normal(size=(15, 15)) + 1j * rng.normal(size=(15, 15))
+        rho = FieldDensity(factors=chi / math.sqrt(np.sum(np.abs(chi) ** 2)))
+        assert np.linalg.matrix_rank(rho.matrix) == 15
         monkeypatch.setattr(dynamics, "_HUSIMI_CHUNK", 64)  # 4 points a chunk
         ax = np.linspace(-1.7, 1.7, 5)
         ref = np.array([[husimi_q(rho, complex(re, im)) for re in ax] for im in ax])
         np.testing.assert_allclose(husimi_grid(rho, ax, ax).values, ref,
                                    rtol=0, atol=1e-14)
-
-    def test_bare_matrix_keeps_its_numerical_rank(self):
-        rng = np.random.default_rng(3)
-        chi = rng.normal(size=(3, 40)) + 1j * rng.normal(size=(3, 40))
-        weights, rows = _bargmann_factors(chi.T @ chi.conj())
-        assert len(weights) == len(rows) == 3
 
 
 class TestBatchedSeries:

@@ -247,10 +247,13 @@ class TestPartialTraces:
         field = coherent_field(3.0, n_max=30, atom_init=AtomInit.SYMMETRIC)
         spectra = spectrum_table(p, 30)
         t = 0.9
-        rho_f = reduced_field_density(field, spectra, t).matrix
+        rho_f = reduced_field_density(field, spectra, t)
         prop = SectorPropagator(build_joint_hamiltonian(p, 30), 30)
-        psi = prop.evolve(joint_initial_state(field), t)
-        np.testing.assert_allclose(rho_f, partial_trace_atoms(psi), atol=1e-10)
+        ref = partial_trace_atoms(prop.evolve(joint_initial_state(field), t))
+        np.testing.assert_allclose(rho_f.matrix, ref, atol=1e-10)
+        assert rho_f.trace_defect == pytest.approx(abs(np.trace(ref).real - 1.0), abs=1e-10)
+        assert rho_f.mean_photons() == pytest.approx(
+            np.sum(np.arange(len(ref)) * np.diag(ref).real), abs=1e-9)
 
     @pytest.mark.parametrize("init", [AtomInit.BOTH_EXCITED, AtomInit.SYMMETRIC])
     def test_detuned_anharmonic_cross_module(self, init):
@@ -286,11 +289,12 @@ class TestGuards:
 
 def test_cyclic_jacobi_matches_numpy():
     rng = np.random.default_rng(9)
-    for k in (2, 3, 4):
-        for _ in range(40):
+    for k in (2, 3, 4, 6):  # 6: the real embedding of a complex 3x3 density
+        for _ in range(50):
             a = rng.normal(size=(k, k))
             a = a + a.T
             w, V = jacobi_eigh_cyclic(a)
             np.testing.assert_allclose(np.sort(w), np.linalg.eigvalsh(a),
                                        rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(V @ np.diag(w) @ V.T, a, atol=1e-12)
+            np.testing.assert_allclose(V.T @ V, np.eye(k), atol=1e-12)

@@ -8,11 +8,13 @@ import pytest
 
 from twojc import (F_BUCK_SUKUMAR, F_LINEAR, H_KERR, ModelParams, PhotonBlock,
                    block_spectrum, build_block, cardano, eigenvalues,
-                   eigenvector_coeffs, jacobi_eigh, rabi_frequencies,
+                   eigenvector_coeffs, rabi_frequencies,
                    rabi_frequencies_trig, solve_blocks, spectrum_table,
                    weighting_amplitudes)
 from twojc.approx import kerr_weight_amplitudes
 from twojc.config import load_config
+from twojc.oracle import jacobi_eigh_cyclic
+from twojc.spectral import _adjugate_rows
 
 from conftest import random_draw
 
@@ -315,19 +317,6 @@ class TestShiftInvariance:
             assert np.abs(s1.lam_off - s0.lam_off).max() < 1e-12
 
 
-class TestJacobi:
-    def test_matches_numpy_on_random_symmetric(self):
-        rng = np.random.default_rng(61)
-        for k in (2, 3, 4, 6):
-            for _ in range(50):
-                a = rng.normal(size=(k, k))
-                a = a + a.T
-                w, V = jacobi_eigh(a)
-                np.testing.assert_allclose(np.sort(w), np.linalg.eigvalsh(a),
-                                           rtol=1e-12, atol=1e-12)
-                np.testing.assert_allclose(V @ np.diag(w) @ V.T, a, atol=1e-12)
-
-
 def assert_rows_identical(a, b):
     """Every field of two spectrum rows (intermediates included) bit-equal."""
     for f in fields(a):
@@ -367,3 +356,24 @@ class TestSpectrumTable:
         np.testing.assert_array_equal(table.coeffs[2], alone.coeffs)
         for k, block in zip((0, 1, 3, 4), healthy):
             assert_rows_identical(table[k], solve_blocks(block))
+
+    @pytest.mark.parametrize("matrix", [
+        np.diag([0.3, -0.2, 0.45]),
+        # the negative coupling makes eigh's sign disagree with one adjugate row
+        [[0.2, 0.0, 0.0], [0.0, 0.2, -0.35], [0.0, -0.35, 0.2]],
+    ], ids=["decoupled", "repeated_diagonal"])
+    def test_fallback_rows_match_the_cyclic_jacobi(self, matrix):
+        H = np.asarray(matrix, dtype=float)
+        row = solve_blocks(manual_block(H, scale=0.5))
+        assert row.used_fallback
+        C, E = row.coeffs, row.energies
+        w, _ = jacobi_eigh_cyclic(H)
+        scale = max(1.0, np.linalg.norm(H))
+        assert np.abs(np.sort(E) - np.sort(w)).max() <= 1e-12 * scale
+        # the eigenvalue each row carries, not only the Cardano labels
+        assert np.abs(np.sort(np.diag(C @ H @ C.T)) - np.sort(w)).max() <= 1e-12 * scale
+        np.testing.assert_allclose(C.T @ np.diag(E) @ C, H, rtol=0, atol=1e-12 * scale)
+        # sign rule: along the adjugate row, else first nonzero entry positive
+        for ref, c in zip(_adjugate_rows(H, E), C):
+            s = ref @ c
+            assert s > 0.0 or (s == 0.0 and c[np.flatnonzero(c)[0]] > 0.0)
