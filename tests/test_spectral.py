@@ -317,6 +317,23 @@ class TestShiftInvariance:
             assert np.abs(s1.lam_off - s0.lam_off).max() < 1e-12
 
 
+class TestJacobi:
+    def test_matches_numpy_on_random_symmetric(self):
+        """The cyclic Jacobi on the model's own blocks, the inputs it is
+        the eigenvalue reference for: diagonals near n, couplings down to
+        1e-4, so the tolerance is scaled by the block norm."""
+        rng = np.random.default_rng(61)
+        for _ in range(200):
+            params, n = random_draw(rng)
+            a = build_block(params, n).matrix
+            scale = np.linalg.norm(a)
+            w, V = jacobi_eigh_cyclic(a)
+            np.testing.assert_allclose(np.sort(w), np.linalg.eigvalsh(a),
+                                       rtol=0, atol=1e-12 * scale)
+            np.testing.assert_allclose(V @ np.diag(w) @ V.T, a, atol=1e-12 * scale)
+            np.testing.assert_allclose(V.T @ V, np.eye(3), atol=1e-12)
+
+
 def assert_rows_identical(a, b):
     """Every field of two spectrum rows (intermediates included) bit-equal."""
     for f in fields(a):
