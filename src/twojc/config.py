@@ -26,9 +26,9 @@ _F_KINDS = {"linear": FKind.LINEAR, "buck_sukumar": FKind.BUCK_SUKUMAR,
             "custom": FKind.CUSTOM}
 _ATOM_INITS = {"both_excited": AtomInit.BOTH_EXCITED, "symmetric": AtomInit.SYMMETRIC}
 
-# largest time_grid.count, q_grid.re_count/im_count and n_max (also an "auto"
-# one): every count sizes an array, so a bigger one is a config error rather
-# than an allocation failure at run time
+# largest time_grid.count, q_grid.re_count/im_count, their product and n_max
+# (also an "auto" one): every count sizes an array, so a bigger one is a
+# config error rather than an allocation failure at run time
 MAX_COUNT = 10 ** 6
 
 _MODEL_KEYS = {"omega0", "omega", "g", "kappa", "J", "chi", "delta",
@@ -207,6 +207,8 @@ def parse_config(doc: dict) -> RunConfig:
         if o not in OBSERVABLES:
             raise ConfigError(
                 f"config.observables: {o!r} not in {sorted(OBSERVABLES)}")
+    if len(set(obs)) != len(obs):
+        raise ConfigError("config.observables: entries must be unique")
 
     tg = doc["time_grid"]
     _check_keys(tg, _TIME_KEYS, "config.time_grid")
@@ -229,6 +231,10 @@ def parse_config(doc: dict) -> RunConfig:
             im_max=_number(qg, "im_max", "config.q_grid", default=6.0),
             im_count=_count(qg, "im_count", "config.q_grid", default=241),
             times_tau=_numbers(qg, "times", "config.q_grid") or ())
+        points = q_grid.re_count * q_grid.im_count
+        if points > MAX_COUNT:
+            raise ConfigError(f"config.q_grid: re_count * im_count = {points} "
+                              f"is above {MAX_COUNT}")
     if "qfunction" in obs and not q_grid.times_tau:
         raise ConfigError("config.q_grid.times: required when qfunction is requested")
 

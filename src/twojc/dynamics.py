@@ -107,15 +107,6 @@ def coherent_field(mean_n: float, phase: float = 0.0, n_max: int = None,
         raise NumericalGuardError(f"coherent field at mean_n = {mean_n!r}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class EvolutionCoeffs:
-    """Branch coefficients D_k^(n)(t) for every block, at one time."""
-
-    time: float
-    atom_init: AtomInit
-    coeffs: np.ndarray  # (n_max+1, 3) complex
-
-
 def _init_column(atom_init: AtomInit) -> int:
     return 0 if atom_init is AtomInit.BOTH_EXCITED else 1
 
@@ -162,32 +153,16 @@ def _branch_rows(weights, energies, times):
     return rows
 
 
-def evolve_coeffs(spectra, atom_init: AtomInit, t: float) -> EvolutionCoeffs:
-    """Branch coefficients at time t from the spectrum table."""
+def evolve_coeffs(spectra, atom_init: AtomInit, t: float) -> np.ndarray:
+    """Branch coefficients D_k^(n)(t) of every block at time t; (N+1, 3)."""
     rows = _branch_rows(_fold_weights(spectra, atom_init), spectra.energies,
                         np.array([float(t)]))[0]
     levels = len(spectra)
-    D = np.stack([rows[k, k:k + levels] for k in range(3)], axis=1)
-    return EvolutionCoeffs(time=float(t), atom_init=atom_init, coeffs=D)
+    return np.stack([rows[k, k:k + levels] for k in range(3)], axis=1)
 
 
 # ---------------------------------------------------------------------------
 # densities
-
-@dataclass(frozen=True)
-class AtomDensity:
-    """Reduced 3x3 atomic density in the basis (|e,e>, sym, |g,g>)."""
-
-    matrix: np.ndarray
-
-    @property
-    def trace_defect(self):
-        return abs(float(np.trace(self.matrix).real) - 1.0)
-
-    @property
-    def hermiticity_defect(self):
-        return float(np.abs(self.matrix - self.matrix.conj().T).max())
-
 
 @dataclass(frozen=True)
 class FieldDensity:
@@ -235,10 +210,9 @@ def _rho_atoms(field: FieldInit, spectra, times) -> np.ndarray:
     return rho
 
 
-def reduced_atom_density(field: FieldInit, spectra, t: float) -> AtomDensity:
-    rho = _rho_atoms(field, spectra, np.array([float(t)]))[0]
-    rho.setflags(write=False)
-    return AtomDensity(matrix=rho)
+def reduced_atom_density(field: FieldInit, spectra, t: float) -> np.ndarray:
+    """rho_A(t), 3x3 in the basis (|e,e>, sym, |g,g>)."""
+    return _rho_atoms(field, spectra, np.array([float(t)]))[0]
 
 
 def reduced_field_density(field: FieldInit, spectra, t: float) -> FieldDensity:
@@ -255,31 +229,26 @@ def reduced_field_density(field: FieldInit, spectra, t: float) -> FieldDensity:
 def inversion_series(field: FieldInit, spectra, times) -> np.ndarray:
     """<D_Z>(t) for each t; D_Z = (sigma_z^(1) + sigma_z^(2)) / 2."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if field.atom_init is AtomInit.BOTH_EXCITED:
-        Pn = field.probabilities
-        const = float(np.sum(Pn * spectra.lam_diag.sum(axis=1)))
-        out = np.empty(len(times))
-        for part in _time_chunks(len(times), len(spectra)):
-            cosines = np.cos(spectra.rabi[None, :, :] * times[part, None, None])
-            out[part] = const + 2.0 * np.einsum("n,nk,tnk->t", Pn, spectra.lam_off, cosines)
-        return out
-    # symmetric start: no closed form with these amplitudes; use rho_A
     return _inversion_of(_rho_atoms(field, spectra, times))
-
-
-def _inversion_of(rho) -> np.ndarray:
-    """<D_Z> from a (T, 3, 3) stack of atomic densities."""
-    return np.real(rho[:, 0, 0] - rho[:, 2, 2])
 
 
 def atomic_inversion(field: FieldInit, spectra, t: float) -> float:
     return float(inversion_series(field, spectra, [t])[0])
 
 
-def purity(rho: AtomDensity) -> float:
-    """Tr(rho^2); for the Hermitian 3x3 this is the squared entry sum."""
-    m = rho.matrix if isinstance(rho, AtomDensity) else np.asarray(rho)
-    return float(np.sum(np.abs(m) ** 2))
+def _scalar_or_array(x):
+    """A float for a 0-d result (one 3x3 input), the array for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _inversion_of(rho):
+    """<D_Z> = rho_00 - rho_22 of a 3x3 atomic density or a stack of them."""
+    return _scalar_or_array(np.real(rho[..., 0, 0] - rho[..., 2, 2]))
+
+
+def purity(rho):
+    """Tr(rho^2); for a Hermitian matrix this is the squared entry sum."""
+    return _scalar_or_array(np.sum(np.abs(np.asarray(rho)) ** 2, axis=(-2, -1)))
 
 
 def hermitian_eigvals(mat) -> np.ndarray:
@@ -288,14 +257,14 @@ def hermitian_eigvals(mat) -> np.ndarray:
     return np.linalg.eigvalsh(np.asarray(mat, dtype=np.complex128))
 
 
-def field_entropy(rho: AtomDensity) -> float:
+def field_entropy(rho):
     """von Neumann entropy of the field through the atomic eigenvalues.
 
     For a joint pure state the field and atom entropies coincide, so the
-    3x3 atomic density is enough; see entropy_of_eigvals for the clipping.
+    3x3 atomic density (or a stack of them) is enough; see
+    entropy_of_eigvals for the clipping.
     """
-    m = rho.matrix if isinstance(rho, AtomDensity) else np.asarray(rho)
-    return entropy_of_eigvals(hermitian_eigvals(m))
+    return entropy_of_eigvals(hermitian_eigvals(rho))
 
 
 def entropy_of_eigvals(w):
@@ -309,8 +278,7 @@ def entropy_of_eigvals(w):
     keep = w > 1e-14
     terms = np.zeros_like(w)
     terms[keep] = w[keep] * np.log(w[keep])
-    s = -np.sum(terms, axis=-1)
-    return float(s) if s.ndim == 0 else s
+    return _scalar_or_array(-np.sum(terms, axis=-1))
 
 
 # computational-basis order (|g,g>, |g,e>, |e,g>, |e,e>)
@@ -327,8 +295,7 @@ _YY[1, 2] = _YY[2, 1] = 1.0
 def embed_atom_density(rho) -> np.ndarray:
     """Map the symmetric-sector 3x3 density (or a stack of them) into the
     two-qubit computational basis (zero antisymmetric component)."""
-    m = rho.matrix if isinstance(rho, AtomDensity) else np.asarray(rho)
-    return _EMBED @ m @ _EMBED.T
+    return _EMBED @ np.asarray(rho) @ _EMBED.T
 
 
 def concurrence(rho):
@@ -341,7 +308,7 @@ def concurrence(rho):
     roots of near-zero eigenvalues of rho (YY) rho* (YY).  Input that is
     not Hermitian to 1e-8 aborts.
     """
-    m = rho.matrix if isinstance(rho, AtomDensity) else np.asarray(rho)
+    m = np.asarray(rho)
     if m.ndim not in (2, 3) or m.shape[-2:] not in ((3, 3), (4, 4)):
         raise TwojcError("concurrence expects 3x3 or 4x4 density matrices")
     defect = np.abs(m - m.conj().swapaxes(-1, -2)).max()
@@ -352,8 +319,7 @@ def concurrence(rho):
     w, V = np.linalg.eigh(m)
     A = V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
     lam = np.linalg.svd(A.swapaxes(-1, -2) @ _YY @ A, compute_uv=False)
-    c = np.maximum(0.0, lam[..., 0] - lam[..., 1:].sum(axis=-1))
-    return float(c) if c.ndim == 0 else c
+    return _scalar_or_array(np.maximum(0.0, lam[..., 0] - lam[..., 1:].sum(axis=-1)))
 
 
 # ---------------------------------------------------------------------------
@@ -474,29 +440,16 @@ SERIES_OBSERVABLES = ("inversion", "purity", "concurrence", "entropy")
 def observable_series(field: FieldInit, spectra, times, observables) -> dict:
     """Evaluate the requested scalar observables on a shared time grid.
 
-    Returns {name: array}; branch coefficients and densities are reused
-    across observables, so rho_A is built at most once (a symmetric start
-    reads its inversion from it too).  Times are in absolute units
-    (multiply tau = g t by 1/g upstream).
+    Returns {name: array}.  rho_A is built once, as a (T, 3, 3) stack, and
+    every observable is one function of that stack.  Times are in absolute
+    units (multiply tau = g t by 1/g upstream).
     """
     times = np.asarray(times, dtype=float)
     bad = [o for o in observables if o not in SERIES_OBSERVABLES]
     if bad:
         raise TwojcError(f"unknown observables: {bad}")
-    out = {}
-    need_rho = any(o in observables for o in ("purity", "concurrence", "entropy"))
-    if need_rho:
-        rho = _rho_atoms(field, spectra, times)
-    if "inversion" in observables:
-        if need_rho and field.atom_init is AtomInit.SYMMETRIC:
-            out["inversion"] = _inversion_of(rho)
-        else:
-            out["inversion"] = inversion_series(field, spectra, times)
-    if need_rho:
-        if "purity" in observables:
-            out["purity"] = np.sum(np.abs(rho) ** 2, axis=(1, 2))
-        if "concurrence" in observables:
-            out["concurrence"] = concurrence(rho)
-        if "entropy" in observables:
-            out["entropy"] = entropy_of_eigvals(hermitian_eigvals(rho))
-    return out
+    # looked up at call time, so a wrapped module attribute is the one called
+    of_rho = {"inversion": _inversion_of, "purity": purity,
+              "concurrence": concurrence, "entropy": field_entropy}
+    rho = _rho_atoms(field, spectra, times)
+    return {name: of_rho[name](rho) for name in observables}

@@ -188,9 +188,6 @@ class SectorPropagator:
         return JointState(amplitudes=out.reshape(4, self.M),
                           time=psi0.time + t)
 
-    def sample(self, psi0: JointState, times) -> list:
-        return [self.evolve(psi0, float(t)) for t in times]
-
 
 # ---------------------------------------------------------------------------
 # fixed-step RK4 on the full matrix

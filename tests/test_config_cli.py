@@ -84,13 +84,21 @@ class TestConfigParsing:
     def test_counts_are_bounded(self):
         for section, key in (("time_grid", "count"), ("q_grid", "re_count"),
                              ("q_grid", "im_count")):
-            doc = deep(BASE, q_grid={"times": [0.5]})
+            doc = deep(BASE, q_grid={"times": [0.5], "re_count": 1, "im_count": 1})
             doc[section][key] = MAX_COUNT
             assert isinstance(parse_config(doc), RunConfig)
             doc[section][key] = MAX_COUNT + 1
             with pytest.raises(ConfigError, match=f"config.{section}.{key}: expected an "
                                                   f"integer in \\[1, {MAX_COUNT}\\]"):
                 parse_config(doc)
+
+    def test_q_grid_size_is_bounded(self):
+        doc = deep(BASE, q_grid={"times": [0.5], "re_count": 1000, "im_count": 1000})
+        assert isinstance(parse_config(doc), RunConfig)
+        doc["q_grid"]["im_count"] = 1001
+        with pytest.raises(ConfigError, match="config.q_grid: re_count \\* im_count = "
+                                              f"1001000 is above {MAX_COUNT}"):
+            parse_config(doc)
 
     def test_n_max_is_bounded(self):
         doc = deep(BASE)
@@ -112,6 +120,11 @@ class TestConfigParsing:
     def test_duplicate_curve_labels(self):
         doc = deep(BASE, curves=[{"label": "a"}, {"label": "a"}])
         with pytest.raises(ConfigError, match="unique"):
+            parse_config(doc)
+
+    def test_duplicate_observables(self):
+        doc = deep(BASE, observables=["inversion", "purity", "inversion"])
+        with pytest.raises(ConfigError, match="config.observables: entries must be unique"):
             parse_config(doc)
 
     def test_curve_overrides(self):

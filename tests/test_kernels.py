@@ -103,7 +103,7 @@ class TestBatchedSeries:
         _, field, spectra = symmetric_system
         taus = np.linspace(0.0, 6.0, 50)
         series = observable_series(field, spectra, taus, ["entropy"])["entropy"]
-        ref = [jacobi_entropy(reduced_atom_density(field, spectra, t).matrix)
+        ref = [jacobi_entropy(reduced_atom_density(field, spectra, t))
                for t in taus]
         np.testing.assert_allclose(series, ref, rtol=0, atol=1e-13)
 
