@@ -71,6 +71,13 @@ def _number(obj, key, path, default=None, required=False):
     return _finite(obj[key], f"{path}.{key}")
 
 
+def _mean_n(obj, path, default=None):
+    val = _number(obj, "mean_n", path, default=default, required=default is None)
+    if val < 0.0:
+        raise ConfigError(f"{path}.mean_n: must be nonnegative, got {val!r}")
+    return val
+
+
 def _numbers(obj, key, path):
     """A list of finite numbers as a tuple, or None when the key is absent."""
     if key not in obj:
@@ -240,7 +247,7 @@ def parse_config(doc: dict) -> RunConfig:
 
     fld = doc["field"]
     _check_keys(fld, _FIELD_KEYS, "config.field")
-    mean_n = _number(fld, "mean_n", "config.field", required=True)
+    mean_n = _mean_n(fld, "config.field")
     phase = _number(fld, "phase", "config.field", default=0.0)
     n_max_raw = fld.get("n_max", "auto")
 
@@ -252,6 +259,8 @@ def parse_config(doc: dict) -> RunConfig:
     out = doc.get("output", {})
     _check_keys(out, _OUTPUT_KEYS, "config.output")
     out_dir = out.get("dir", "twojc_out")
+    if not isinstance(out_dir, str) or not out_dir:
+        raise ConfigError(f"config.output.dir: expected a non-empty string, got {out_dir!r}")
     prefix = _file_name_part(out.get("prefix", "run"), "config.output.prefix")
 
     curve_docs = doc.get("curves") or [{"label": "base"}]
@@ -273,7 +282,7 @@ def parse_config(doc: dict) -> RunConfig:
         c_mean, c_phase, c_nmax_raw = mean_n, phase, n_max_raw
         if "field" in cd:
             _check_keys(cd["field"], _FIELD_KEYS, f"{path}.field")
-            c_mean = _number(cd["field"], "mean_n", f"{path}.field", default=mean_n)
+            c_mean = _mean_n(cd["field"], f"{path}.field", default=mean_n)
             c_phase = _number(cd["field"], "phase", f"{path}.field", default=phase)
             c_nmax_raw = cd["field"].get("n_max", n_max_raw)
         c_init = _choice(cd.get("atom_init", atom_init_name), _ATOM_INITS,
@@ -288,7 +297,7 @@ def parse_config(doc: dict) -> RunConfig:
 
     return RunConfig(curves=tuple(curves), times_tau=times_tau,
                      observables=tuple(obs), q_grid=q_grid,
-                     out_dir=str(out_dir), prefix=prefix, raw=doc)
+                     out_dir=out_dir, prefix=prefix, raw=doc)
 
 
 def _resolve_n_max(raw, mean_n, observables, q_grid, path):

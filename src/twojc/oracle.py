@@ -5,11 +5,13 @@ atomic and field operators (never from the 3x3 blocks), on the basis
 {|a> x |m>} with atoms ordered (|g,g>, |g,e>, |e,g>, |e,e>) and Fock
 levels m in [0, n_max + 2].  Two structurally different propagators are
 provided: exact per-sector evolution (total excitation is conserved, so
-the matrix splits into blocks of dimension <= 4 that are diagonalized
-once by a local cyclic Jacobi sweep, the package's one hand-written
-eigensolver), and a fixed-step 4th-order Runge-Kutta integrator over the
-full matrix.  The analytic layer is deliberately not imported for any
-numerics here, so agreement between the two code paths is meaningful.
+the matrix splits into sectors of dimension 1, 3 or 4; the sectors of one
+size are held as one stack, diagonalized once by the cyclic Jacobi, the
+package's one hand-written eigensolver, which takes a matrix or a stack
+and uses no LAPACK), and a fixed-step 4th-order Runge-Kutta integrator
+over the full matrix.  The analytic layer is deliberately not imported
+for any numerics here, so agreement between the two code paths is
+meaningful.
 
 The top two Fock levels are a truncation buffer: runs that populate
 them beyond 1e-10 are rejected.
@@ -113,59 +115,47 @@ def excitation_sectors(M: int):
 
 
 def jacobi_eigh_cyclic(mat):
-    """Cyclic-by-rows Jacobi for a small symmetric matrix.
+    """Cyclic-by-rows Jacobi for a symmetric matrix or a stack (..., n, n).
 
     The package's only hand-written eigensolver, kept for independence:
     the analytic layer uses the closed form and LAPACK, so a reference
-    built on this cannot share a bug with them.
+    built on this cannot share a bug with them.  Each rotation updates two
+    rows and columns across the whole stack; a matrix that has converged,
+    or whose (p, q) element is below the skip threshold, rotates with
+    c = 1, s = 0, so every matrix follows its own single-matrix sequence.
     """
     A = np.array(mat, dtype=np.float64)
-    n = A.shape[0]
-    V = np.eye(n)
-    nrm = 0.0
-    for i in range(n):
-        for j in range(n):
-            nrm += A[i, j] * A[i, j]
-    tol = 1e-14 * math.sqrt(nrm)
+    shape = A.shape
+    if A.ndim < 2 or shape[-1] != shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {shape}")
+    n = shape[-1]
+    A = A.reshape(-1, n, n)
+    V = np.broadcast_to(np.eye(n), A.shape).copy()
+    # the sum of squares in row-major order, one element at a time
+    tol = 1e-14 * np.sqrt(np.cumsum((A * A).reshape(len(A), -1), axis=1)[:, -1])
+    iu, ju = np.triu_indices(n, 1)
+    active = np.ones(len(A), dtype=bool)
     for _ in range(80):
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                if abs(A[i, j]) > off:
-                    off = abs(A[i, j])
-        if off <= tol:
+        active &= np.abs(A[:, iu, ju]).max(axis=1, initial=0.0) > tol
+        if not active.any():
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(A[p, q]) <= tol * 1e-2:
-                    continue
-                tau = 0.5 * (A[q, q] - A[p, p]) / A[p, q]
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                for k in range(n):
-                    akp = A[k, p]
-                    akq = A[k, q]
-                    A[k, p] = c * akp - s * akq
-                    A[k, q] = s * akp + c * akq
-                for k in range(n):
-                    apk = A[p, k]
-                    aqk = A[q, k]
-                    A[p, k] = c * apk - s * aqk
-                    A[q, k] = s * apk + c * aqk
-                for k in range(n):
-                    vkp = V[k, p]
-                    vkq = V[k, q]
-                    V[k, p] = c * vkp - s * vkq
-                    V[k, q] = s * vkp + c * vkq
-    return np.diag(A).copy(), V
+        for p, q in zip(iu, ju):
+            apq = A[:, p, q]
+            rot = active & (np.abs(apq) > tol * 1e-2)
+            tau = 0.5 * (A[:, q, q] - A[:, p, p]) / np.where(rot, apq, 1.0)
+            sgn = np.where(tau >= 0.0, 1.0, -1.0)
+            t = sgn / (sgn * tau + np.sqrt(1.0 + tau * tau))
+            c = np.where(rot, 1.0 / np.sqrt(1.0 + t * t), 1.0)[:, None]
+            s = np.where(rot, t, 0.0)[:, None] * c
+            for X in (A, A.swapaxes(1, 2), V):  # columns of A, rows of A, V
+                xp, xq = X[..., p], X[..., q]
+                X[..., p], X[..., q] = c * xp - s * xq, s * xp + c * xq
+    return np.diagonal(A, axis1=1, axis2=2).reshape(shape[:-1]), V.reshape(shape)
 
 
 class SectorPropagator:
-    """Exact evolution by per-sector eigendecomposition of the joint H."""
+    """Exact evolution by eigendecomposition of the joint H per excitation
+    sector, with the sectors of one size held as one (S, d, d) stack."""
 
     def __init__(self, H: np.ndarray, n_max: int):
         M = n_max + 3
@@ -173,18 +163,19 @@ class SectorPropagator:
             raise ValueError("Hamiltonian shape does not match n_max")
         self.n_max = n_max
         self.M = M
-        self._sectors = []
-        for idx in excitation_sectors(M):
-            sub = H[np.ix_(idx, idx)]
-            w, V = jacobi_eigh_cyclic(sub)
-            self._sectors.append((idx, w, V))
+        sectors = excitation_sectors(M)
+        self._stacks = []  # (idx (S, d), w (S, d), V (S, d, d)) per size d
+        for d in sorted({len(idx) for idx in sectors}):
+            idx = np.array([i for i in sectors if len(i) == d])
+            w, V = jacobi_eigh_cyclic(H[idx[:, :, None], idx[:, None, :]])
+            self._stacks.append((idx, w, V))
 
     def evolve(self, psi0: JointState, t: float) -> JointState:
         flat = psi0.amplitudes.reshape(-1)
         out = np.zeros_like(flat)
-        for idx, w, V in self._sectors:
-            c = V.T @ flat[idx]
-            out[idx] = V @ (np.exp(-1j * w * t) * c)
+        for idx, w, V in self._stacks:
+            c = np.einsum("sji,sj->si", V, flat[idx])
+            out[idx] = np.einsum("sij,sj->si", V, np.exp(-1j * w * t) * c)
         return JointState(amplitudes=out.reshape(4, self.M),
                           time=psi0.time + t)
 
@@ -226,31 +217,10 @@ def _matrix_power(P, n):
         P = P @ P
 
 
-class _Rk4Engine:
-    def __init__(self, H, dt):
-        if H.ndim != 2 or H.shape[0] != H.shape[1]:
-            raise ValueError("Hamiltonian must be a square matrix")
-        self.H = H
-        self.dim = H.shape[0]
-        self.dt = _auto_dt(H) if dt is None else float(dt)
-        self._powers = {}  # span -> P^n, kept while more intervals of that span follow
-
-    def advance(self, psi_flat, span, uses_left=1):
-        """The state `span` later; `uses_left` counts the intervals of this
-        span still to come, this one included."""
-        if psi_flat.shape[0] != self.dim:
-            raise ValueError(
-                f"state dimension {psi_flat.shape[0]} does not match the "
-                f"{self.dim}-dimensional Hamiltonian")
-        if span == 0.0:
-            return psi_flat
-        power = self._powers.pop(span, None)
-        if power is None:
-            n_steps = max(1, int(math.ceil(span / self.dt))) if math.isfinite(self.dt) else 1
-            power = _matrix_power(_rk4_step_matrix(self.H, span / n_steps), n_steps)
-        if uses_left > 1:
-            self._powers[span] = power
-        return power @ psi_flat
+def _rk4_power(H, span, dt):
+    """P(h)^n over `span`: n = ceil(span / dt) steps of h = span / n."""
+    n_steps = max(1, int(math.ceil(span / dt))) if math.isfinite(dt) else 1
+    return _matrix_power(_rk4_step_matrix(H, span / n_steps), n_steps)
 
 
 def _shared_spans(spans, tol):
@@ -277,31 +247,30 @@ def _check_norm(psi_flat, n0):
         raise NumericalGuardError(
             f"integrator norm drift {drift:.2e} exceeds {NORM_DRIFT_LIMIT:g}; "
             "reduce the step size")
-    return drift
 
 
 def evolve_numeric(H: np.ndarray, psi0: JointState, t: float, dt: float = None) -> JointState:
-    """Integrate the Schrodinger equation for a duration t with fixed-step
-    RK4 on the full joint matrix.  dt defaults to 0.02 / (Gershgorin
-    bound on |E|); norm drift beyond 1e-8 raises."""
-    engine = _Rk4Engine(H, dt)
-    psi = psi0.amplitudes.reshape(-1).astype(np.complex128).copy()
-    n0 = np.linalg.norm(psi)
-    psi = engine.advance(psi, float(t))
-    _check_norm(psi, n0)
-    return JointState(amplitudes=psi.reshape(psi0.amplitudes.shape),
-                      time=psi0.time + t)
+    """The state a duration t >= 0 after psi0: one RK4 sample."""
+    return evolve_numeric_sampled(H, psi0, [psi0.time + t], dt)[0]
 
 
 def evolve_numeric_sampled(H: np.ndarray, psi0: JointState, times, dt: float = None):
-    """RK4 samples at the given times (ascending, from psi0.time).
+    """RK4 samples on the full joint matrix at the given times (ascending,
+    from psi0.time).  dt defaults to 0.02 / (Gershgorin bound on |E|); norm
+    drift beyond 1e-8 raises.
 
     Sample times carry rounding, so intervals that agree to a few ulps of
     the latest time (evenly spaced samples) are integrated with one common
     length, their mean.
     """
-    engine = _Rk4Engine(H, dt)
-    psi = psi0.amplitudes.reshape(-1).astype(np.complex128).copy()
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise ValueError("Hamiltonian must be a square matrix")
+    psi = psi0.amplitudes.reshape(-1).astype(np.complex128)
+    if psi.shape[0] != H.shape[0]:
+        raise ValueError(
+            f"state dimension {psi.shape[0]} does not match the "
+            f"{H.shape[0]}-dimensional Hamiltonian")
+    dt = _auto_dt(H) if dt is None else float(dt)
     n0 = np.linalg.norm(psi)
     times = np.asarray(times, dtype=float).reshape(-1)
     spans = np.diff(times, prepend=psi0.time)
@@ -311,9 +280,16 @@ def evolve_numeric_sampled(H: np.ndarray, psi0: JointState, times, dt: float = N
         return []
     tol = 4.0 * np.finfo(float).eps * max(abs(psi0.time), float(np.abs(times).max()))
     shared, uses_left = _shared_spans(spans, tol)
+    powers = {}  # span -> P^n, kept while more intervals of that span follow
     out = []
     for t, span, left in zip(times, shared, uses_left):
-        psi = engine.advance(psi, float(span), int(left))
+        if span:
+            power = powers.pop(span, None)
+            if power is None:
+                power = _rk4_power(H, float(span), dt)
+            if left > 1:
+                powers[span] = power
+            psi = power @ psi
         _check_norm(psi, n0)
         out.append(JointState(amplitudes=psi.reshape(4, -1).copy(), time=float(t)))
     return out

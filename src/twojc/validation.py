@@ -78,7 +78,7 @@ def check_spectral_identities(n_draws=1000, seed=20240117):
     block = PhotonBlock.stack([spectral.build_block(p, n) for p, n in draws])
     s = spectral.solve_blocks(block)
     inter = s.intermediates
-    w = np.array([oracle.jacobi_eigh_cyclic(H)[0] for H in block.matrix])
+    w = oracle.jacobi_eigh_cyclic(block.matrix)[0]
     hnorm = np.maximum(1.0, np.linalg.norm(block.matrix, axis=(1, 2)))
     e1, e2, e3 = s.energies.T
     o21, o31, o23 = s.rabi.T

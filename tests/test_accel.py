@@ -1,5 +1,6 @@
-"""Edge inputs of the cyclic Jacobi, the plain-Python eigensolver that the
-closed form and the LAPACK fallback are checked against."""
+"""Edge inputs of the cyclic Jacobi, the LAPACK-free eigensolver (for a
+matrix or a stack) that the closed form and the LAPACK fallback are
+checked against."""
 
 import numpy as np
 

@@ -41,8 +41,8 @@ def report(criterion, passed, detail):
 
 @pytest.fixture(scope="module")
 def sweep_blocks():
-    """>= 10^4 random draws, solved as one stack, plus their per-draw
-    reference from the oracle's cyclic Jacobi."""
+    """>= 10^4 random draws, solved as one stack, plus their reference
+    from one stacked call of the oracle's cyclic Jacobi."""
     rng = np.random.default_rng(20240903)
     blocks = []
     for trial in range(10000):
@@ -54,9 +54,10 @@ def sweep_blocks():
             h_kind=H_KERR,
             f_kind=F_BUCK_SUKUMAR if trial % 2 else twojc.F_LINEAR)
         blocks.append(build_block(params, int(rng.integers(0, 101))))
-    table = twojc.solve_blocks(twojc.PhotonBlock.stack(blocks))
-    return [(table[k], block, jacobi_eigh_cyclic(block.matrix)[0])
-            for k, block in enumerate(blocks)]
+    stack = twojc.PhotonBlock.stack(blocks)
+    table = twojc.solve_blocks(stack)
+    w = jacobi_eigh_cyclic(stack.matrix)[0]
+    return [(table[k], block, w[k]) for k, block in enumerate(blocks)]
 
 
 @pytest.fixture(scope="module")

@@ -117,6 +117,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="window needs n_max >= 4e\\+06"):
             parse_config(doc)
 
+    def test_negative_curve_mean_n_names_its_path(self):
+        doc = deep(BASE, curves=[{"label": "a"}, {"label": "b", "field": {"mean_n": -0.5}}])
+        with pytest.raises(ConfigError, match=r"config.curves\[1\].field.mean_n: must be "
+                                              "nonnegative, got -0.5"):
+            parse_config(doc)
+
     def test_duplicate_curve_labels(self):
         doc = deep(BASE, curves=[{"label": "a"}, {"label": "a"}])
         with pytest.raises(ConfigError, match="unique"):
@@ -297,7 +303,8 @@ INPUT_EDGE_PROBES = [
     ("q_grid.times", "[true]", 2), ("q_grid.times", "[1e400]", 2),
     ("model.f_table", '["a", 1.0]', 2), ("model.f_table", "5", 2),
     ("time_grid.count", "true", 2), ("field.mean_n", "1e4", 3),
-    ("time_grid.count", "1" + "0" * 30, 2),
+    ("time_grid.count", "1" + "0" * 30, 2), ("field.mean_n", "-1", 2),
+    ("output.dir", "null", 2), ("output.dir", '""', 2), ("output.dir", "5", 2),
 ]
 
 

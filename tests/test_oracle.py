@@ -193,8 +193,17 @@ class TestRk4:
         field = coherent_field(3.0, n_max=25)
         H = build_joint_hamiltonian(p, 25)
         psi0 = joint_initial_state(field)
-        with pytest.raises(NumericalGuardError):
-            evolve_numeric(H, psi0, 50.0, dt=0.5)  # far beyond stability
+        # far beyond stability: the deliberate overflow is what the guard catches
+        with (np.errstate(over="ignore", invalid="ignore"),
+              pytest.raises(NumericalGuardError)):
+            evolve_numeric(H, psi0, 50.0, dt=0.5)
+
+    def test_negative_duration_rejected(self):
+        p = bs_params()
+        field = coherent_field(2.0, n_max=26)
+        H = build_joint_hamiltonian(p, 26)
+        with pytest.raises(ValueError, match="ascending"):
+            evolve_numeric(H, joint_initial_state(field), -1e-4)
 
     def test_agrees_with_sector_propagator(self):
         p = bs_params(kmj=0.15, chi=0.02)
@@ -298,3 +307,59 @@ def test_cyclic_jacobi_matches_numpy():
                                        rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(V @ np.diag(w) @ V.T, a, atol=1e-12)
             np.testing.assert_allclose(V.T @ V, np.eye(k), atol=1e-12)
+
+
+def scalar_jacobi(a):
+    """The cyclic Jacobi one element at a time, as a scalar reference: the
+    same sweep order, rotations, tolerance and skip threshold."""
+    A = np.array(a, dtype=float)
+    n = len(A)
+    V = np.eye(n)
+    nrm = 0.0
+    for x in A.ravel():
+        nrm += x * x
+    tol = 1e-14 * math.sqrt(nrm)
+    for _ in range(80):
+        if max((abs(A[i, j]) for i in range(n) for j in range(i + 1, n)),
+               default=0.0) <= tol:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                if abs(A[p, q]) <= tol * 1e-2:
+                    continue
+                tau = 0.5 * (A[q, q] - A[p, p]) / A[p, q]
+                if tau >= 0.0:
+                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                for X, cols in ((A, True), (A, False), (V, True)):
+                    for k in range(n):
+                        ip, iq = ((k, p), (k, q)) if cols else ((p, k), (q, k))
+                        xp, xq = X[ip], X[iq]
+                        X[ip], X[iq] = c * xp - s * xq, s * xp + c * xq
+    return np.diag(A).copy(), V
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_cyclic_jacobi_stack_matches_single_calls(k):
+    rng = np.random.default_rng(40 + k)
+    a = rng.normal(size=(10, k, k))
+    a = a + np.swapaxes(a, 1, 2)
+    a[0] = np.diag(rng.normal(size=k))          # converged before the first sweep
+    a[1, 0, 1] = a[1, 1, 0] = 1e-18             # pair (0, 1) under the skip threshold
+    a[2] *= 1e6                                 # scales differ across the stack
+    a[3] = np.diag(rng.normal(size=k)) + 1e-15  # converged, yet above the skip threshold
+    w, V = jacobi_eigh_cyclic(a)
+    for row, mat in enumerate(a):
+        w1, V1 = jacobi_eigh_cyclic(mat)
+        np.testing.assert_array_equal(w[row], w1)
+        np.testing.assert_array_equal(V[row], V1)
+        w0, V0 = scalar_jacobi(mat)
+        np.testing.assert_array_equal(w1, w0)
+        np.testing.assert_array_equal(V1, V0)
+    w4, V4 = jacobi_eigh_cyclic(a.reshape(2, 5, k, k))
+    assert w4.shape == (2, 5, k) and V4.shape == (2, 5, k, k)
+    np.testing.assert_array_equal(w4.reshape(w.shape), w)
+    np.testing.assert_array_equal(V4.reshape(V.shape), V)
