@@ -23,34 +23,32 @@ from .config import CurveSpec, RunConfig, load_config, resolved_lines
 from .errors import ConfigError, NumericalGuardError, TwojcError
 
 _FMT = "%.17g"
-
-
-def _fmt(x) -> str:
-    v = float(x)
-    if v == 0.0:
-        v = 0.0  # normalize -0.0 for byte-stable output
-    return _FMT % v
+# table rows formatted per `%` call: a table never exists as Python objects
+# in full, only this many rows of it at a time
+_CHUNK_ROWS = 1 << 12
 
 
 def _write_csv(path, header_lines, columns, rows):
-    """Write a table; a NaN or Inf anywhere trips the guard and nothing is written."""
-    rows = np.asarray(rows, dtype=float)
+    """Write a table and return the sha256 of the bytes written.
+
+    A NaN or Inf anywhere trips the guard and nothing is written."""
+    rows = np.asarray(rows, dtype=float) + 0.0  # -0.0 becomes 0.0, for byte-stable output
     if not np.all(np.isfinite(rows)):
         raise NumericalGuardError(
             f"{os.path.basename(path)}: non-finite values computed; not written")
-    with open(path, "w", newline="\n") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows.tolist():
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    row_fmt = ",".join([_FMT] * len(columns)) + "\n"
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        def put(text):
+            data = text.encode()
+            fh.write(data)
+            digest.update(data)
 
-
-def _sha256(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
+        put("".join(f"# {line}\n" for line in header_lines) + ",".join(columns) + "\n")
+        for start in range(0, len(rows), _CHUNK_ROWS):
+            chunk = rows[start:start + _CHUNK_ROWS]
+            put((row_fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
+    return digest.hexdigest()
 
 
 def _series_units(name):
@@ -63,7 +61,8 @@ def _series_units(name):
 
 
 def _curve_outputs(cfg: RunConfig, curve: CurveSpec, out_dir: str):
-    """Compute and write every requested file for one curve."""
+    """Compute and write every requested file for one curve; return their
+    manifest entries."""
     params = curve.params
     field = dynamics.coherent_field(curve.mean_n, phase=curve.phase,
                                     n_max=curve.n_max,
@@ -71,54 +70,45 @@ def _curve_outputs(cfg: RunConfig, curve: CurveSpec, out_dir: str):
     spectra = spectral.spectrum_table(params, curve.n_max)
     times = cfg.times_tau / params.g  # tau = g t
     header = resolved_lines(cfg, curve)
-    written = []
+    files = []
+
+    def emit(suffix, notes, columns, rows):
+        name = f"{cfg.prefix}_{curve.label}_{suffix}.csv"
+        sha = _write_csv(os.path.join(out_dir, name), header + notes, columns, rows)
+        files.append({"path": name, "sha256": sha})
 
     series_wanted = [o for o in cfg.observables if o in dynamics.SERIES_OBSERVABLES]
     if series_wanted:
         series = dynamics.observable_series(field, spectra, times, series_wanted)
         for name in series_wanted:
-            path = os.path.join(out_dir, f"{cfg.prefix}_{curve.label}_{name}.csv")
-            lines = header + [
-                "tau column: dimensionless time g*t",
-                f"{name} column: {_series_units(name)}",
-            ]
-            rows = np.column_stack([cfg.times_tau, series[name]])
-            _write_csv(path, lines, ["tau", name], rows)
-            written.append(path)
+            emit(name, ["tau column: dimensionless time g*t",
+                        f"{name} column: {_series_units(name)}"],
+                 ["tau", name], np.column_stack([cfg.times_tau, series[name]]))
 
     if "qfunction" in cfg.observables:
         re_axis, im_axis = cfg.q_grid.axes()
+        re_grid, im_grid = np.meshgrid(re_axis, im_axis)
         for idx, tau in enumerate(cfg.q_grid.times_tau):
             rho_f = dynamics.reduced_field_density(field, spectra, tau / params.g)
             grid = dynamics.husimi_grid(rho_f, re_axis, im_axis)
-            path = os.path.join(out_dir,
-                                f"{cfg.prefix}_{curve.label}_qfunction_{idx}.csv")
-            lines = header + [
-                f"tau = {tau!r} (dimensionless g*t)",
-                "re, im: coherent amplitude alpha = re + i*im (dimensionless)",
-                "q: Husimi density, 1/area in phase space",
-            ]
-            re_grid, im_grid = np.meshgrid(re_axis, im_axis)
-            rows = np.column_stack([re_grid.ravel(), im_grid.ravel(),
-                                    grid.values.ravel()])
-            _write_csv(path, lines, ["re", "im", "q"], rows)
-            written.append(path)
+            emit(f"qfunction_{idx}",
+                 [f"tau = {tau!r} (dimensionless g*t)",
+                  "re, im: coherent amplitude alpha = re + i*im (dimensionless)",
+                  "q: Husimi density, 1/area in phase space"],
+                 ["re", "im", "q"],
+                 np.column_stack([re_grid.ravel(), im_grid.ravel(), grid.values.ravel()]))
 
     if "spectrum-dump" in cfg.observables:
-        path = os.path.join(out_dir, f"{cfg.prefix}_{curve.label}_spectrum.csv")
-        lines = header + [
-            "E*: block eigenvalues, rad/time; *_over_g: same in units of g",
-            "omega*: eigenvalue differences (21, 31, 23), rad/time",
-            "lam*: inversion weighting amplitudes, dimensionless",
-        ]
-        cols = (["n", "E1", "E2", "E3", "E1_over_g", "E2_over_g", "E3_over_g",
-                 "omega21", "omega31", "omega23",
-                 "lam11", "lam22", "lam33", "lam21", "lam31", "lam23"])
-        rows = np.column_stack([spectra.n, spectra.energies, spectra.energies / params.g,
-                                spectra.rabi, spectra.lam_diag, spectra.lam_off])
-        _write_csv(path, lines, cols, rows)
-        written.append(path)
-    return written
+        emit("spectrum",
+             ["E*: block eigenvalues, rad/time; *_over_g: same in units of g",
+              "omega*: eigenvalue differences (21, 31, 23), rad/time",
+              "lam*: inversion weighting amplitudes, dimensionless"],
+             ["n", "E1", "E2", "E3", "E1_over_g", "E2_over_g", "E3_over_g",
+              "omega21", "omega31", "omega23",
+              "lam11", "lam22", "lam33", "lam21", "lam31", "lam23"],
+             np.column_stack([spectra.n, spectra.energies, spectra.energies / params.g,
+                              spectra.rabi, spectra.lam_diag, spectra.lam_off]))
+    return files
 
 
 def run_config(cfg: RunConfig) -> dict:
@@ -129,8 +119,7 @@ def run_config(cfg: RunConfig) -> dict:
     manifest = {
         "tool": {"name": "twojc", "version": __version__},
         "config": cfg.raw,
-        "files": [{"path": os.path.basename(p), "sha256": _sha256(p)}
-                  for p in files],
+        "files": files,
     }
     manifest_path = os.path.join(cfg.out_dir, f"{cfg.prefix}_manifest.json")
     with open(manifest_path, "w", newline="\n") as fh:

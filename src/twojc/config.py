@@ -136,11 +136,6 @@ class QGridSpec:
         return re * re + im * im  # inf rather than OverflowError for huge bounds
 
 
-DEFAULT_QGRID = QGridSpec(re_min=-6.0, re_max=6.0, re_count=241,
-                          im_min=-6.0, im_max=6.0, im_count=241,
-                          times_tau=())
-
-
 @dataclass(frozen=True)
 class CurveSpec:
     label: str
@@ -224,24 +219,24 @@ def parse_config(doc: dict) -> RunConfig:
     count = _count(tg, "count", "config.time_grid")
     if count > 1 and stop <= start:
         raise ConfigError("config.time_grid: stop must exceed start")
+    if not math.isfinite(stop - start):
+        raise ConfigError("config.time_grid: stop - start is not a finite number")
     times_tau = np.linspace(start, stop, count)
 
-    q_grid = DEFAULT_QGRID
-    if "q_grid" in doc:
-        qg = doc["q_grid"]
-        _check_keys(qg, _QGRID_KEYS, "config.q_grid")
-        q_grid = QGridSpec(
-            re_min=_number(qg, "re_min", "config.q_grid", default=-6.0),
-            re_max=_number(qg, "re_max", "config.q_grid", default=6.0),
-            re_count=_count(qg, "re_count", "config.q_grid", default=241),
-            im_min=_number(qg, "im_min", "config.q_grid", default=-6.0),
-            im_max=_number(qg, "im_max", "config.q_grid", default=6.0),
-            im_count=_count(qg, "im_count", "config.q_grid", default=241),
-            times_tau=_numbers(qg, "times", "config.q_grid") or ())
-        points = q_grid.re_count * q_grid.im_count
-        if points > MAX_COUNT:
-            raise ConfigError(f"config.q_grid: re_count * im_count = {points} "
-                              f"is above {MAX_COUNT}")
+    qg = doc.get("q_grid", {})
+    _check_keys(qg, _QGRID_KEYS, "config.q_grid")
+    q_grid = QGridSpec(
+        re_min=_number(qg, "re_min", "config.q_grid", default=-6.0),
+        re_max=_number(qg, "re_max", "config.q_grid", default=6.0),
+        re_count=_count(qg, "re_count", "config.q_grid", default=241),
+        im_min=_number(qg, "im_min", "config.q_grid", default=-6.0),
+        im_max=_number(qg, "im_max", "config.q_grid", default=6.0),
+        im_count=_count(qg, "im_count", "config.q_grid", default=241),
+        times_tau=_numbers(qg, "times", "config.q_grid") or ())
+    points = q_grid.re_count * q_grid.im_count
+    if points > MAX_COUNT:
+        raise ConfigError(f"config.q_grid: re_count * im_count = {points} "
+                          f"is above {MAX_COUNT}")
     if "qfunction" in obs and not q_grid.times_tau:
         raise ConfigError("config.q_grid.times: required when qfunction is requested")
 
@@ -266,6 +261,9 @@ def parse_config(doc: dict) -> RunConfig:
     curve_docs = doc.get("curves") or [{"label": "base"}]
     if not isinstance(curve_docs, list):
         raise ConfigError("config.curves: expected a list")
+    # every tau is divided by each curve's g before the dynamics sees it
+    taus = [("time_grid.start", start), ("time_grid.stop", stop)] + [
+        (f"q_grid.times[{j}]", tau) for j, tau in enumerate(q_grid.times_tau)]
     curves = []
     for i, cd in enumerate(curve_docs):
         path = f"config.curves[{i}]"
@@ -279,6 +277,10 @@ def parse_config(doc: dict) -> RunConfig:
             params = ModelParams(**model_kwargs)
         except TwojcError as exc:
             raise ConfigError(f"{path}.model: {exc}") from exc
+        for key, tau in taus:
+            if not math.isfinite(tau / params.g):
+                raise ConfigError(f"config.{key}: tau / g = {tau!r} / {params.g!r} "
+                                  f"is not a finite time for {path}")
         c_mean, c_phase, c_nmax_raw = mean_n, phase, n_max_raw
         if "field" in cd:
             _check_keys(cd["field"], _FIELD_KEYS, f"{path}.field")

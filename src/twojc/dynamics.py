@@ -53,6 +53,9 @@ class FieldInit:
         object.__setattr__(self, "amplitudes", amps)
         if len(amps) != self.n_max + 1:
             raise TwojcError("amplitudes must have n_max + 1 entries")
+        # NaN passes both checks below, so non-finite amplitudes stop here
+        if not np.all(np.isfinite(amps)):
+            raise TwojcError("field amplitudes not finite")
         # tail first: a heavily truncated state is a truncation problem,
         # not a normalization problem
         tail = float(np.sum(np.abs(amps[self.n_max - 1:]) ** 2))
@@ -97,7 +100,8 @@ def coherent_field(mean_n: float, phase: float = 0.0, n_max: int = None,
     else:
         logmag = (-mean_n / 2.0 + 0.5 * n * math.log(mean_n)
                   - 0.5 * _log_factorials(n_max + 1))
-        amps = np.exp(logmag) * np.exp(1j * n * phase)
+        with np.errstate(over="ignore", invalid="ignore"):  # FieldInit rejects the result
+            amps = np.exp(logmag) * np.exp(1j * n * phase)
     try:
         return FieldInit(amplitudes=amps, n_max=n_max, mean_n=float(mean_n),
                          atom_init=atom_init)

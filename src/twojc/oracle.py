@@ -24,7 +24,7 @@ import numpy as np
 
 from .dynamics import AtomInit, FieldInit
 from .errors import NumericalGuardError, TruncationError
-from .model import HKind, ModelParams, eval_h, ladder_factor
+from .model import ModelParams, ladder_factor, shift_factor
 
 __all__ = ["JointState", "build_joint_hamiltonian", "joint_initial_state",
            "SectorPropagator", "evolve_numeric", "evolve_numeric_sampled",
@@ -71,11 +71,7 @@ def build_joint_hamiltonian(params: ModelParams, n_max: int) -> np.ndarray:
     lower = np.zeros((M, M))
     m = np.arange(M)
     lower[m[:-1], m[1:]] = ladder_factor(params.f_kind, m[1:])
-    if params.h_kind.kind is HKind.KERR:
-        shift = params.chi * np.arange(M, dtype=float) ** 2
-    else:
-        shift = params.omega0 * m * (eval_h(params.h_kind, params, m) - 1.0)
-    H = (np.kron(I4, np.diag(shift))
+    H = (np.kron(I4, np.diag(shift_factor(params, m)))
          + 0.5 * params.delta * np.kron(sz1 + sz2, IM)
          + params.g * (np.kron(sm1 + sm2, lower.T) + np.kron(sp1 + sp2, lower))
          + 2.0 * params.kappa * np.kron(sm1 @ sp2 + sp1 @ sm2, IM)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -67,6 +68,19 @@ class TestConfigParsing:
         doc = deep(BASE, time_grid={"start": 0.0, "stop": 1.0, "count": 0})
         with pytest.raises(ConfigError, match="count"):
             parse_config(doc)
+
+    def test_times_over_g_must_be_finite(self):
+        doc = deep(BASE, time_grid={"start": 0.0, "stop": 1e306, "count": 5})
+        parse_config(deep(doc, curves=[{"model": {"g": 1.0}}]))
+        with pytest.raises(ConfigError, match=r"^config\.time_grid\.stop: .*curves\[1\]"):
+            parse_config(deep(doc, curves=[{"model": {"g": 1.0}},
+                                           {"model": {"g": 1e-3}}]))
+        doc = deep(BASE, q_grid={"times": [0.5, -1e306]})
+        with pytest.raises(ConfigError, match=r"^config\.q_grid\.times\[1\]: "):
+            parse_config(doc)
+        doc = deep(BASE, time_grid={"start": -1e308, "stop": 1e308, "count": 5})
+        with pytest.raises(ConfigError, match="stop - start"):
+            parse_config(deep(doc, model={"omega0": 1.0, "g": 1.0}))
 
     def test_qfunction_needs_times(self):
         with pytest.raises(ConfigError, match="q_grid.times"):
@@ -191,6 +205,17 @@ class TestRun:
         b = (tmp_path / "b" / m2["files"][0]["path"]).read_bytes()
         assert a == b
 
+    def test_manifest_hashes_are_file_hashes(self, tmp_path):
+        doc = deep(BASE, observables=["inversion", "qfunction", "spectrum-dump"],
+                   q_grid={"times": [0.0, 0.5], "re_min": -2.0, "re_max": 2.0,
+                           "re_count": 5, "im_min": -2.0, "im_max": 2.0, "im_count": 7},
+                   output={"dir": str(tmp_path / "out"), "prefix": "h"})
+        manifest = run_config(parse_config(doc))
+        assert len(manifest["files"]) == 4
+        for f in manifest["files"]:
+            data = (tmp_path / "out" / f["path"]).read_bytes()
+            assert f["sha256"] == hashlib.sha256(data).hexdigest()
+
     def test_headers_carry_resolved_config_and_units(self, tmp_path):
         doc = deep(BASE, output={"dir": str(tmp_path / "out"), "prefix": "r"})
         run_config(parse_config(doc))
@@ -261,6 +286,22 @@ class TestCliEntry:
             _write_csv(str(path), [], ["a", "b"], [[0.0, 1.0], [math.inf, 2.0]])
         assert not path.exists()
 
+    def test_csv_bytes_and_digest(self, tmp_path):
+        from twojc.cli import _CHUNK_ROWS, _write_csv
+        rng = np.random.default_rng(11)
+        rows = (rng.standard_normal((10_000, 3))
+                * 10.0 ** rng.integers(-300, 300, size=(10_000, 3)))
+        rows[0] = [-0.0, 1e-300, 1e300]
+        rows[-1] = [1e300, -0.0, -1e-300]
+        assert len(rows) > 2 * _CHUNK_ROWS
+        path = tmp_path / "t.csv"
+        digest = _write_csv(str(path), ["note"], ["a", "b", "c"], rows)
+        ref = "# note\na,b,c\n" + "".join(
+            ",".join("%.17g" % (v + 0.0) for v in row) + "\n" for row in rows.tolist())
+        data = path.read_bytes()
+        assert data == ref.encode()
+        assert digest == hashlib.sha256(data).hexdigest()
+
     @pytest.mark.parametrize("where", ["prefix", "label"])
     @pytest.mark.parametrize("name", ["a/b", "..\\x", "", "a b", 7.5, True])
     def test_file_name_parts_restricted(self, tmp_path, where, name):
@@ -305,7 +346,14 @@ INPUT_EDGE_PROBES = [
     ("time_grid.count", "true", 2), ("field.mean_n", "1e4", 3),
     ("time_grid.count", "1" + "0" * 30, 2), ("field.mean_n", "-1", 2),
     ("output.dir", "null", 2), ("output.dir", '""', 2), ("output.dir", "5", 2),
+    ("field.phase", "1e308", 3), ("time_grid.stop", "1e308", 2),
 ]
+# stderr of the probes that trip a numerical guard; a config error names its key
+GUARD_MESSAGES = {
+    "field.mean_n": "numerical guard: coherent field at mean_n = 10000.0: ",
+    "field.phase": "numerical guard: coherent field at mean_n = 3.0: "
+                   "field amplitudes not finite",
+}
 
 
 @pytest.mark.parametrize("where, literal, code", INPUT_EDGE_PROBES)
@@ -324,7 +372,7 @@ def test_input_edge_exit_codes(tmp_path, capsys, where, literal, code):
     if code == 2:
         assert err.startswith(f"config error: config.{where}")
     else:
-        assert err.startswith("numerical guard: coherent field at mean_n = 10000.0")
+        assert err.startswith(GUARD_MESSAGES[where])
 
 
 SMALL = {

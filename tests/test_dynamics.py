@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,13 @@ class TestCoherentField:
         with pytest.raises(TruncationError) as err:
             coherent_field(40.0, n_max=45)
         assert err.value.suggested_n_max == auto_n_max(40.0)
+
+    def test_overflowing_phase_is_a_guard(self):
+        # n * phase overflows from n = 2, which would make the amplitudes NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalGuardError, match="not finite"):
+                coherent_field(3.0, phase=1e308, n_max=30)
 
     def test_auto_n_max_for_mean_ten(self):
         assert auto_n_max(10.0) == 68
