@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import AtomInit, auto_n_max
+from .dynamics import AtomInit, auto_n_max, corner_alpha_sq, window_n_max
 from .errors import ConfigError, TwojcError
 from .model import (FKind, HKind, ModelParams, NonlinearitySelector)
 
@@ -128,12 +128,6 @@ class QGridSpec:
     def axes(self):
         return (np.linspace(self.re_min, self.re_max, self.re_count),
                 np.linspace(self.im_min, self.im_max, self.im_count))
-
-    @property
-    def corner_alpha_sq(self):
-        re = max(abs(self.re_min), abs(self.re_max))
-        im = max(abs(self.im_min), abs(self.im_max))
-        return re * re + im * im  # inf rather than OverflowError for huge bounds
 
 
 @dataclass(frozen=True)
@@ -309,12 +303,12 @@ def _resolve_n_max(raw, mean_n, observables, q_grid, path):
             raise ConfigError(f"{path}: \"auto\" n_max for mean_n = {mean_n!r} "
                               f"is above {MAX_COUNT}")
         if "qfunction" in observables:
-            # the phase-space window needs n_max >= 2 max|alpha|^2
-            need = 2.0 * q_grid.corner_alpha_sq
-            if not need <= MAX_COUNT:
+            need = window_n_max(corner_alpha_sq((q_grid.re_min, q_grid.re_max),
+                                                (q_grid.im_min, q_grid.im_max)))
+            if need > MAX_COUNT:
                 raise ConfigError(f"config.q_grid: window needs n_max >= {need:.6g}, "
                                   f"above {MAX_COUNT}")
-            n_max = max(n_max, int(math.ceil(need)))
+            n_max = max(n_max, need)
         return n_max
     if isinstance(raw, bool) or not isinstance(raw, int) or not 2 <= raw <= MAX_COUNT:
         raise ConfigError(f"{path}: n_max must be an integer in [2, {MAX_COUNT}] "

@@ -351,12 +351,29 @@ _HORNER_RESCALE_ABOVE = 1e150  # ... which are rescaled once they pass this
 _HUSIMI_CHUNK = 1 << 18  # partial sums held at once, rows x points
 
 
+def corner_alpha_sq(re_axis, im_axis) -> float:
+    """max |alpha|^2 over the rectangle spanned by the end points of two
+    axes: its farthest corner."""
+    re = max(abs(float(re_axis[0])), abs(float(re_axis[-1])))
+    im = max(abs(float(im_axis[0])), abs(float(im_axis[-1])))
+    return re * re + im * im  # inf rather than OverflowError for huge bounds
+
+
+def window_n_max(alpha_sq_max: float):
+    """Smallest n_max whose Husimi window holds every |alpha|^2 up to
+    alpha_sq_max: the trusted window is n_max >= 2 max|alpha|^2.  Inf
+    when that is beyond double range."""
+    need = 2.0 * alpha_sq_max
+    return math.ceil(need) if math.isfinite(need) else math.inf
+
+
 def _check_window(rho_dim: int, alpha_sq_max: float):
     n_max = rho_dim - 3
-    if alpha_sq_max > 0.5 * n_max:
+    need = window_n_max(alpha_sq_max)
+    if need > n_max:
         raise NumericalGuardError(
             f"|alpha|^2 = {alpha_sq_max:.2f} outside the trusted window "
-            f"(needs n_max >= {int(math.ceil(2 * alpha_sq_max))}, have {n_max})")
+            f"(needs n_max >= {need}, have {n_max})")
 
 
 def coherent_vector(alpha: complex, dim: int) -> np.ndarray:
@@ -422,9 +439,7 @@ def husimi_grid(rho: FieldDensity, re_axis, im_axis) -> QGrid:
     rows = rho.factors
     re_axis = np.ascontiguousarray(re_axis, dtype=float)
     im_axis = np.ascontiguousarray(im_axis, dtype=float)
-    corners = max(abs(re_axis[0]), abs(re_axis[-1])) ** 2 \
-        + max(abs(im_axis[0]), abs(im_axis[-1])) ** 2
-    _check_window(rows.shape[1], corners)
+    _check_window(rows.shape[1], corner_alpha_sq(re_axis, im_axis))
     z = (re_axis[None, :] - 1j * im_axis[:, None]).ravel()
     values = np.zeros(z.size)
     chunk = max(1, _HUSIMI_CHUNK // max(1, len(rows)))

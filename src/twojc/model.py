@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import TwojcError
+from .errors import NumericalGuardError, TwojcError
 
 SQRT2 = math.sqrt(2.0)
 
@@ -132,6 +132,9 @@ class ModelParams:
             raise TwojcError("h_kind must carry an HKind selector")
         if not isinstance(self.f_kind.kind, FKind):
             raise TwojcError("f_kind must carry an FKind selector")
+        if self.chi != 0.0 and self.h_kind.kind is not HKind.KERR:
+            raise TwojcError(f"chi = {self.chi!r} needs h_kind kerr: "
+                             f"the {self.h_kind.kind.value} cavity has no Kerr term")
 
     @property
     def kappa_minus_j(self):
@@ -223,11 +226,17 @@ def build_block(params: ModelParams, n) -> PhotonBlock:
     off1 = SQRT2 * g * f1
     off2 = SQRT2 * g * f2
     mat = np.zeros(np.shape(n) + (3, 3))
-    mat[..., 0, 0] = shift_factor(params, n) + dlt + J
-    mat[..., 1, 1] = shift_factor(params, n + 1) - J + 2.0 * kap
-    mat[..., 2, 2] = shift_factor(params, n + 2) - dlt + J
-    mat[..., 0, 1] = mat[..., 1, 0] = off1
-    mat[..., 1, 2] = mat[..., 2, 1] = off2
+    with np.errstate(over="ignore", invalid="ignore"):
+        mat[..., 0, 0] = shift_factor(params, n) + dlt + J
+        mat[..., 1, 1] = shift_factor(params, n + 1) - J + 2.0 * kap
+        mat[..., 2, 2] = shift_factor(params, n + 2) - dlt + J
+        mat[..., 0, 1] = mat[..., 1, 0] = off1
+        mat[..., 1, 2] = mat[..., 2, 1] = off2
+    bad = ~np.isfinite(mat).all(axis=(-2, -1))
+    if np.any(bad):
+        raise NumericalGuardError(
+            f"block n = {int(np.asarray(n)[bad].flat[0])}: non-finite entries "
+            "(the couplings overflow double range)")
     mat.setflags(write=False)
     scale = g + abs(params.chi) + abs(kap - J) + abs(dlt)
     return PhotonBlock(n=n, matrix=mat, f_np1=f1, f_np2=f2, freq_scale=scale)

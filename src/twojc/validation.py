@@ -10,6 +10,7 @@ hand-written solver, so no check compares a path with itself.
 import hashlib
 import importlib.resources
 import json
+import warnings
 
 import numpy as np
 
@@ -69,12 +70,17 @@ def random_params(rng):
     )
 
 
+def random_draw(rng):
+    """One random Kerr parameter set and photon index n in [0, 100]."""
+    return random_params(rng), int(rng.integers(0, 101))
+
+
 def check_spectral_identities(n_draws=1000, seed=20240117):
     """Closed-form roots vs the oracle's cyclic Jacobi, plus the polynomial
     and frequency identities, over random parameter draws solved as one
     stack."""
     rng = np.random.default_rng(seed)
-    draws = [(random_params(rng), int(rng.integers(0, 101))) for _ in range(n_draws)]
+    draws = [random_draw(rng) for _ in range(n_draws)]
     block = PhotonBlock.stack([spectral.build_block(p, n) for p, n in draws])
     s = spectral.solve_blocks(block)
     inter = s.intermediates
@@ -121,17 +127,17 @@ def check_unitarity(seed=7, n_times=40):
 
 
 def check_t0_anchors():
+    """Observables at t = 0 for mean photon number 10 at its automatic n_max."""
     params = ModelParams(omega0=1.0, g=1.0, kappa=0.25, f_kind=F_BUCK_SUKUMAR)
-    spectra = spectral.spectrum_table(params, 50)
+    field = dynamics.coherent_field(10.0)
+    spectra = spectral.spectrum_table(params, field.n_max)
     out = {}
-    field = dynamics.coherent_field(10.0, n_max=50)
     rho = dynamics.reduced_atom_density(field, spectra, 0.0)
     out["inversion0"] = abs(dynamics.atomic_inversion(field, spectra, 0.0) - 1.0)
     out["purity0"] = abs(dynamics.purity(rho) - 1.0)
     out["entropy0"] = abs(dynamics.field_entropy(rho))
     out["concurrence_ee"] = abs(dynamics.concurrence(rho))
-    sym = dynamics.coherent_field(10.0, n_max=50,
-                                  atom_init=dynamics.AtomInit.SYMMETRIC)
+    sym = dynamics.coherent_field(10.0, atom_init=dynamics.AtomInit.SYMMETRIC)
     rho_s = dynamics.reduced_atom_density(sym, spectra, 0.0)
     out["concurrence_sym"] = abs(dynamics.concurrence(rho_s) - 1.0)
     out["inversion0_sym"] = abs(dynamics.atomic_inversion(sym, spectra, 0.0))
@@ -148,7 +154,7 @@ def beat_reference_setup():
     return params, field, spectra
 
 
-def check_oracle_equivalence(n_times=500, rk4=True):
+def check_oracle_equivalence(n_times=500):
     """Analytic inversion vs both brute-force propagators."""
     params, field, spectra = beat_reference_setup()
     times = np.linspace(0.0, 16.0 * np.pi, n_times)
@@ -157,23 +163,21 @@ def check_oracle_equivalence(n_times=500, rk4=True):
     psi0 = oracle.joint_initial_state(field)
     prop = oracle.SectorPropagator(H, field.n_max)
     exact = np.array([oracle.inversion_of(prop.evolve(psi0, t)) for t in times])
-    metrics = {"sector_max_abs": float(np.abs(analytic - exact).max())}
-    passed = metrics["sector_max_abs"] < 1e-8
-    if rk4:
-        states = oracle.evolve_numeric_sampled(H, psi0, times)
-        rk = np.array([oracle.inversion_of(s) for s in states])
-        metrics["rk4_max_abs"] = float(np.abs(analytic - rk).max())
-        metrics["rk4_norm_defect"] = abs(states[-1].norm - 1.0)
-        oracle.require_buffer_empty(states[-1])
-        passed = passed and metrics["rk4_max_abs"] < 1e-6
+    states = oracle.evolve_numeric_sampled(H, psi0, times)
+    rk = np.array([oracle.inversion_of(s) for s in states])
+    oracle.require_buffer_empty(states[-1])
+    metrics = {"sector_max_abs": float(np.abs(analytic - exact).max()),
+               "rk4_max_abs": float(np.abs(analytic - rk).max()),
+               "rk4_norm_defect": abs(states[-1].norm - 1.0)}
+    passed = metrics["sector_max_abs"] < 1e-8 and metrics["rk4_max_abs"] < 1e-6
     return {"name": "oracle_equivalence", "passed": bool(passed),
             "metrics": metrics}
 
 
-def check_approx_window(fixture_name="approx_window.json"):
+def check_approx_window():
     """Approximation error stays inside the frozen tolerance in the
     trusted window and breaks out of it far outside."""
-    payload = load_fixture(fixture_name)
+    payload = load_fixture("approx_window.json")
     params, field, spectra = beat_reference_setup()
     regime = approx.standard_regime(params, field.mean_n)
     near = np.linspace(payload["near_window"][0], payload["near_window"][1],
@@ -182,7 +186,6 @@ def check_approx_window(fixture_name="approx_window.json"):
                       payload["grid_points"])
     err_near = float(np.abs(approx.standard_approx_inversion(regime, near)
                             - dynamics.inversion_series(field, spectra, near)).max())
-    import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # far window is outside validity on purpose
         err_far = float(np.abs(approx.standard_approx_inversion(regime, far)

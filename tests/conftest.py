@@ -1,6 +1,5 @@
 import os
 
-import numpy as np
 import pytest
 
 from twojc import (F_BUCK_SUKUMAR, F_LINEAR, ModelParams, coherent_field,
@@ -43,16 +42,3 @@ def symmetric_system(params_bs_quarter):
     spectra = spectrum_table(params_bs_quarter, 30)
     return params_bs_quarter, field, spectra
 
-
-def random_draw(rng):
-    """One random parameter set + photon index matching the sweep ranges
-    used in the validation suites."""
-    from twojc import H_KERR
-    g = 10.0 ** rng.uniform(-4, 0)
-    J = rng.uniform(-1, 1) * g
-    params = ModelParams(
-        omega0=1.0, g=g, J_ising=J, kappa=J + rng.uniform(0, 1.5) * g,
-        chi=rng.uniform(0, 1) * g, delta=rng.uniform(-1, 1) * g,
-        h_kind=H_KERR,
-        f_kind=F_BUCK_SUKUMAR if rng.integers(2) else F_LINEAR)
-    return params, int(rng.integers(0, 101))

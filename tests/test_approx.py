@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from twojc import (F_BUCK_SUKUMAR, F_LINEAR, ModelParams, TwojcError,
+from twojc import (F_BUCK_SUKUMAR, F_LINEAR, H_KERR, ModelParams, TwojcError,
                    kerr_approx_inversion, standard_approx_inversion, timescales)
 from twojc.approx import (RegimeKind, kerr_regime, kerr_weight_amplitudes,
                           standard_regime)
@@ -11,13 +11,13 @@ from twojc.approx import (RegimeKind, kerr_regime, kerr_weight_amplitudes,
 
 def make_kerr_params(x, g=1.0):
     return ModelParams(omega0=1.0, g=g, chi=x * g, kappa=x * g / 2.0,
-                       h_kind=__import__("twojc").H_KERR, f_kind=F_BUCK_SUKUMAR)
+                       h_kind=H_KERR, f_kind=F_BUCK_SUKUMAR)
 
 
 class TestRegimeConstruction:
     def test_kerr_requires_locking(self):
         p = ModelParams(omega0=1.0, g=1.0, chi=0.02, kappa=0.02,
-                        f_kind=F_BUCK_SUKUMAR)
+                        h_kind=H_KERR, f_kind=F_BUCK_SUKUMAR)
         with pytest.raises(TwojcError):
             kerr_regime(p, 20.0)
 
@@ -34,7 +34,7 @@ class TestRegimeConstruction:
 
     def test_standard_requires_bare_cavity(self):
         p = ModelParams(omega0=1.0, g=1.0, chi=0.1, kappa=0.05,
-                        h_kind=__import__("twojc").H_KERR, f_kind=F_BUCK_SUKUMAR)
+                        h_kind=H_KERR, f_kind=F_BUCK_SUKUMAR)
         with pytest.raises(TwojcError):
             standard_regime(p, 20.0)
 

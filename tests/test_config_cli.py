@@ -137,6 +137,16 @@ class TestConfigParsing:
                                               "nonnegative, got -0.5"):
             parse_config(doc)
 
+    def test_chi_without_kerr_cavity_names_the_curve_model(self, tmp_path, capsys):
+        doc = deep(BASE, curves=[{"label": "a", "model": {"chi": 0.1, "h_kind": "kerr"}},
+                                 {"label": "b", "model": {"chi": 0.1}}])
+        with pytest.raises(ConfigError, match=r"config.curves\[1\].model: chi = 0.1 "
+                                              "needs h_kind kerr"):
+            parse_config(doc)
+        assert main(["run", write_cfg(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_duplicate_curve_labels(self):
         doc = deep(BASE, curves=[{"label": "a"}, {"label": "a"}])
         with pytest.raises(ConfigError, match="unique"):
@@ -268,8 +278,6 @@ class TestCliEntry:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     def test_non_finite_result_is_not_written(self, tmp_path, capsys):
         # finite couplings whose block entries overflow
         doc = deep(BASE, output={"dir": str(tmp_path / "out"), "prefix": "x"})
@@ -277,6 +285,26 @@ class TestCliEntry:
         assert main(["run", write_cfg(tmp_path, doc)]) == 3
         assert "non-finite" in capsys.readouterr().err
         assert os.listdir(tmp_path / "out") == []
+
+    @pytest.mark.parametrize("observable", ["inversion", "purity", "concurrence",
+                                            "entropy", "qfunction", "spectrum-dump",
+                                            "dump-spectrum"])
+    def test_overflowing_block_is_one_line_guard(self, tmp_path, capsys, observable):
+        out = tmp_path / "out"
+        doc = deep(BASE, q_grid={"times": [0.5], "re_count": 5, "im_count": 5},
+                   output={"dir": str(out), "prefix": "x"})
+        doc["model"].update(kappa=1e308, J=-1e308)
+        if observable == "dump-spectrum":
+            argv = ["dump-spectrum", "--n", "0", write_cfg(tmp_path, doc)]
+        else:
+            doc["observables"] = [observable]
+            argv = ["run", write_cfg(tmp_path, doc)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert "non-finite" in captured.err and "block n = 0" in captured.err
+        assert not out.exists() or os.listdir(out) == []
 
     def test_csv_guard(self, tmp_path):
         from twojc.cli import _write_csv

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twojc import (F_BUCK_SUKUMAR, F_LINEAR, H_KERR, H_STANDARD, FKind, HKind,
-                   ModelParams, NonlinearitySelector, TwojcError, build_block,
-                   eval_f, eval_h, ladder_factor, validity_ratios)
+                   ModelParams, NonlinearitySelector, NumericalGuardError,
+                   TwojcError, build_block, eval_f, eval_h, ladder_factor,
+                   validity_ratios)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -19,7 +20,7 @@ class TestNonlinearities:
             assert eval_h(H_STANDARD, p, n) == 1.0
 
     def test_kerr_h_direct(self):
-        p = ModelParams(omega0=1.0, g=0.1, chi=0.1)
+        p = ModelParams(omega0=1.0, g=0.1, chi=0.1, h_kind=H_KERR)
         assert eval_h(H_KERR, p, 5) == pytest.approx(1.5, abs=1e-15)
 
     def test_kerr_h_reduces_to_standard_at_zero_chi(self):
@@ -101,6 +102,9 @@ class TestModelParams:
         {"omega0": 1.0, "g": 0.1, "delta": math.nan},
         {"omega0": 1.0, "g": 0.1, "omega": -math.inf},
         {"omega0": 1e308, "g": 0.1, "delta": 1e308},  # omega overflows
+        {"omega0": 1.0, "g": 0.1, "chi": 0.1},  # no Kerr term in a standard cavity
+        {"omega0": 1.0, "g": 0.1, "chi": 0.1,
+         "h_kind": NonlinearitySelector(HKind.CUSTOM, (1.0, 1.1, 1.2))},
     ])
     def test_invalid_params_rejected(self, kw):
         with pytest.raises(TwojcError):
@@ -188,6 +192,14 @@ class TestBuildBlock:
         np.testing.assert_allclose(np.diag(m), [0.1, 2 * 0.4 - 0.1, 0.1],
                                    atol=1e-15)
 
+    def test_overflowing_entries_name_their_block(self):
+        p = ModelParams(omega0=1.0, g=0.1, chi=1e306, h_kind=H_KERR)
+        build_block(p, np.arange(12))  # (n + 2)^2 chi stays finite up to n = 11
+        with pytest.raises(NumericalGuardError, match="block n = 12: non-finite"):
+            build_block(p, np.arange(20))
+        with pytest.raises(NumericalGuardError, match="block n = 12: non-finite"):
+            build_block(p, 12)
+
     def test_negative_photon_index_rejected(self):
         p = ModelParams(omega0=1.0, g=0.2)
         with pytest.raises(TwojcError):
@@ -199,7 +211,7 @@ class TestBuildBlock:
                            f_kind=F_BUCK_SUKUMAR)
         table = tuple(1.0 + (chi / omega0) * m for m in range(n + 3))
         custom = ModelParams(
-            omega0=omega0, g=g, chi=chi,
+            omega0=omega0, g=g,
             h_kind=NonlinearitySelector(HKind.CUSTOM, custom_table=table),
             f_kind=F_BUCK_SUKUMAR)
         np.testing.assert_allclose(build_block(custom, n).matrix,

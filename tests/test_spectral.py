@@ -15,8 +15,8 @@ from twojc.approx import kerr_weight_amplitudes
 from twojc.config import load_config
 from twojc.oracle import jacobi_eigh_cyclic
 from twojc.spectral import _adjugate_rows
+from twojc.validation import random_draw
 
-from conftest import random_draw
 
 SQRT2 = math.sqrt(2.0)
 

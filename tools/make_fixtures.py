@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 import scipy.linalg
@@ -21,9 +22,8 @@ import scipy.stats
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from twojc import approx, dynamics, oracle  # noqa: E402
-from twojc.model import F_BUCK_SUKUMAR, F_LINEAR, ModelParams  # noqa: E402
-from twojc.validation import fixture_document  # noqa: E402
+from twojc import approx, oracle  # noqa: E402
+from twojc.validation import beat_reference_setup, fixture_document  # noqa: E402
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 
@@ -31,8 +31,7 @@ ROOT = os.path.join(os.path.dirname(__file__), "..")
 def approx_window_fixture():
     """Tolerance for the standard-cavity approximation over the trusted
     window, measured against the brute-force propagator."""
-    params = ModelParams(omega0=1.0, g=1.0, kappa=0.125, f_kind=F_BUCK_SUKUMAR)
-    field = dynamics.coherent_field(20.0)
+    params, field, _ = beat_reference_setup()
     H = oracle.build_joint_hamiltonian(params, field.n_max)
     prop = oracle.SectorPropagator(H, field.n_max)
     psi0 = oracle.joint_initial_state(field)
@@ -45,7 +44,6 @@ def approx_window_fixture():
     def oracle_series(taus):
         return np.array([oracle.inversion_of(prop.evolve(psi0, t)) for t in taus])
 
-    import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         err_near = np.abs(approx.standard_approx_inversion(regime, near)
