@@ -99,6 +99,8 @@ def _curve_outputs(cfg: RunConfig, curve: CurveSpec, out_dir: str):
                  np.column_stack([re_grid.ravel(), im_grid.ravel(), grid.values.ravel()]))
 
     if "spectrum-dump" in cfg.observables:
+        with np.errstate(over="ignore"):  # an Inf trips _write_csv's guard
+            energies_over_g = spectra.energies / params.g
         emit("spectrum",
              ["E*: block eigenvalues, rad/time; *_over_g: same in units of g",
               "omega*: eigenvalue differences (21, 31, 23), rad/time",
@@ -106,7 +108,7 @@ def _curve_outputs(cfg: RunConfig, curve: CurveSpec, out_dir: str):
              ["n", "E1", "E2", "E3", "E1_over_g", "E2_over_g", "E3_over_g",
               "omega21", "omega31", "omega23",
               "lam11", "lam22", "lam33", "lam21", "lam31", "lam23"],
-             np.column_stack([spectra.n, spectra.energies, spectra.energies / params.g,
+             np.column_stack([spectra.n, spectra.energies, energies_over_g,
                               spectra.rabi, spectra.lam_diag, spectra.lam_off]))
     return files
 
@@ -151,10 +153,14 @@ def _cmd_dump_spectrum(args):
     if args.n < 0 or args.n > curve.n_max:
         raise ConfigError(f"--n must be in [0, {curve.n_max}]")
     s = spectral.block_spectrum(curve.params, args.n)
+    with np.errstate(over="ignore"):
+        energies_over_g = s.energies / curve.params.g
+    if not np.all(np.isfinite(energies_over_g)):
+        raise NumericalGuardError(f"block n = {args.n}: energies over g beyond double range")
     doc = {
         "n": int(s.n),
         "energies_rad_per_time": s.energies.tolist(),
-        "energies_over_g": (s.energies / curve.params.g).tolist(),
+        "energies_over_g": energies_over_g.tolist(),
         "coeff_rows": s.coeffs.tolist(),
         "rabi_21_31_23": s.rabi.tolist(),
         "lam_diag_11_22_33": s.lam_diag.tolist(),

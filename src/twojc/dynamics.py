@@ -16,6 +16,8 @@ suggests.
 """
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -115,15 +117,60 @@ def _init_column(atom_init: AtomInit) -> int:
     return 0 if atom_init is AtomInit.BOTH_EXCITED else 1
 
 
-# phases per time chunk (times x levels x 3); a chunk's temporaries take about
-# 70 bytes per phase, so a series holds ~9 MB whatever its number of times
+def _core_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# threads that build one rho_A stack; numpy releases the GIL in every kernel
+# they run, and no result depends on their number
+_WORKERS = min(4, _core_count())
+
+# phases in flight over all workers (times x levels x 3), each worker's chunk
+# being 1/_WORKERS of them; a worker's buffers take about 70 bytes per phase of
+# its chunk, so a series holds ~9 MB whatever its number of times or of workers
 _SERIES_CHUNK = 1 << 17
 
 
 def _time_chunks(n_times: int, n_levels: int):
-    """Slices of a time axis, each holding about _SERIES_CHUNK phases."""
-    step = max(1, _SERIES_CHUNK // (3 * n_levels))
+    """Slices of a time axis, each holding about _SERIES_CHUNK // _WORKERS phases."""
+    step = max(1, _SERIES_CHUNK // _WORKERS // (3 * n_levels))
     return [slice(lo, lo + step) for lo in range(0, n_times, step)]
+
+
+def _run_chunks(share_task, chunks):
+    """Run every chunk, dealt round-robin to up to _WORKERS threads.
+
+    Each share calls share_task() once, in its own thread, and the task it
+    returns on each of its chunks in turn.  The calling thread takes the
+    first share, and a single chunk starts no thread.  The first share's
+    exception, in share order, is re-raised here once every thread has
+    finished.  Worker threads run under numpy's default error state, not
+    under the caller's np.errstate.
+    """
+    shares = [chunks[i::_WORKERS] for i in range(min(_WORKERS, len(chunks)))]
+    errors = [None] * len(shares)
+
+    def work(i):
+        try:
+            task = share_task()
+            for chunk in shares[i]:
+                task(chunk)
+        except BaseException as exc:  # handed to the caller below
+            errors[i] = exc
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(1, len(shares))]
+    for thread in threads:
+        thread.start()
+    if shares:
+        work(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def _fold_weights(spectra, atom_init: AtomInit, amplitudes=None):
@@ -138,29 +185,51 @@ def _fold_weights(spectra, atom_init: AtomInit, amplitudes=None):
     return np.ascontiguousarray(W.transpose(2, 1, 0))
 
 
-def _branch_rows(weights, energies, times):
+class _BranchRows:
     """Rows X[t, k, n + k] = sum_j W[k, j, n] e^{-i E[n, j] t}; (T, 3, N+3).
 
     With the weights of _fold_weights, row k is chi_k[n + k] = A_n D_k^(n)(t),
     the branch-k amplitudes on their Fock levels, and entries outside
-    k .. k + N are zero; so rho_A = X X^dagger and rho_F = X^T X^*.
+    k .. k + N are zero; so rho_A = X X^dagger and rho_F = X^T X^*.  A call
+    takes up to `capacity` times and returns a view of buffers that the
+    next call overwrites, so the chunks of one series reuse the same memory.
     """
-    n_levels = energies.shape[0]
-    x = np.multiply.outer(times, -energies.T)     # (T, 3, N+1): -E t
-    phases = np.empty(x.shape, dtype=np.complex128)
-    np.cos(x, out=phases.real)
-    np.sin(x, out=phases.imag)
-    branch = np.einsum("tjn,kjn->tkn", phases, weights)
-    rows = np.zeros((len(times), 3, n_levels + 2), dtype=np.complex128)
-    for k in range(3):
-        rows[:, k, k:k + n_levels] = branch[:, k]
-    return rows
+
+    def __init__(self, weights, energies, capacity: int):
+        self._weights = weights
+        self._minus_energies = -energies.T                            # (3, N+1)
+        self._max_energy = float(np.abs(energies).max())
+        self._x = np.empty((capacity,) + self._minus_energies.shape)  # -E t
+        self._phases = np.empty(self._x.shape, dtype=np.complex128)
+        self._rows = np.zeros((capacity, 3, energies.shape[0] + 2), dtype=np.complex128)
+        self._spare = np.empty_like(self._rows)  # the branch sums, then conj(X)
+
+    def __call__(self, times):
+        n_times = len(times)
+        if n_times and not math.isfinite(self._max_energy * float(np.abs(times).max())):
+            raise NumericalGuardError("phases E t beyond double range")
+        n_levels = self._x.shape[2]
+        x, phases = self._x[:n_times], self._phases[:n_times]
+        branch, rows = self._spare[:n_times, :, :n_levels], self._rows[:n_times]
+        np.multiply.outer(times, self._minus_energies, out=x)
+        np.cos(x, out=phases.real)
+        np.sin(x, out=phases.imag)
+        np.einsum("tjn,kjn->tkn", phases, self._weights, out=branch)
+        for k in range(3):
+            rows[:, k, k:k + n_levels] = branch[:, k]
+        return rows
+
+    def gram(self, times, out):
+        """X X^dagger of the rows at `times`, written to out (T, 3, 3)."""
+        X = self(times)
+        X_conj = np.conjugate(X, out=self._spare[:len(times)])
+        np.matmul(X, X_conj.swapaxes(1, 2), out=out)
 
 
 def evolve_coeffs(spectra, atom_init: AtomInit, t: float) -> np.ndarray:
     """Branch coefficients D_k^(n)(t) of every block at time t; (N+1, 3)."""
-    rows = _branch_rows(_fold_weights(spectra, atom_init), spectra.energies,
-                        np.array([float(t)]))[0]
+    rows = _BranchRows(_fold_weights(spectra, atom_init), spectra.energies,
+                       1)(np.array([float(t)]))[0]
     levels = len(spectra)
     return np.stack([rows[k, k:k + levels] for k in range(3)], axis=1)
 
@@ -201,16 +270,23 @@ class FieldDensity:
 
 
 def _rho_atoms(field: FieldInit, spectra, times) -> np.ndarray:
-    """rho_A(t) = X X^dagger over a time array, one chunk at a time; (T, 3, 3).
+    """rho_A(t) = X X^dagger over a time array; (T, 3, 3).
 
     Entry (k, j) sums A_{n+j-k} A_n^* D_k^{(n+j-k)} D_j^{(n)*} over n: the
-    Gram matrix of the branch rows (_branch_rows).
+    Gram matrix of the branch rows (_BranchRows).  Each time chunk writes
+    only its own slice of the stack, so the chunks run on _WORKERS threads
+    (_run_chunks), each thread with its own row buffers, and every entry is
+    the same bits for any thread count.
     """
     weights = _fold_weights(spectra, field.atom_init, field.amplitudes)
     rho = np.empty((len(times), 3, 3), dtype=np.complex128)
-    for part in _time_chunks(len(times), len(spectra)):
-        X = _branch_rows(weights, spectra.energies, times[part])
-        np.matmul(X, X.conj().swapaxes(1, 2), out=rho[part])
+    chunks = _time_chunks(len(times), len(spectra))
+
+    def share_task():
+        rows = _BranchRows(weights, spectra.energies, min(len(times), chunks[0].stop))
+        return lambda part: rows.gram(times[part], out=rho[part])
+
+    _run_chunks(share_task, chunks)
     return rho
 
 
@@ -222,7 +298,7 @@ def reduced_atom_density(field: FieldInit, spectra, t: float) -> np.ndarray:
 def reduced_field_density(field: FieldInit, spectra, t: float) -> FieldDensity:
     """rho_F(t) = sum_k |chi_k><chi_k| with chi_k[n+k-1] = A_n D_k^(n)."""
     weights = _fold_weights(spectra, field.atom_init, field.amplitudes)
-    chi = _branch_rows(weights, spectra.energies, np.array([float(t)]))[0]
+    chi = _BranchRows(weights, spectra.energies, 1)(np.array([float(t)]))[0]
     chi.setflags(write=False)
     return FieldDensity(factors=chi)
 

@@ -15,7 +15,7 @@ the reference shares no code with this module.
 """
 
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -232,15 +232,34 @@ def weighting_amplitudes(C):
     return diag, off
 
 
+def _unscaled(inter: CardanoIntermediates, e) -> CardanoIntermediates:
+    """The intermediates of 2^-e H (e per block) in the units of H."""
+    with np.errstate(over="ignore"):  # beyond double range for entries near 1e103
+        return replace(inter, beta=np.ldexp(inter.beta, e),
+                       gamma=np.ldexp(inter.gamma, 2 * e), eta=np.ldexp(inter.eta, 3 * e),
+                       Q=np.ldexp(inter.Q, 2 * e), R=np.ldexp(inter.R, 3 * e))
+
+
 def solve_blocks(block: PhotonBlock) -> SpectrumTable:
-    """Closed-form eigensystems of a block or a stack of blocks at once."""
-    inter = cardano(block)
-    energies = eigenvalues(inter, block)
-    C, fell_back = eigenvector_coeffs(energies, block)
+    """Closed-form eigensystems of a block or a stack of blocks at once.
+
+    Each block is solved as 2^-e H, with max|H| < 2^e <= 2 max|H|, so the
+    cubic's coefficients stay in double range for any finite block, and
+    the energies are scaled back by 2^e.  A power of two moves no bit of
+    the result, except that the Newton steps of eigenvalues() then stop at
+    corrections above 1e-6 2^e.
+    """
+    e = np.frexp(np.abs(block.matrix).max(axis=(-2, -1)))[1]
+    scaled = replace(block, matrix=np.ldexp(block.matrix, -e[..., None, None]),
+                     freq_scale=np.ldexp(block.freq_scale, -e))
+    inter = cardano(scaled)
+    energies = eigenvalues(inter, scaled)
+    C, fell_back = eigenvector_coeffs(energies, scaled)
+    energies = np.ldexp(energies, e[..., None])
     lam_diag, lam_off = weighting_amplitudes(C)
     table = SpectrumTable(n=np.array(block.n), energies=energies, coeffs=C,
                           rabi=rabi_frequencies(energies), lam_diag=lam_diag,
-                          lam_off=lam_off, intermediates=inter,
+                          lam_off=lam_off, intermediates=_unscaled(inter, e),
                           used_fallback=fell_back)
     for arr in (table.n, energies, C, table.rabi, lam_diag, lam_off, fell_back):
         arr.setflags(write=False)

@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -285,6 +287,33 @@ class TestCliEntry:
         assert main(["run", write_cfg(tmp_path, doc)]) == 3
         assert "non-finite" in capsys.readouterr().err
         assert os.listdir(tmp_path / "out") == []
+
+    @pytest.mark.parametrize("kappa", [1e200, 1e306])
+    def test_large_finite_block_runs_quietly(self, tmp_path, kappa):
+        # 1e200 squared and cubed overflows the cubic unless the block is
+        # scaled; at 1e306 the phases E t overflow instead and the run exits 3
+        out = tmp_path / "out"
+        doc = deep(BASE, observables=["inversion", "purity", "concurrence", "entropy",
+                                      "qfunction", "spectrum-dump"],
+                   q_grid={"times": [0.5], "re_min": -2.0, "re_max": 2.0, "re_count": 5,
+                           "im_min": -2.0, "im_max": 2.0, "im_count": 5},
+                   output={"dir": str(out), "prefix": "x"})
+        doc["model"]["kappa"] = kappa
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        for argv in (["run"], ["dump-spectrum", "--n", "0"]):
+            proc = subprocess.run([sys.executable, "-m", "twojc.cli", *argv,
+                                   write_cfg(tmp_path, doc)],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == (3 if kappa == 1e306 else 0), proc.stderr
+            assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+            assert proc.stderr.count("\n") == (proc.returncode == 3)
+        csvs = [name for name in os.listdir(out) if name.endswith(".csv")]
+        assert len(csvs) == (0 if kappa == 1e306 else 6)
+        for name in csvs:
+            lines = [ln for ln in (out / name).read_text().splitlines()
+                     if not ln.startswith("#")]
+            assert np.all(np.isfinite(np.loadtxt(lines[1:], delimiter=","))), name
 
     @pytest.mark.parametrize("observable", ["inversion", "purity", "concurrence",
                                             "entropy", "qfunction", "spectrum-dump",

@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -14,6 +18,8 @@ from twojc import (F_BUCK_SUKUMAR, F_LINEAR, H_KERR, ModelParams, NumericalGuard
                    evolve_coeffs, field_entropy, husimi_grid, husimi_q,
                    inversion_series, observable_series, purity,
                    reduced_atom_density, reduced_field_density, spectrum_table)
+from twojc.cli import run_config
+from twojc.config import parse_config
 from twojc.dynamics import (SERIES_OBSERVABLES, AtomInit, FieldDensity,
                             _time_chunks, auto_n_max, coherent_vector,
                             entropy_of_eigvals, hermitian_eigvals)
@@ -470,6 +476,89 @@ class TestTimeChunks:
             tracemalloc.stop()
         assert out["purity"].shape == (4000,)
         assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
+
+
+class TestWorkers:
+    """rho_A's time chunks run on dynamics._WORKERS threads; no output may
+    depend on how many."""
+
+    def test_series_equal_for_any_worker_count(self, large_n_kerr, monkeypatch):
+        fields, spectra = large_n_kerr
+        times = np.linspace(0.1, 7.0, 100)
+        out = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(dynamics, "_WORKERS", workers)
+            assert len(_time_chunks(len(times), len(spectra))) >= 4
+            out[workers] = [
+                (observable_series(field, spectra, times, SERIES_OBSERVABLES),
+                 inversion_series(field, spectra, times),
+                 [reduced_atom_density(field, spectra, float(t)) for t in times[::33]])
+                for field in fields]
+        for workers in (2, 3):
+            for (series, inv, rhos), (ref_series, ref_inv, ref_rhos) in zip(
+                    out[workers], out[1]):
+                for name in SERIES_OBSERVABLES:
+                    assert np.array_equal(series[name], ref_series[name]), name
+                assert np.array_equal(inv, ref_inv)
+                assert all(np.array_equal(a, b) for a, b in zip(rhos, ref_rhos))
+
+    def test_csv_bytes_equal_for_one_and_two_workers(self, tmp_path, monkeypatch):
+        path = os.path.join(os.path.dirname(__file__), "..", "configs",
+                            "kerr_inversion.json")
+        with open(path) as fh:
+            doc = json.load(fh)
+        hashes = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(dynamics, "_WORKERS", workers)
+            doc["output"] = {"dir": str(tmp_path / f"w{workers}"), "prefix": "k"}
+            cfg = parse_config(doc)
+            assert len(_time_chunks(len(cfg.times_tau), cfg.curves[0].n_max + 1)) > 1
+            hashes[workers] = [f["sha256"] for f in run_config(cfg)["files"]]
+        assert len(hashes[1]) == 4 and hashes[1] == hashes[2]
+
+    def test_more_workers_than_cores_under_fast_switching(self, small_system,
+                                                          monkeypatch):
+        _, field, spectra = small_system
+        times = np.linspace(0.0, 12.0, 997)
+        monkeypatch.setattr(dynamics, "_SERIES_CHUNK", 3 * len(spectra) * 64)
+        monkeypatch.setattr(dynamics, "_WORKERS", 1)
+        ref = dynamics._rho_atoms(field, spectra, times)
+        monkeypatch.setattr(dynamics, "_WORKERS", 8)
+        assert len(_time_chunks(len(times), len(spectra))) == 125
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rho = dynamics._rho_atoms(field, spectra, times)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(rho, ref)
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_WORKERS", 3)
+        done, raised_on = [], []
+
+        def task(chunk):
+            if chunk == 4:  # shares [0, 3], [1, 4], [2, 5]: a worker's share
+                raised_on.append(threading.current_thread())
+                raise NumericalGuardError("chunk 4")
+            done.append(chunk)
+
+        with pytest.raises(NumericalGuardError, match="chunk 4"):
+            dynamics._run_chunks(lambda: task, list(range(6)))
+        assert sorted(done) == [0, 1, 2, 3, 5]
+        assert raised_on[0] is not threading.current_thread()
+
+    def test_single_chunk_starts_no_thread(self, small_system, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(dynamics, "_WORKERS", 4)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        done = []
+        dynamics._run_chunks(lambda: done.append, ["only"])
+        assert done == ["only"]
+        _, field, spectra = small_system
+        assert inversion_series(field, spectra, np.linspace(0.0, 1.0, 5)).shape == (5,)
 
 
 def mp_branch_reference(field, params, times):

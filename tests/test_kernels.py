@@ -183,9 +183,11 @@ class TestRk4Powers:
 
 
 def test_cli_import_loads_no_scipy():
+    # nor a pool: rho_A's worker threads come from threading, which numpy imports
     src = os.path.dirname(os.path.dirname(os.path.abspath(twojc.__file__)))
     code = ("import sys, twojc.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('scipy', 'concurrent', 'multiprocessing')))")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, check=True, timeout=120)

@@ -394,3 +394,21 @@ class TestSpectrumTable:
         for ref, c in zip(_adjugate_rows(H, E), C):
             s = ref @ c
             assert s > 0.0 or (s == 0.0 and c[np.flatnonzero(c)[0]] > 0.0)
+
+
+class TestLargeEntries:
+    """Blocks are solved as 2^-e H: above entries of about 1e52 the cubic's
+    Q^3 would overflow, and the energies came out wrong under exit 0."""
+
+    @pytest.mark.parametrize("kappa", [1e52, 1e100, 1e200])
+    def test_scaled_eigenvalue_error(self, kappa):
+        params = ModelParams(omega0=1.0, g=1e-3, kappa=kappa, f_kind=F_BUCK_SUKUMAR)
+        table = spectrum_table(params, 30)
+        H = build_block(params, np.arange(31)).matrix
+        # the Jacobi's A * A tolerance overflows near 1e154: it gets the same 2^-e H
+        e = np.frexp(np.abs(H).max(axis=(1, 2)))[1]
+        w = jacobi_eigh_cyclic(np.ldexp(H, -e[:, None, None]))[0]
+        scaled = np.ldexp(table.energies, -e[:, None])
+        err = np.abs(np.sort(scaled, axis=1) - np.sort(w, axis=1)).max()
+        assert err < 1e-9
+        assert np.all(np.isfinite(table.coeffs))
