@@ -3,11 +3,12 @@
 Subcommands:
   run <config.json>             write figure-ready CSV tables + a manifest
   validate --level fast|full    run the identity / cross-check suites
-  dump-spectrum --n K <config>  print one block's eigensystem as JSON
+  dump-spectrum --n K <config>  print one block's eigensystem of the config's
+                                first curve as JSON
 
-Exit codes: 0 success, 1 validation failure, 2 config error,
-3 numerical guard tripped.  Reruns of the same config produce
-byte-identical outputs.
+Exit codes: 0 success, 1 validation failure, 2 config error (an
+unwritable output path included), 3 numerical guard tripped.  Reruns
+of the same config produce byte-identical outputs.
 """
 
 import argparse
@@ -60,6 +61,15 @@ def _series_units(name):
     }[name]
 
 
+def _derived_columns(spectra, g):
+    """E/g, the frequencies (21, 31, 23) and the weighting amplitudes
+    (11, 22, 33) and (21, 31, 23) of a spectrum table or one of its rows;
+    an entry beyond double range comes out Inf for the caller to guard."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (spectra.energies / g, spectral.rabi_frequencies(spectra.energies),
+                *spectral.weighting_amplitudes(spectra.coeffs))
+
+
 def _curve_outputs(cfg: RunConfig, curve: CurveSpec, out_dir: str):
     """Compute and write every requested file for one curve; return their
     manifest entries."""
@@ -98,9 +108,7 @@ def _curve_outputs(cfg: RunConfig, curve: CurveSpec, out_dir: str):
                  ["re", "im", "q"],
                  np.column_stack([re_grid.ravel(), im_grid.ravel(), grid.values.ravel()]))
 
-    if "spectrum-dump" in cfg.observables:
-        with np.errstate(over="ignore"):  # an Inf trips _write_csv's guard
-            energies_over_g = spectra.energies / params.g
+    if "spectrum-dump" in cfg.observables:  # an Inf trips _write_csv's guard
         emit("spectrum",
              ["E*: block eigenvalues, rad/time; *_over_g: same in units of g",
               "omega*: eigenvalue differences (21, 31, 23), rad/time",
@@ -108,25 +116,28 @@ def _curve_outputs(cfg: RunConfig, curve: CurveSpec, out_dir: str):
              ["n", "E1", "E2", "E3", "E1_over_g", "E2_over_g", "E3_over_g",
               "omega21", "omega31", "omega23",
               "lam11", "lam22", "lam33", "lam21", "lam31", "lam23"],
-             np.column_stack([spectra.n, spectra.energies, energies_over_g,
-                              spectra.rabi, spectra.lam_diag, spectra.lam_off]))
+             np.column_stack([spectra.n, spectra.energies,
+                              *_derived_columns(spectra, params.g)]))
     return files
 
 
 def run_config(cfg: RunConfig) -> dict:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    files = []
-    for curve in cfg.curves:
-        files.extend(_curve_outputs(cfg, curve, cfg.out_dir))
-    manifest = {
-        "tool": {"name": "twojc", "version": __version__},
-        "config": cfg.raw,
-        "files": files,
-    }
-    manifest_path = os.path.join(cfg.out_dir, f"{cfg.prefix}_manifest.json")
-    with open(manifest_path, "w", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        files = []
+        for curve in cfg.curves:
+            files.extend(_curve_outputs(cfg, curve, cfg.out_dir))
+        manifest = {
+            "tool": {"name": "twojc", "version": __version__},
+            "config": cfg.raw,
+            "files": files,
+        }
+        manifest_path = os.path.join(cfg.out_dir, f"{cfg.prefix}_manifest.json")
+        with open(manifest_path, "w", newline="\n") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:  # the only OS calls here are the output writes
+        raise ConfigError(f"config.output.dir: {exc.filename!r}: {exc.strerror}") from exc
     return manifest
 
 
@@ -138,11 +149,15 @@ def _cmd_run(args):
 
 
 def _cmd_validate(args):
+    try:  # opened before the checks run, so a bad path costs no run
+        report_file = open(args.report, "w") if args.report else None
+    except OSError as exc:
+        raise ConfigError(f"--report {args.report!r}: {exc.strerror}") from exc
     report = validation.run_level(args.level)
     text = json.dumps(report, indent=2, sort_keys=True)
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(text + "\n")
+    if report_file:
+        with report_file:
+            report_file.write(text + "\n")
     print(text)
     return 0 if report["passed"] else 1
 
@@ -153,8 +168,7 @@ def _cmd_dump_spectrum(args):
     if args.n < 0 or args.n > curve.n_max:
         raise ConfigError(f"--n must be in [0, {curve.n_max}]")
     s = spectral.block_spectrum(curve.params, args.n)
-    with np.errstate(over="ignore"):
-        energies_over_g = s.energies / curve.params.g
+    energies_over_g, rabi, lam_diag, lam_off = _derived_columns(s, curve.params.g)
     if not np.all(np.isfinite(energies_over_g)):
         raise NumericalGuardError(f"block n = {args.n}: energies over g beyond double range")
     doc = {
@@ -162,9 +176,9 @@ def _cmd_dump_spectrum(args):
         "energies_rad_per_time": s.energies.tolist(),
         "energies_over_g": energies_over_g.tolist(),
         "coeff_rows": s.coeffs.tolist(),
-        "rabi_21_31_23": s.rabi.tolist(),
-        "lam_diag_11_22_33": s.lam_diag.tolist(),
-        "lam_off_21_31_23": s.lam_off.tolist(),
+        "rabi_21_31_23": rabi.tolist(),
+        "lam_diag_11_22_33": lam_diag.tolist(),
+        "lam_off_21_31_23": lam_off.tolist(),
         "used_numeric_fallback": bool(s.used_fallback),
     }
     print(json.dumps(doc, indent=2, sort_keys=True))
@@ -185,7 +199,8 @@ def build_parser():
     p_val.add_argument("--report", help="also write the JSON report here")
     p_val.set_defaults(func=_cmd_validate)
 
-    p_dump = sub.add_parser("dump-spectrum", help="print one block eigensystem")
+    dump_help = "print one block eigensystem of the config's first curve"
+    p_dump = sub.add_parser("dump-spectrum", help=dump_help, description=dump_help)
     p_dump.add_argument("--n", type=int, required=True)
     p_dump.add_argument("config")
     p_dump.set_defaults(func=_cmd_dump_spectrum)

@@ -173,15 +173,13 @@ def _run_chunks(share_task, chunks):
             raise exc
 
 
-def _fold_weights(spectra, atom_init: AtomInit, amplitudes=None):
+def _fold_weights(spectra, atom_init: AtomInit, amplitudes):
     """W[k, j, n] = A_n C[n, j, init] C[n, j, k]; (3, 3, N+1) over (k, j, n).
 
-    Without amplitudes A_n = 1, and the rows are the bare D_k^(n)(t).
+    With every A_n = 1 the rows are the bare D_k^(n)(t).
     """
     C = spectra.coeffs
-    W = C[:, :, _init_column(atom_init)][:, :, None] * C
-    if amplitudes is not None:
-        W = amplitudes[:, None, None] * W
+    W = amplitudes[:, None, None] * (C[:, :, _init_column(atom_init)][:, :, None] * C)
     return np.ascontiguousarray(W.transpose(2, 1, 0))
 
 
@@ -228,8 +226,8 @@ class _BranchRows:
 
 def evolve_coeffs(spectra, atom_init: AtomInit, t: float) -> np.ndarray:
     """Branch coefficients D_k^(n)(t) of every block at time t; (N+1, 3)."""
-    rows = _BranchRows(_fold_weights(spectra, atom_init), spectra.energies,
-                       1)(np.array([float(t)]))[0]
+    weights = _fold_weights(spectra, atom_init, np.ones(len(spectra)))
+    rows = _BranchRows(weights, spectra.energies, 1)(np.array([float(t)]))[0]
     levels = len(spectra)
     return np.stack([rows[k, k:k + levels] for k in range(3)], axis=1)
 

@@ -151,15 +151,14 @@ class PhotonBlock:
         [ sqrt(2) g f_{n+1}      w0*F1 - J + 2 kappa    sqrt(2) g f_{n+2} ]
         [ 0                      sqrt(2) g f_{n+2}      w0*F2 - delta + J ]
 
-    with f_m = f(m) sqrt(m) and F_i = (n+i)(h(n+i) - 1).  freq_scale is
-    a characteristic frequency used for degeneracy thresholds downstream.
+    with f_m = f(m) sqrt(m) (ladder_factor) and F_i = (n+i)(h(n+i) - 1).
+    freq_scale is a characteristic frequency used for degeneracy thresholds
+    downstream.
     An index array n gives the stack: every field but freq_scale gains n's axes.
     """
 
     n: int
     matrix: np.ndarray
-    f_np1: float
-    f_np2: float
     freq_scale: float = field(default=0.0)
 
     @classmethod
@@ -220,11 +219,9 @@ def build_block(params: ModelParams, n) -> PhotonBlock:
     """Assemble the symmetric-sector block for photon index n; an index
     array n gives the stacked blocks of every index at once."""
     _check_index(n)
-    f1 = ladder_factor(params.f_kind, n + 1)
-    f2 = ladder_factor(params.f_kind, n + 2)
     g, J, kap, dlt = params.g, params.J_ising, params.kappa, params.delta
-    off1 = SQRT2 * g * f1
-    off2 = SQRT2 * g * f2
+    off1 = SQRT2 * g * ladder_factor(params.f_kind, n + 1)
+    off2 = SQRT2 * g * ladder_factor(params.f_kind, n + 2)
     mat = np.zeros(np.shape(n) + (3, 3))
     with np.errstate(over="ignore", invalid="ignore"):
         mat[..., 0, 0] = shift_factor(params, n) + dlt + J
@@ -239,7 +236,7 @@ def build_block(params: ModelParams, n) -> PhotonBlock:
             "(the couplings overflow double range)")
     mat.setflags(write=False)
     scale = g + abs(params.chi) + abs(kap - J) + abs(dlt)
-    return PhotonBlock(n=n, matrix=mat, f_np1=f1, f_np2=f2, freq_scale=scale)
+    return PhotonBlock(n=n, matrix=mat, freq_scale=scale)
 
 
 def validity_ratios(params: ModelParams, weights: np.ndarray) -> dict:

@@ -15,7 +15,7 @@ the reference shares no code with this module.
 """
 
 import math
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,12 +33,6 @@ _NORM_FLOOR = 1e-10
 _QUALITY_TOL = 5e-12
 # degeneracy threshold on -Q, scaled by freq_scale^2
 _DEGENERACY = 1e-14
-
-
-def _row(obj, k):
-    """The same dataclass with every field indexed by k (nested ones too)."""
-    return type(obj)(**{f.name: _row(v, k) if is_dataclass(v) else v[k]
-                        for f in fields(obj) for v in [getattr(obj, f.name)]})
 
 
 @dataclass(frozen=True)
@@ -66,26 +60,23 @@ class SpectrumTable:
 
     Row i belongs to photon index n[i]: energies (N, 3); coeffs (N, 3, 3),
     where coeffs[i, j] is eigenvector j in the symmetric basis
-    (|e,e,n>, sym|n+1>, |g,g,n+2>); rabi = (E1-E2, E1-E3, E3-E2); lam_diag /
-    lam_off are the inversion weighting amplitudes (11, 22, 33) and (21, 31,
-    23); used_fallback (N,) marks rows solved by the eigh fallback.
-    table[k] is row k.
+    (|e,e,n>, sym|n+1>, |g,g,n+2>); used_fallback (N,) marks rows solved by
+    the eigh fallback.  table[k] is row k.  The frequencies and weighting
+    amplitudes follow from these: rabi_frequencies(energies) and
+    weighting_amplitudes(coeffs).
     """
 
     n: np.ndarray
     energies: np.ndarray
     coeffs: np.ndarray
-    rabi: np.ndarray
-    lam_diag: np.ndarray
-    lam_off: np.ndarray
-    intermediates: CardanoIntermediates
     used_fallback: np.ndarray
 
     def __len__(self):
         return len(self.n)
 
     def __getitem__(self, k):
-        return _row(self, k)
+        return SpectrumTable(n=self.n[k], energies=self.energies[k],
+                             coeffs=self.coeffs[k], used_fallback=self.used_fallback[k])
 
 
 def cardano(block: PhotonBlock) -> CardanoIntermediates:
@@ -232,14 +223,6 @@ def weighting_amplitudes(C):
     return diag, off
 
 
-def _unscaled(inter: CardanoIntermediates, e) -> CardanoIntermediates:
-    """The intermediates of 2^-e H (e per block) in the units of H."""
-    with np.errstate(over="ignore"):  # beyond double range for entries near 1e103
-        return replace(inter, beta=np.ldexp(inter.beta, e),
-                       gamma=np.ldexp(inter.gamma, 2 * e), eta=np.ldexp(inter.eta, 3 * e),
-                       Q=np.ldexp(inter.Q, 2 * e), R=np.ldexp(inter.R, 3 * e))
-
-
 def solve_blocks(block: PhotonBlock) -> SpectrumTable:
     """Closed-form eigensystems of a block or a stack of blocks at once.
 
@@ -252,16 +235,11 @@ def solve_blocks(block: PhotonBlock) -> SpectrumTable:
     e = np.frexp(np.abs(block.matrix).max(axis=(-2, -1)))[1]
     scaled = replace(block, matrix=np.ldexp(block.matrix, -e[..., None, None]),
                      freq_scale=np.ldexp(block.freq_scale, -e))
-    inter = cardano(scaled)
-    energies = eigenvalues(inter, scaled)
+    energies = eigenvalues(cardano(scaled), scaled)
     C, fell_back = eigenvector_coeffs(energies, scaled)
-    energies = np.ldexp(energies, e[..., None])
-    lam_diag, lam_off = weighting_amplitudes(C)
-    table = SpectrumTable(n=np.array(block.n), energies=energies, coeffs=C,
-                          rabi=rabi_frequencies(energies), lam_diag=lam_diag,
-                          lam_off=lam_off, intermediates=_unscaled(inter, e),
-                          used_fallback=fell_back)
-    for arr in (table.n, energies, C, table.rabi, lam_diag, lam_off, fell_back):
+    table = SpectrumTable(n=np.array(block.n), energies=np.ldexp(energies, e[..., None]),
+                          coeffs=C, used_fallback=fell_back)
+    for arr in (table.n, table.energies, C, fell_back):
         arr.setflags(write=False)
     return table
 

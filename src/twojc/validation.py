@@ -83,11 +83,12 @@ def check_spectral_identities(n_draws=1000, seed=20240117):
     draws = [random_draw(rng) for _ in range(n_draws)]
     block = PhotonBlock.stack([spectral.build_block(p, n) for p, n in draws])
     s = spectral.solve_blocks(block)
-    inter = s.intermediates
+    inter = spectral.cardano(block)
+    lam_diag, lam_off = spectral.weighting_amplitudes(s.coeffs)
     w = oracle.jacobi_eigh_cyclic(block.matrix)[0]
     hnorm = np.maximum(1.0, np.linalg.norm(block.matrix, axis=(1, 2)))
     e1, e2, e3 = s.energies.T
-    o21, o31, o23 = s.rabi.T
+    o21, o31, o23 = spectral.rabi_frequencies(s.energies).T
     quad = (o23 + 2.0 * o31) ** 2 / 3.0 + o23 ** 2
     rhs = 4.0 * np.abs(3.0 * inter.Q)
     worst = {
@@ -98,7 +99,7 @@ def check_spectral_identities(n_draws=1000, seed=20240117):
         "prod": np.abs(e1 * e2 * e3 + inter.eta) / np.maximum(1.0, np.abs(inter.eta)),
         "rabi_sum": np.abs(o21 - (o23 + o31)) / np.maximum(1.0, np.abs(o21)),
         "rabi_q": np.abs(quad - rhs) / np.maximum(1e-300, rhs),
-        "complete": np.abs(s.lam_diag.sum(axis=1) + 2.0 * s.lam_off.sum(axis=1) - 1.0),
+        "complete": np.abs(lam_diag.sum(axis=1) + 2.0 * lam_off.sum(axis=1) - 1.0),
         "orth": np.abs(s.coeffs @ np.swapaxes(s.coeffs, 1, 2) - np.eye(3)).max(axis=(1, 2)),
     }
     worst = {k: float(v.max()) for k, v in worst.items()}

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -258,6 +259,23 @@ class TestCliEntry:
 
     def test_missing_config_file(self):
         assert main(["run", "/nonexistent/cfg.json"]) == 2
+
+    @pytest.mark.parametrize("blocked, out_dir, reason", [
+        ("plain", "plain/out", "Not a directory"),      # output.dir under a regular file
+        ("out/x_base_inversion.csv/", "out", "Is a directory"),  # a table's path taken
+    ])
+    def test_unwritable_output_path_is_config_error(self, tmp_path, capsys,
+                                                    blocked, out_dir, reason):
+        path = tmp_path / blocked
+        if blocked.endswith("/"):
+            path.mkdir(parents=True)
+        else:
+            path.write_text("")
+        doc = deep(BASE, output={"dir": str(tmp_path / out_dir), "prefix": "x"})
+        assert main(["run", write_cfg(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("config error: config.output.dir") and reason in err
 
     def test_numerical_guard_exit_code(self, tmp_path):
         doc = deep(BASE, observables=["qfunction"],
@@ -522,6 +540,23 @@ class TestValidationSuites:
         payload = load_fixture("approx_window.json")
         assert 0.0 < payload["tolerance"] < 1.0
         assert payload["measured_far_max"] > payload["tolerance"]
+
+    def test_unwritable_report_path_is_config_error(self, tmp_path, capsys):
+        report = str(tmp_path / "missing" / "report.json")
+        assert main(["validate", "--report", report]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.err.startswith("config error: --report") and "No such file" in captured.err
+
+    def test_fixture_generator_reproduces_the_committed_payloads(self, derived):
+        pytest.importorskip("scipy")
+        path = os.path.join(os.path.dirname(__file__), "..", "tools", "make_fixtures.py")
+        spec = importlib.util.spec_from_file_location("make_fixtures", path)
+        make_fixtures = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(make_fixtures)
+        assert make_fixtures.approx_window_fixture() == load_fixture("approx_window.json")
+        assert make_fixtures.derived_values_fixture() == derived
 
     def test_validate_cli_writes_report(self, tmp_path):
         report = str(tmp_path / "report.json")

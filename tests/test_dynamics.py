@@ -17,7 +17,8 @@ from twojc import (F_BUCK_SUKUMAR, F_LINEAR, H_KERR, ModelParams, NumericalGuard
                    coherent_field, concurrence, embed_atom_density,
                    evolve_coeffs, field_entropy, husimi_grid, husimi_q,
                    inversion_series, observable_series, purity,
-                   reduced_atom_density, reduced_field_density, spectrum_table)
+                   rabi_frequencies, reduced_atom_density, reduced_field_density,
+                   spectrum_table, weighting_amplitudes)
 from twojc.cli import run_config
 from twojc.config import parse_config
 from twojc.dynamics import (SERIES_OBSERVABLES, AtomInit, FieldDensity,
@@ -145,9 +146,10 @@ class TestInversion:
         _, field, spectra = small_system
         times = np.linspace(0.0, 4.0, 9)
         Pn = field.probabilities
-        cosines = np.cos(spectra.rabi[None, :, :] * times[:, None, None])
-        closed = (np.sum(Pn * spectra.lam_diag.sum(axis=1))
-                  + 2.0 * np.einsum("n,nk,tnk->t", Pn, spectra.lam_off, cosines))
+        lam_diag, lam_off = weighting_amplitudes(spectra.coeffs)
+        cosines = np.cos(rabi_frequencies(spectra.energies)[None, :, :] * times[:, None, None])
+        closed = (np.sum(Pn * lam_diag.sum(axis=1))
+                  + 2.0 * np.einsum("n,nk,tnk->t", Pn, lam_off, cosines))
         np.testing.assert_allclose(inversion_series(field, spectra, times), closed,
                                    rtol=0, atol=1e-10)
 

@@ -129,8 +129,6 @@ class TestBuildBlock:
                                [SQRT2, 0.0, 2.0 * SQRT2],
                                [0.0, 2.0 * SQRT2, 0.0]])
         np.testing.assert_allclose(b.matrix, expect, atol=1e-15)
-        assert b.f_np1 == 1.0
-        assert b.f_np2 == 2.0
 
     def test_n3_kerr_block_against_independent_factors(self):
         # independent re-computation of the diagonal shifts (n+i)(h(n+i)-1)
@@ -238,8 +236,6 @@ class TestBuildBlock:
             for n in range(7):
                 single = build_block(p, n)
                 np.testing.assert_array_equal(stacked.matrix[n], single.matrix)
-                assert stacked.f_np1[n] == single.f_np1
-                assert stacked.f_np2[n] == single.f_np2
         with pytest.raises(TwojcError, match="index 9 out of range"):
             build_block(ModelParams(omega0=1.0, g=0.3, f_kind=f_table), np.arange(8))
 

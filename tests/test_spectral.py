@@ -1,14 +1,14 @@
 import glob
 import math
 import os
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from twojc import (F_BUCK_SUKUMAR, F_LINEAR, H_KERR, ModelParams, PhotonBlock,
                    block_spectrum, build_block, cardano, eigenvalues,
-                   eigenvector_coeffs, rabi_frequencies,
+                   eigenvector_coeffs, ladder_factor, rabi_frequencies,
                    rabi_frequencies_trig, solve_blocks, spectrum_table,
                    weighting_amplitudes)
 from twojc.approx import kerr_weight_amplitudes
@@ -21,10 +21,9 @@ from twojc.validation import random_draw
 SQRT2 = math.sqrt(2.0)
 
 
-def manual_block(matrix, f1=0.0, f2=0.0, scale=1.0):
+def manual_block(matrix, scale=1.0):
     """Blocks outside the ModelParams domain (e.g. decoupled g = 0)."""
-    m = np.asarray(matrix, dtype=float)
-    return PhotonBlock(n=0, matrix=m, f_np1=f1, f_np2=f2, freq_scale=scale)
+    return PhotonBlock(n=0, matrix=np.asarray(matrix, dtype=float), freq_scale=scale)
 
 
 class TestCardano:
@@ -62,7 +61,8 @@ class TestCardano:
                             h_kind=H_KERR, f_kind=fk)
             b = build_block(p, n)
             inter = cardano(b)
-            dplus = b.f_np2 ** 2 + b.f_np1 ** 2
+            f1, f2 = ladder_factor(fk, n + 1), ladder_factor(fk, n + 2)
+            dplus = f2 ** 2 + f1 ** 2
             expect = -((chi - 2 * (kap - J)) ** 2
                        + 12 * chi ** 2 * (n + 1) ** 2
                        + 6 * g ** 2 * dplus) / 9.0
@@ -80,8 +80,9 @@ class TestCardano:
                             h_kind=H_KERR, f_kind=F_BUCK_SUKUMAR)
             b = build_block(p, n)
             inter = cardano(b)
-            dplus = b.f_np2 ** 2 + b.f_np1 ** 2
-            dminus = b.f_np2 ** 2 - b.f_np1 ** 2
+            f1, f2 = ladder_factor(p.f_kind, n + 1), ladder_factor(p.f_kind, n + 2)
+            dplus = f2 ** 2 + f1 ** 2
+            dminus = f2 ** 2 - f1 ** 2
             lock = chi - 2 * (kap - J)
             num = (lock * (36 * chi ** 2 * (n + 1) ** 2 - lock ** 2
                            - 9 * g ** 2 * dplus)
@@ -101,7 +102,7 @@ class TestCardano:
                             f_kind=F_BUCK_SUKUMAR)
             b = build_block(p, n)
             inter = cardano(b)
-            dplus = b.f_np2 ** 2 + b.f_np1 ** 2
+            dplus = ladder_factor(p.f_kind, n + 2) ** 2 + ladder_factor(p.f_kind, n + 1) ** 2
             q_expect = -(2.0 / 9.0) * (2 * kmj ** 2 + 3 * g ** 2 * dplus)
             assert inter.Q == pytest.approx(q_expect, rel=1e-11)
             arg = (kmj * (4 * kmj ** 2 + 9 * g ** 2 * dplus)
@@ -219,14 +220,14 @@ class TestRabi:
         p = ModelParams(omega0=1.0, g=g, f_kind=F_LINEAR)
         s = block_spectrum(p, 0)
         np.testing.assert_allclose(
-            s.rabi, [2 * math.sqrt(6) * g, math.sqrt(6) * g, math.sqrt(6) * g],
+            rabi_frequencies(s.energies), [2 * math.sqrt(6) * g, math.sqrt(6) * g, math.sqrt(6) * g],
             rtol=1e-13)
 
     def test_sum_identity_exact(self):
         rng = np.random.default_rng(37)
         for _ in range(300):
             params, n = random_draw(rng)
-            o21, o31, o23 = block_spectrum(params, n).rabi
+            o21, o31, o23 = rabi_frequencies(block_spectrum(params, n).energies)
             assert o21 == o23 + o31  # differences of stored roots: exact
 
     def test_trig_forms_match_differences(self):
@@ -245,10 +246,9 @@ class TestRabi:
         rng = np.random.default_rng(43)
         for _ in range(300):
             params, n = random_draw(rng)
-            s = block_spectrum(params, n)
-            o21, o31, o23 = s.rabi
+            o21, o31, o23 = rabi_frequencies(block_spectrum(params, n).energies)
             lhs = (o23 + 2 * o31) ** 2 / 3.0 + o23 ** 2
-            rhs = 4.0 * abs(3.0 * s.intermediates.Q)
+            rhs = 4.0 * abs(3.0 * cardano(build_block(params, n)).Q)
             assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
@@ -257,31 +257,31 @@ class TestWeightingAmplitudes:
         rng = np.random.default_rng(47)
         for _ in range(300):
             params, n = random_draw(rng)
-            s = block_spectrum(params, n)
-            total = s.lam_diag.sum() + 2.0 * s.lam_off.sum()
+            lam_diag, lam_off = weighting_amplitudes(block_spectrum(params, n).coeffs)
+            total = lam_diag.sum() + 2.0 * lam_off.sum()
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_sqrt_coupling_balanced_limit(self):
         # kappa = J, bare cavity, large n: off-diagonal pair -> 1/4
         p = ModelParams(omega0=1.0, g=1.0, kappa=0.3, J_ising=0.3,
                         f_kind=F_BUCK_SUKUMAR)
-        s = block_spectrum(p, 1000)
-        assert abs(s.lam_off[0]) < 2e-3            # 21 component
-        assert s.lam_off[1] == pytest.approx(0.25, abs=1e-4)
-        assert s.lam_off[2] == pytest.approx(0.25, abs=1e-4)
+        _, lam_off = weighting_amplitudes(block_spectrum(p, 1000).coeffs)
+        assert abs(lam_off[0]) < 2e-3            # 21 component
+        assert lam_off[1] == pytest.approx(0.25, abs=1e-4)
+        assert lam_off[2] == pytest.approx(0.25, abs=1e-4)
 
     def test_locked_kerr_large_n_amplitudes(self):
         # chi = 2(kappa - J): weights become functions of x = chi/g alone
         for x in (0.25, 1.0):
             p = ModelParams(omega0=1.0, g=1.0, kappa=x / 2.0, chi=x,
                             h_kind=H_KERR, f_kind=F_BUCK_SUKUMAR)
-            s = block_spectrum(p, 10000)
+            lam_diag, lam_off = weighting_amplitudes(block_spectrum(p, 10000).coeffs)
             ref = kerr_weight_amplitudes(x)
-            assert s.lam_off[1] == pytest.approx(ref["lam_31"], abs=1e-4)
-            assert s.lam_off[2] == pytest.approx(ref["lam_23"], abs=1e-4)
-            assert s.lam_diag[0] == pytest.approx(ref["lam_11"], abs=1e-4)
-            assert s.lam_diag[1] == pytest.approx(ref["lam_22"], abs=1e-4)
-            assert abs(s.lam_off[0]) < 1e-4
+            assert lam_off[1] == pytest.approx(ref["lam_31"], abs=1e-4)
+            assert lam_off[2] == pytest.approx(ref["lam_23"], abs=1e-4)
+            assert lam_diag[0] == pytest.approx(ref["lam_11"], abs=1e-4)
+            assert lam_diag[1] == pytest.approx(ref["lam_22"], abs=1e-4)
+            assert abs(lam_off[0]) < 1e-4
 
     def test_weighting_matches_direct_formula(self):
         rng = np.random.default_rng(53)
@@ -312,9 +312,11 @@ class TestShiftInvariance:
             scale = max(1.0, np.abs(s0.energies).max())
             assert np.abs(s1.energies - s0.energies - c).max() < 1e-12 * scale
             assert np.abs(s1.coeffs - s0.coeffs).max() < 1e-12
-            assert np.abs(s1.rabi - s0.rabi).max() < 1e-12 * scale
-            assert np.abs(s1.lam_diag - s0.lam_diag).max() < 1e-12
-            assert np.abs(s1.lam_off - s0.lam_off).max() < 1e-12
+            rabi0, rabi1 = rabi_frequencies(s0.energies), rabi_frequencies(s1.energies)
+            assert np.abs(rabi1 - rabi0).max() < 1e-12 * scale
+            for lam0, lam1 in zip(weighting_amplitudes(s0.coeffs),
+                                  weighting_amplitudes(s1.coeffs)):
+                assert np.abs(lam1 - lam0).max() < 1e-12
 
 
 class TestJacobi:
@@ -335,13 +337,9 @@ class TestJacobi:
 
 
 def assert_rows_identical(a, b):
-    """Every field of two spectrum rows (intermediates included) bit-equal."""
+    """Every field of two spectrum rows bit-equal."""
     for f in fields(a):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        if f.name == "intermediates":
-            assert_rows_identical(x, y)
-        else:
-            np.testing.assert_array_equal(x, y, err_msg=f.name)
+        np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name), err_msg=f.name)
 
 
 class TestSpectrumTable:
@@ -404,7 +402,8 @@ class TestLargeEntries:
     def test_scaled_eigenvalue_error(self, kappa):
         params = ModelParams(omega0=1.0, g=1e-3, kappa=kappa, f_kind=F_BUCK_SUKUMAR)
         table = spectrum_table(params, 30)
-        H = build_block(params, np.arange(31)).matrix
+        block = build_block(params, np.arange(31))
+        H = block.matrix
         # the Jacobi's A * A tolerance overflows near 1e154: it gets the same 2^-e H
         e = np.frexp(np.abs(H).max(axis=(1, 2)))[1]
         w = jacobi_eigh_cyclic(np.ldexp(H, -e[:, None, None]))[0]
@@ -412,3 +411,10 @@ class TestLargeEntries:
         err = np.abs(np.sort(scaled, axis=1) - np.sort(w, axis=1)).max()
         assert err < 1e-9
         assert np.all(np.isfinite(table.coeffs))
+        rabi = rabi_frequencies(table.energies)
+        assert np.all(np.isfinite(rabi))
+        # the trigonometric route in the frame solve_blocks solves in
+        inter = cardano(replace(block, matrix=np.ldexp(H, -e[:, None, None]),
+                                freq_scale=np.ldexp(block.freq_scale, -e)))
+        trig = np.ldexp(rabi_frequencies_trig(inter), e[:, None])
+        assert (np.abs(trig - rabi) / np.abs(rabi).max(axis=1, keepdims=True)).max() < 1e-9
