@@ -7,7 +7,7 @@ independent brute-force oracle for cross-validation.
 """
 
 from .model import (FKind, HKind, ModelParams, NonlinearitySelector,
-                    PhotonBlock, F_BUCK_SUKUMAR, F_LINEAR, H_KERR, H_STANDARD,
+                    F_BUCK_SUKUMAR, F_LINEAR, H_KERR, H_STANDARD,
                     build_block, eval_f, eval_h, ladder_factor, validity_ratios)
 from .spectral import (CardanoIntermediates, SpectrumTable, block_spectrum,
                        cardano, eigenvalues, eigenvector_coeffs,

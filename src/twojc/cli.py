@@ -63,11 +63,19 @@ def _series_units(name):
 
 def _derived_columns(spectra, g):
     """E/g, the frequencies (21, 31, 23) and the weighting amplitudes
-    (11, 22, 33) and (21, 31, 23) of a spectrum table or one of its rows;
-    an entry beyond double range comes out Inf for the caller to guard."""
+    (11, 22, 33) and (21, 31, 23) of a spectrum table or one of its rows.
+
+    An entry beyond double range trips the numerical guard, which names
+    the first block holding one."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return (spectra.energies / g, spectral.rabi_frequencies(spectra.energies),
-                *spectral.weighting_amplitudes(spectra.coeffs))
+        columns = (spectra.energies / g, spectral.rabi_frequencies(spectra.energies),
+                   *spectral.weighting_amplitudes(spectra.coeffs))
+    bad = ~np.all([np.isfinite(c).all(axis=-1) for c in columns], axis=0)
+    if np.any(bad):
+        raise NumericalGuardError(
+            f"block n = {int(np.asarray(spectra.n)[bad].flat[0])}: energies over g, "
+            "frequencies or weighting amplitudes beyond double range")
+    return columns
 
 
 def _curve_outputs(cfg: RunConfig, curve: CurveSpec, out_dir: str):
@@ -108,7 +116,7 @@ def _curve_outputs(cfg: RunConfig, curve: CurveSpec, out_dir: str):
                  ["re", "im", "q"],
                  np.column_stack([re_grid.ravel(), im_grid.ravel(), grid.values.ravel()]))
 
-    if "spectrum-dump" in cfg.observables:  # an Inf trips _write_csv's guard
+    if "spectrum-dump" in cfg.observables:
         emit("spectrum",
              ["E*: block eigenvalues, rad/time; *_over_g: same in units of g",
               "omega*: eigenvalue differences (21, 31, 23), rad/time",
@@ -169,8 +177,6 @@ def _cmd_dump_spectrum(args):
         raise ConfigError(f"--n must be in [0, {curve.n_max}]")
     s = spectral.block_spectrum(curve.params, args.n)
     energies_over_g, rabi, lam_diag, lam_off = _derived_columns(s, curve.params.g)
-    if not np.all(np.isfinite(energies_over_g)):
-        raise NumericalGuardError(f"block n = {args.n}: energies over g beyond double range")
     doc = {
         "n": int(s.n),
         "energies_rad_per_time": s.energies.tolist(),

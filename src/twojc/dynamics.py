@@ -365,9 +365,9 @@ _EMBED[3, 0] = 1.0
 _EMBED[1, 1] = _EMBED[2, 1] = 1.0 / SQRT2
 _EMBED[0, 2] = 1.0
 
-_YY = np.zeros((4, 4))
-_YY[0, 3] = _YY[3, 0] = -1.0
-_YY[1, 2] = _YY[2, 1] = 1.0
+# Wootters' spin flip sigma_y x sigma_y (YY) restricted to the symmetric sector,
+# _EMBED.T @ YY @ _EMBED
+_SPIN_FLIP = np.array([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
 
 
 def embed_atom_density(rho) -> np.ndarray:
@@ -377,26 +377,25 @@ def embed_atom_density(rho) -> np.ndarray:
 
 
 def concurrence(rho):
-    """Two-qubit concurrence of the atomic state.
+    """Two-qubit concurrence (Wootters 1998) of the symmetric-sector atomic
+    state.
 
-    Accepts the symmetric-sector 3x3 (embedded automatically) or a full
-    4x4 in the computational basis, or a (T, 3, 3) / (T, 4, 4) stack, for
-    which it returns an array.  With rho = A A^dagger (A = V sqrt(w) from
-    eigh), the lambda_i are the singular values of A^T (YY) A: no square
+    Accepts a 3x3 density in the basis (|e,e>, sym, |g,g>), or a (T, 3, 3)
+    stack, for which it returns an array.  With rho = A A^dagger
+    (A = V sqrt(w) from eigh), the lambda_i are the singular values of
+    A^T (YY) A, YY being the spin flip in the same 3-state frame: no square
     roots of near-zero eigenvalues of rho (YY) rho* (YY).  Input that is
     not Hermitian to 1e-8 aborts.
     """
     m = np.asarray(rho)
-    if m.ndim not in (2, 3) or m.shape[-2:] not in ((3, 3), (4, 4)):
-        raise TwojcError("concurrence expects 3x3 or 4x4 density matrices")
+    if m.ndim not in (2, 3) or m.shape[-2:] != (3, 3):
+        raise TwojcError("concurrence expects 3x3 symmetric-sector density matrices")
     defect = np.abs(m - m.conj().swapaxes(-1, -2)).max()
     if defect > 1e-8:
         raise NumericalGuardError(f"concurrence input is not Hermitian: defect {defect:.2e}")
-    if m.shape[-1] == 3:
-        m = embed_atom_density(m)
     w, V = np.linalg.eigh(m)
     A = V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
-    lam = np.linalg.svd(A.swapaxes(-1, -2) @ _YY @ A, compute_uv=False)
+    lam = np.linalg.svd(A.swapaxes(-1, -2) @ _SPIN_FLIP @ A, compute_uv=False)
     return _scalar_or_array(np.maximum(0.0, lam[..., 0] - lam[..., 1:].sum(axis=-1)))
 
 

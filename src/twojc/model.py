@@ -11,11 +11,13 @@ spanned by
 
     |e,e> x |n>,   (|e,g> + |g,e>)/sqrt(2) x |n+1>,   |g,g> x |n+2>.
 
-All frequencies are angular, in units with hbar = 1.
+A block is a plain float array: build_block gives (3, 3) for one index
+and (..., 3, 3) for an index array.  All frequencies are angular, in
+units with hbar = 1.
 """
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -141,33 +143,6 @@ class ModelParams:
         return self.kappa - self.J_ising
 
 
-@dataclass(frozen=True)
-class PhotonBlock:
-    """3x3 symmetric-sector block for photon index n, or a stack of them.
-
-    matrix holds (in rad/time)
-
-        [ w0*F0 + delta + J      sqrt(2) g f_{n+1}      0            ]
-        [ sqrt(2) g f_{n+1}      w0*F1 - J + 2 kappa    sqrt(2) g f_{n+2} ]
-        [ 0                      sqrt(2) g f_{n+2}      w0*F2 - delta + J ]
-
-    with f_m = f(m) sqrt(m) (ladder_factor) and F_i = (n+i)(h(n+i) - 1).
-    freq_scale is a characteristic frequency used for degeneracy thresholds
-    downstream.
-    An index array n gives the stack: every field but freq_scale gains n's axes.
-    """
-
-    n: int
-    matrix: np.ndarray
-    freq_scale: float = field(default=0.0)
-
-    @classmethod
-    def stack(cls, blocks):
-        """One block whose fields stack those of `blocks` along a new first axis."""
-        return cls(**{f.name: np.stack([getattr(b, f.name) for b in blocks])
-                      for f in fields(cls)})
-
-
 def _check_index(n, least=0):
     if np.any(np.asarray(n) < least):
         raise TwojcError(f"photon index must be >= {least}")
@@ -215,9 +190,18 @@ def shift_factor(params: ModelParams, m):
     return params.omega0 * m * (eval_h(params.h_kind, params, m) - 1.0)
 
 
-def build_block(params: ModelParams, n) -> PhotonBlock:
-    """Assemble the symmetric-sector block for photon index n; an index
-    array n gives the stacked blocks of every index at once."""
+def build_block(params: ModelParams, n) -> np.ndarray:
+    """The symmetric-sector block of photon index n, read-only (3, 3);
+    an index array n gives the stack of every index at once, with n's
+    axes in front.  In rad/time it is
+
+        [ w0*F0 + delta + J      sqrt(2) g f_{n+1}      0            ]
+        [ sqrt(2) g f_{n+1}      w0*F1 - J + 2 kappa    sqrt(2) g f_{n+2} ]
+        [ 0                      sqrt(2) g f_{n+2}      w0*F2 - delta + J ]
+
+    with f_m = f(m) sqrt(m) (ladder_factor) and F_i = (n+i)(h(n+i) - 1).
+    An entry beyond double range trips the numerical guard.
+    """
     _check_index(n)
     g, J, kap, dlt = params.g, params.J_ising, params.kappa, params.delta
     off1 = SQRT2 * g * ladder_factor(params.f_kind, n + 1)
@@ -235,8 +219,7 @@ def build_block(params: ModelParams, n) -> PhotonBlock:
             f"block n = {int(np.asarray(n)[bad].flat[0])}: non-finite entries "
             "(the couplings overflow double range)")
     mat.setflags(write=False)
-    scale = g + abs(params.chi) + abs(kap - J) + abs(dlt)
-    return PhotonBlock(n=n, matrix=mat, freq_scale=scale)
+    return mat
 
 
 def validity_ratios(params: ModelParams, weights: np.ndarray) -> dict:

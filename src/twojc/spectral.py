@@ -9,17 +9,18 @@ fixed phase labeling
 which downstream amplitude labels depend on (roots are never re-sorted;
 with theta in [0, pi] this makes E_1 >= E_3 >= E_2).  Eigenvector rows
 come from the adjugate of (H - E I); LAPACK's eigh backs the formula up
-wherever it degenerates.  The package's one hand-written eigensolver is
-the oracle's cyclic Jacobi, which the roots are checked against so that
-the reference shares no code with this module.
+wherever it degenerates.  Every function takes the blocks as the plain
+(..., 3, 3) arrays of model.build_block.  The package's one hand-written
+eigensolver is the oracle's cyclic Jacobi, which the roots are checked
+against so that the reference shares no code with this module.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, PhotonBlock, build_block
+from .model import ModelParams, build_block
 
 __all__ = [
     "CardanoIntermediates", "SpectrumTable", "cardano", "eigenvalues", "solve_blocks",
@@ -31,7 +32,7 @@ __all__ = [
 _NORM_FLOOR = 1e-10
 # orthonormality defect that forces the numeric fallback
 _QUALITY_TOL = 5e-12
-# degeneracy threshold on -Q, scaled by freq_scale^2
+# degeneracy threshold on -Q, scaled by max|H|^2 so that 2^k H is flagged as H is
 _DEGENERACY = 1e-14
 
 
@@ -79,9 +80,8 @@ class SpectrumTable:
                              coeffs=self.coeffs[k], used_fallback=self.used_fallback[k])
 
 
-def cardano(block: PhotonBlock) -> CardanoIntermediates:
+def cardano(H) -> CardanoIntermediates:
     """Characteristic-polynomial coefficients and Cardano quantities."""
-    H = block.matrix
     h00, h11, h22 = H[..., 0, 0], H[..., 1, 1], H[..., 2, 2]
     h01, h12 = H[..., 0, 1], H[..., 1, 2]
     beta = -(h00 + h11 + h22)
@@ -90,7 +90,7 @@ def cardano(block: PhotonBlock) -> CardanoIntermediates:
     eta = -det
     Q = (3.0 * gamma - beta * beta) / 9.0
     R = (9.0 * beta * gamma - 27.0 * eta - 2.0 * beta ** 3) / 54.0
-    degenerate = -Q <= _DEGENERACY * np.square(block.freq_scale)
+    degenerate = -Q <= _DEGENERACY * np.square(np.abs(H).max(axis=(-2, -1)))
     trig = ~degenerate & (Q < 0.0)
     # rounding can push |R / sqrt(-Q^3)| slightly past 1 near repeated roots
     cos3 = np.clip(R / np.sqrt(-np.where(trig, Q, -1.0) ** 3), -1.0, 1.0)
@@ -111,7 +111,7 @@ def _char_poly(H, E):
     return p, dp
 
 
-def eigenvalues(inter: CardanoIntermediates, block: PhotonBlock) -> np.ndarray:
+def eigenvalues(inter: CardanoIntermediates, H) -> np.ndarray:
     """The three roots in the fixed j = 1, 2, 3 labeling, on the last axis.
 
     Each Cardano root is polished with two guarded Newton steps on
@@ -119,7 +119,6 @@ def eigenvalues(inter: CardanoIntermediates, block: PhotonBlock) -> np.ndarray:
     larger than 1e-6 max(1, max|H|).  Near a triple root all three
     collapse to -beta/3.
     """
-    H = block.matrix
     third = (-inter.beta / 3.0)[..., None]
     amp = 2.0 * np.sqrt(np.where(inter.degenerate, 0.0, -inter.Q))[..., None]
     E = third + amp * np.cos((inter.theta[..., None] + 2.0 * np.arange(3) * np.pi) / 3.0)
@@ -163,7 +162,7 @@ def _fallback_coeffs(H, energies, rows):
     return C
 
 
-def eigenvector_coeffs(energies, block: PhotonBlock):
+def eigenvector_coeffs(energies, H):
     """Row-orthonormal eigenvector coefficients in the symmetric basis.
 
     Returns (C, used_fallback), C with the blocks' leading shape plus
@@ -172,7 +171,6 @@ def eigenvector_coeffs(energies, block: PhotonBlock):
     component vanish) or any residual orthonormality defect is solved by
     eigh instead, and only those blocks are.
     """
-    H = block.matrix
     hnorm2 = np.sum(H * H, axis=(-2, -1))
     rows = _adjugate_rows(H, energies)
     norm = np.sqrt((rows[..., None, :] @ rows[..., :, None])[..., 0, 0])
@@ -223,8 +221,9 @@ def weighting_amplitudes(C):
     return diag, off
 
 
-def solve_blocks(block: PhotonBlock) -> SpectrumTable:
-    """Closed-form eigensystems of a block or a stack of blocks at once.
+def solve_blocks(H, n) -> SpectrumTable:
+    """Closed-form eigensystems of a block or a stack of blocks at once,
+    labelled by the photon indices n (H's leading shape).
 
     Each block is solved as 2^-e H, with max|H| < 2^e <= 2 max|H|, so the
     cubic's coefficients stay in double range for any finite block, and
@@ -232,12 +231,11 @@ def solve_blocks(block: PhotonBlock) -> SpectrumTable:
     the result, except that the Newton steps of eigenvalues() then stop at
     corrections above 1e-6 2^e.
     """
-    e = np.frexp(np.abs(block.matrix).max(axis=(-2, -1)))[1]
-    scaled = replace(block, matrix=np.ldexp(block.matrix, -e[..., None, None]),
-                     freq_scale=np.ldexp(block.freq_scale, -e))
+    e = np.frexp(np.abs(H).max(axis=(-2, -1)))[1]
+    scaled = np.ldexp(H, -e[..., None, None])
     energies = eigenvalues(cardano(scaled), scaled)
     C, fell_back = eigenvector_coeffs(energies, scaled)
-    table = SpectrumTable(n=np.array(block.n), energies=np.ldexp(energies, e[..., None]),
+    table = SpectrumTable(n=np.array(n), energies=np.ldexp(energies, e[..., None]),
                           coeffs=C, used_fallback=fell_back)
     for arr in (table.n, table.energies, C, fell_back):
         arr.setflags(write=False)
@@ -246,9 +244,11 @@ def solve_blocks(block: PhotonBlock) -> SpectrumTable:
 
 def spectrum_table(params: ModelParams, n_max: int) -> SpectrumTable:
     """Block spectra for every photon index in [0, n_max], as one table."""
-    return solve_blocks(build_block(params, np.arange(n_max + 1)))
+    n = np.arange(n_max + 1)
+    return solve_blocks(build_block(params, n), n)
 
 
 def block_spectrum(params: ModelParams, n: int) -> SpectrumTable:
     """The spectrum_table row of photon index n, solved alone."""
-    return solve_blocks(build_block(params, np.array([n])))[0]
+    n = np.array([n])
+    return solve_blocks(build_block(params, n), n)[0]

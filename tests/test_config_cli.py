@@ -353,6 +353,24 @@ class TestCliEntry:
         assert "non-finite" in captured.err and "block n = 0" in captured.err
         assert not out.exists() or os.listdir(out) == []
 
+    @pytest.mark.parametrize("observable", ["spectrum-dump", "dump-spectrum"])
+    def test_overflowing_frequency_is_one_line_guard(self, tmp_path, capsys, observable):
+        # every entry and E/g are finite, but E1 - E2 is beyond double range
+        out = tmp_path / "out"
+        doc = deep(BASE, observables=["spectrum-dump"],
+                   output={"dir": str(out), "prefix": "x"})
+        doc["model"].update(g=2.0, J=-1.5e308)
+        cfg = write_cfg(tmp_path, doc)
+        dump = observable == "dump-spectrum"
+        argv = ["dump-spectrum", "--n", "3", cfg] if dump else ["run", cfg]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        block = 3 if dump else 0
+        assert f"block n = {block}: energies over g, frequencies" in captured.err
+        assert not out.exists() or os.listdir(out) == []
+
     def test_csv_guard(self, tmp_path):
         from twojc.cli import _write_csv
         from twojc.errors import NumericalGuardError

@@ -37,7 +37,7 @@ def expm_rho_atoms(field, params, t):
     col = 0 if field.atom_init is AtomInit.BOTH_EXCITED else 1
     D = np.zeros((N + 1, 3), dtype=complex)
     for n in range(N + 1):
-        H = build_block(params, n).matrix
+        H = build_block(params, n)
         U = scipy.linalg.expm(-1j * H * t)
         D[n] = U[:, col]
     rho = np.zeros((3, 3), dtype=complex)
@@ -251,15 +251,34 @@ class TestConcurrence:
         assert concurrence(np.diag([0.0, 1.0, 0.0]).astype(complex)) == \
             pytest.approx(1.0, abs=1e-12)
 
-    def test_fully_mixed_two_qubits_zero(self):
-        assert concurrence(np.eye(4, dtype=complex) / 4.0) == 0.0
-
-    def test_embedding_matches_four_level_route(self, symmetric_system):
+    def test_matches_wootters_four_level_reference(self, symmetric_system):
+        # Wootters' formula on the embedded 4x4, at 40 digits: lambda_i are
+        # the square roots of the eigenvalues of rho (YY) rho* (YY), with YY
+        # the full two-qubit sigma_y x sigma_y
+        mpmath = pytest.importorskip("mpmath")
+        sigma_y = np.array([[0.0, -1j], [1j, 0.0]])
+        yy = np.kron(sigma_y, sigma_y).real
         _, field, spectra = symmetric_system
-        rho3 = reduced_atom_density(field, spectra, 0.9)
-        rho4 = embed_atom_density(rho3)
-        assert np.trace(rho4).real == pytest.approx(1.0, abs=1e-10)
-        assert concurrence(rho3) == pytest.approx(concurrence(rho4), abs=1e-12)
+        rhos = [reduced_atom_density(field, spectra, t) for t in (0.9, 2.3)]
+        rng = np.random.default_rng(83)
+        for rank in (2, 3, 3, 3):  # mixed states, entangled or not
+            a = rng.normal(size=(3, rank)) + 1j * rng.normal(size=(3, rank))
+            rho = a @ a.conj().T
+            rhos.append(rho / np.trace(rho).real)
+        values = []
+        for rho3 in rhos:
+            rho4 = embed_atom_density(rho3)
+            assert np.trace(rho4).real == pytest.approx(1.0, abs=1e-10)
+            with mpmath.workdps(40):
+                flip = mpmath.matrix(yy.tolist())
+                m = mpmath.matrix(rho4.tolist())
+                r = m * flip * m.apply(mpmath.conj) * flip
+                lam = sorted((mpmath.sqrt(abs(mpmath.re(e))) for e in mpmath.eig(r)[0]),
+                             reverse=True)
+                ref = float(max(0, lam[0] - lam[1] - lam[2] - lam[3]))
+            assert concurrence(rho3) == pytest.approx(ref, rel=0, abs=1e-13)
+            values.append(ref)
+        assert min(values) == 0.0 and max(values) > 0.1
 
     def test_range_along_trajectory(self, symmetric_system):
         _, field, spectra = symmetric_system
@@ -284,7 +303,7 @@ class TestConcurrence:
     def test_imaginary_residue_raises(self):
         # a grossly non-Hermitian input cannot be silently accepted
         rng = np.random.default_rng(8)
-        bad = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        bad = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         with pytest.raises(NumericalGuardError):
             concurrence(bad)
 
@@ -576,7 +595,7 @@ def mp_branch_reference(field, params, times):
     """
     mpmath = pytest.importorskip("mpmath")
     levels = np.nonzero(field.probabilities > 1e-20)[0]
-    blocks = build_block(params, levels).matrix
+    blocks = build_block(params, levels)
     init = 0 if field.atom_init is AtomInit.BOTH_EXCITED else 1
     weights = np.empty((len(levels), 3, 3))  # [n, j, k] = v_j[init] v_j[k] / |v_j|^2
     phases = np.empty((len(times), len(levels), 3), dtype=complex)

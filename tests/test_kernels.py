@@ -13,7 +13,7 @@ from twojc import dynamics
 from twojc import (F_BUCK_SUKUMAR, ModelParams, coherent_field, concurrence,
                    husimi_grid, husimi_q, observable_series,
                    reduced_atom_density)
-from twojc.dynamics import (FieldDensity, coherent_vector, embed_atom_density,
+from twojc.dynamics import (FieldDensity, coherent_vector,
                             entropy_of_eigvals, hermitian_eigvals)
 from twojc.oracle import (build_joint_hamiltonian, evolve_numeric,
                           evolve_numeric_sampled, jacobi_eigh_cyclic,
@@ -107,21 +107,18 @@ class TestBatchedSeries:
                for t in taus]
         np.testing.assert_allclose(series, ref, rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize("dim", [3, 4])
-    def test_stacked_concurrence_equals_per_matrix(self, dim):
-        rho = random_densities(np.random.default_rng(dim), 30, dim, rank=2)
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_stacked_concurrence_equals_per_matrix(self, rank):
+        rho = random_densities(np.random.default_rng(rank), 30, 3, rank=rank)
         stacked = concurrence(rho)
         assert stacked.shape == (30,)
         np.testing.assert_array_equal(stacked, [concurrence(r) for r in rho])
-        if dim == 3:
-            np.testing.assert_array_equal(
-                concurrence(embed_atom_density(rho)), stacked)
 
     def test_concurrence_rejects_other_shapes(self):
-        with pytest.raises(twojc.TwojcError):
-            concurrence(np.eye(5) / 5.0)
-        with pytest.raises(twojc.TwojcError):
-            concurrence(np.zeros((2, 2, 3, 3)))
+        # 4x4 included: only the symmetric-sector 3x3 frame is accepted
+        for shape in [(5, 5), (4, 4), (2, 4, 4), (2, 2, 3, 3)]:
+            with pytest.raises(twojc.TwojcError):
+                concurrence(np.zeros(shape))
 
 
 def reference_rk4(H, psi, times, dt, t0=0.0):

@@ -119,7 +119,7 @@ class TestBuildBlock:
         expect = g * np.array([[0.0, SQRT2, 0.0],
                                [SQRT2, 0.0, 2.0],
                                [0.0, 2.0, 0.0]])
-        np.testing.assert_allclose(b.matrix, expect, atol=1e-15)
+        np.testing.assert_allclose(b, expect, atol=1e-15)
 
     def test_n0_sqrt_coupling_bare(self):
         g = 0.7
@@ -128,7 +128,7 @@ class TestBuildBlock:
         expect = g * np.array([[0.0, SQRT2, 0.0],
                                [SQRT2, 0.0, 2.0 * SQRT2],
                                [0.0, 2.0 * SQRT2, 0.0]])
-        np.testing.assert_allclose(b.matrix, expect, atol=1e-15)
+        np.testing.assert_allclose(b, expect, atol=1e-15)
 
     def test_n3_kerr_block_against_independent_factors(self):
         # independent re-computation of the diagonal shifts (n+i)(h(n+i)-1)
@@ -140,12 +140,12 @@ class TestBuildBlock:
             m = n + i
             h_m = 1.0 + chi_ratio * m
             shift = omega0 * m * (h_m - 1.0)
-            assert b.matrix[i, i] == pytest.approx(shift, rel=1e-14)
-        assert b.matrix[0, 0] == pytest.approx(omega0 * 0.09, rel=1e-12)
-        assert b.matrix[1, 1] == pytest.approx(omega0 * 0.16, rel=1e-12)
-        assert b.matrix[2, 2] == pytest.approx(omega0 * 0.25, rel=1e-12)
-        assert b.matrix[0, 1] == pytest.approx(SQRT2 * g * 2.0, rel=1e-14)
-        assert b.matrix[1, 2] == pytest.approx(SQRT2 * g * math.sqrt(5.0), rel=1e-14)
+            assert b[i, i] == pytest.approx(shift, rel=1e-14)
+        assert b[0, 0] == pytest.approx(omega0 * 0.09, rel=1e-12)
+        assert b[1, 1] == pytest.approx(omega0 * 0.16, rel=1e-12)
+        assert b[2, 2] == pytest.approx(omega0 * 0.25, rel=1e-12)
+        assert b[0, 1] == pytest.approx(SQRT2 * g * 2.0, rel=1e-14)
+        assert b[1, 2] == pytest.approx(SQRT2 * g * math.sqrt(5.0), rel=1e-14)
 
     @given(
         g=st.floats(min_value=1e-4, max_value=1.0),
@@ -162,7 +162,7 @@ class TestBuildBlock:
         p = ModelParams(omega0=1.0, g=g, kappa=kappa, J_ising=J, delta=delta,
                         chi=chi, h_kind=H_KERR,
                         f_kind=F_BUCK_SUKUMAR if sqrt_coupling else F_LINEAR)
-        m = build_block(p, n).matrix
+        m = build_block(p, n)
         assert m[0, 2] == 0.0 and m[2, 0] == 0.0
         np.testing.assert_array_equal(m, m.T)
         assert m[0, 1] == pytest.approx(SQRT2 * g * ladder_factor(p.f_kind, n + 1))
@@ -180,13 +180,13 @@ class TestBuildBlock:
                            f_kind=F_BUCK_SUKUMAR)
         shifted = ModelParams(omega0=1.0, g=0.3, kappa=kappa + c, J_ising=J + c,
                               f_kind=F_BUCK_SUKUMAR)
-        m0 = build_block(base, n).matrix
-        m1 = build_block(shifted, n).matrix
+        m0 = build_block(base, n)
+        m1 = build_block(shifted, n)
         np.testing.assert_allclose(m1, m0 + c * np.eye(3), atol=1e-13)
 
     def test_bare_cavity_diagonal_is_couplings_only(self):
         p = ModelParams(omega0=1.0, g=0.2, kappa=0.4, J_ising=0.1)
-        m = build_block(p, 7).matrix
+        m = build_block(p, 7)
         np.testing.assert_allclose(np.diag(m), [0.1, 2 * 0.4 - 0.1, 0.1],
                                    atol=1e-15)
 
@@ -212,8 +212,8 @@ class TestBuildBlock:
             omega0=omega0, g=g,
             h_kind=NonlinearitySelector(HKind.CUSTOM, custom_table=table),
             f_kind=F_BUCK_SUKUMAR)
-        np.testing.assert_allclose(build_block(custom, n).matrix,
-                                   build_block(kerr, n).matrix, rtol=1e-13)
+        np.testing.assert_allclose(build_block(custom, n),
+                                   build_block(kerr, n), rtol=1e-13)
 
     def test_custom_f_table_reproduces_sqrt_coupling(self):
         g, n = 0.4, 2
@@ -222,8 +222,8 @@ class TestBuildBlock:
             omega0=1.0, g=g,
             f_kind=NonlinearitySelector(FKind.CUSTOM, custom_table=table))
         ref = ModelParams(omega0=1.0, g=g, f_kind=F_BUCK_SUKUMAR)
-        np.testing.assert_allclose(build_block(custom, n).matrix,
-                                   build_block(ref, n).matrix, rtol=1e-13)
+        np.testing.assert_allclose(build_block(custom, n),
+                                   build_block(ref, n), rtol=1e-13)
 
     def test_index_array_builds_every_block(self):
         h_table = NonlinearitySelector(HKind.CUSTOM, tuple(1.0 + 0.01 * m for m in range(9)))
@@ -232,10 +232,10 @@ class TestBuildBlock:
                               h_kind=H_KERR, f_kind=F_BUCK_SUKUMAR),
                   ModelParams(omega0=2.0, g=0.3, h_kind=h_table, f_kind=f_table)):
             stacked = build_block(p, np.arange(7))
-            assert stacked.matrix.shape == (7, 3, 3)
+            assert stacked.shape == (7, 3, 3) and not stacked.flags.writeable
             for n in range(7):
                 single = build_block(p, n)
-                np.testing.assert_array_equal(stacked.matrix[n], single.matrix)
+                np.testing.assert_array_equal(stacked[n], single)
         with pytest.raises(TwojcError, match="index 9 out of range"):
             build_block(ModelParams(omega0=1.0, g=0.3, f_kind=f_table), np.arange(8))
 

@@ -52,7 +52,7 @@ class TestJointHamiltonian:
         basis[1, 2 * M + n + 1] = 1 / SQRT2
         basis[2, 0 * M + n + 2] = 1.0
         block = basis @ H @ basis.T
-        np.testing.assert_allclose(block, build_block(p, n).matrix, atol=1e-13)
+        np.testing.assert_allclose(block, build_block(p, n), atol=1e-13)
 
     def test_antisymmetric_states_are_eigenvectors(self):
         p = bs_params(kmj=0.3, chi=0.02, delta=0.15)
@@ -307,6 +307,26 @@ def test_cyclic_jacobi_matches_numpy():
                                        rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(V @ np.diag(w) @ V.T, a, atol=1e-12)
             np.testing.assert_allclose(V.T @ V, np.eye(k), atol=1e-12)
+
+
+# edge inputs of the cyclic Jacobi: no rotation needed, a repeated zero
+# eigenvalue, couplings under the tolerance, a near-degenerate pair, 1x1
+JACOBI_EDGE_INPUTS = {
+    "diagonal": np.diag([0.3, -1.2, 0.3]),
+    "rank_one": np.full((3, 3), 0.5),
+    "tiny_offdiag": np.eye(4) + 1e-15 * np.ones((4, 4)),
+    "near_degenerate": np.array([[2.0, 1e-9], [1e-9, 2.0]]),
+    "one_by_one": np.array([[0.7]]),
+}
+
+
+def test_cyclic_jacobi_edge_inputs():
+    for name, a in JACOBI_EDGE_INPUTS.items():
+        w, v = jacobi_eigh_cyclic(a.copy())
+        np.testing.assert_allclose(np.sort(w), np.linalg.eigvalsh(a), atol=1e-12,
+                                   err_msg=name)
+        np.testing.assert_allclose(v @ np.diag(w) @ v.T, a, atol=1e-12, err_msg=name)
+        np.testing.assert_allclose(v.T @ v, np.eye(len(a)), atol=1e-12, err_msg=name)
 
 
 def scalar_jacobi(a):

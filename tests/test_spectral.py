@@ -1,12 +1,12 @@
 import glob
 import math
 import os
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from twojc import (F_BUCK_SUKUMAR, F_LINEAR, H_KERR, ModelParams, PhotonBlock,
+from twojc import (F_BUCK_SUKUMAR, F_LINEAR, H_KERR, ModelParams,
                    block_spectrum, build_block, cardano, eigenvalues,
                    eigenvector_coeffs, ladder_factor, rabi_frequencies,
                    rabi_frequencies_trig, solve_blocks, spectrum_table,
@@ -19,11 +19,6 @@ from twojc.validation import random_draw
 
 
 SQRT2 = math.sqrt(2.0)
-
-
-def manual_block(matrix, scale=1.0):
-    """Blocks outside the ModelParams domain (e.g. decoupled g = 0)."""
-    return PhotonBlock(n=0, matrix=np.asarray(matrix, dtype=float), freq_scale=scale)
 
 
 class TestCardano:
@@ -44,7 +39,7 @@ class TestCardano:
             params, n = random_draw(rng)
             b = build_block(params, n)
             inter = cardano(b)
-            assert inter.beta == pytest.approx(-np.trace(b.matrix), rel=1e-13)
+            assert inter.beta == pytest.approx(-np.trace(b), rel=1e-13)
 
     def test_kerr_resonant_Q_closed_form(self):
         # chi, kappa, J enter Q only through (chi - 2(kappa-J))^2 and
@@ -138,7 +133,7 @@ class TestEigenvalues:
     def test_decoupled_block_is_diagonal(self):
         # vanishing coupling: eigenvalues are the couplings themselves
         J, kap = 0.13, 0.41
-        b = manual_block(np.diag([J, 2 * kap - J, J]), scale=kap)
+        b = np.diag([J, 2 * kap - J, J])
         e = eigenvalues(cardano(b), b)
         np.testing.assert_allclose(np.sort(e), np.sort([J, 2 * kap - J, J]),
                                    atol=1e-14)
@@ -149,9 +144,9 @@ class TestEigenvalues:
             params, n = random_draw(rng)
             b = build_block(params, n)
             e = eigenvalues(cardano(b), b)
-            nrm = np.linalg.norm(b.matrix)
+            nrm = np.linalg.norm(b)
             for ev in e:
-                res = abs(np.linalg.det(b.matrix - ev * np.eye(3)))
+                res = abs(np.linalg.det(b - ev * np.eye(3)))
                 assert res <= 1e-12 * max(1.0, nrm ** 3)
 
     def test_polynomial_identities(self):
@@ -168,7 +163,7 @@ class TestEigenvalues:
             assert e1 * e2 * e3 == pytest.approx(-inter.eta, rel=1e-9, abs=1e-12)
 
     def test_degenerate_branch_triple_root(self):
-        b = manual_block(np.zeros((3, 3)), scale=0.0)
+        b = np.zeros((3, 3))
         inter = cardano(b)
         assert inter.degenerate
         np.testing.assert_array_equal(eigenvalues(inter, b), np.zeros(3))
@@ -188,7 +183,7 @@ class TestEigenvectors:
 
     def test_decoupled_block_gives_permutation_rows(self):
         diag = np.array([0.3, -0.2, 0.45])
-        b = manual_block(np.diag(diag), scale=0.5)
+        b = np.diag(diag)
         e = eigenvalues(cardano(b), b)
         C, fell_back = eigenvector_coeffs(e, b)
         assert fell_back  # adjugate rows vanish without coupling
@@ -208,9 +203,9 @@ class TestEigenvectors:
             C, _ = eigenvector_coeffs(e, b)
             assert np.abs(C @ C.T - np.eye(3)).max() < 1e-10
             assert np.abs(C.T @ C - np.eye(3)).max() < 1e-10
-            nrm = max(1.0, np.linalg.norm(b.matrix))
+            nrm = max(1.0, np.linalg.norm(b))
             for j in range(3):
-                res = np.abs(b.matrix @ C[j] - e[j] * C[j]).max()
+                res = np.abs(b @ C[j] - e[j] * C[j]).max()
                 assert res < 1e-9 * nrm
 
 
@@ -327,7 +322,7 @@ class TestJacobi:
         rng = np.random.default_rng(61)
         for _ in range(200):
             params, n = random_draw(rng)
-            a = build_block(params, n).matrix
+            a = build_block(params, n)
             scale = np.linalg.norm(a)
             w, V = jacobi_eigh_cyclic(a)
             np.testing.assert_allclose(np.sort(w), np.linalg.eigvalsh(a),
@@ -360,17 +355,19 @@ class TestSpectrumTable:
 
     def test_fallback_only_on_the_decoupled_row(self):
         rng = np.random.default_rng(67)
-        healthy = [build_block(*random_draw(rng)) for _ in range(4)]
-        decoupled = manual_block(np.diag([0.3, -0.2, 0.45]), scale=0.5)
+        draws = [random_draw(rng) for _ in range(4)]
+        healthy = [(build_block(params, n), n) for params, n in draws]
+        decoupled = (np.diag([0.3, -0.2, 0.45]), 0)
         blocks = healthy[:2] + [decoupled] + healthy[2:]
-        table = solve_blocks(PhotonBlock.stack(blocks))
+        table = solve_blocks(np.stack([H for H, _ in blocks]),
+                             np.array([n for _, n in blocks]))
         np.testing.assert_array_equal(table.used_fallback,
                                       [False, False, True, False, False])
-        alone = solve_blocks(decoupled)
+        alone = solve_blocks(*decoupled)
         assert alone.used_fallback
         np.testing.assert_array_equal(table.coeffs[2], alone.coeffs)
         for k, block in zip((0, 1, 3, 4), healthy):
-            assert_rows_identical(table[k], solve_blocks(block))
+            assert_rows_identical(table[k], solve_blocks(*block))
 
     @pytest.mark.parametrize("matrix", [
         np.diag([0.3, -0.2, 0.45]),
@@ -379,7 +376,7 @@ class TestSpectrumTable:
     ], ids=["decoupled", "repeated_diagonal"])
     def test_fallback_rows_match_the_cyclic_jacobi(self, matrix):
         H = np.asarray(matrix, dtype=float)
-        row = solve_blocks(manual_block(H, scale=0.5))
+        row = solve_blocks(H, 0)
         assert row.used_fallback
         C, E = row.coeffs, row.energies
         w, _ = jacobi_eigh_cyclic(H)
@@ -402,8 +399,7 @@ class TestLargeEntries:
     def test_scaled_eigenvalue_error(self, kappa):
         params = ModelParams(omega0=1.0, g=1e-3, kappa=kappa, f_kind=F_BUCK_SUKUMAR)
         table = spectrum_table(params, 30)
-        block = build_block(params, np.arange(31))
-        H = block.matrix
+        H = build_block(params, np.arange(31))
         # the Jacobi's A * A tolerance overflows near 1e154: it gets the same 2^-e H
         e = np.frexp(np.abs(H).max(axis=(1, 2)))[1]
         w = jacobi_eigh_cyclic(np.ldexp(H, -e[:, None, None]))[0]
@@ -414,7 +410,30 @@ class TestLargeEntries:
         rabi = rabi_frequencies(table.energies)
         assert np.all(np.isfinite(rabi))
         # the trigonometric route in the frame solve_blocks solves in
-        inter = cardano(replace(block, matrix=np.ldexp(H, -e[:, None, None]),
-                                freq_scale=np.ldexp(block.freq_scale, -e)))
+        inter = cardano(np.ldexp(H, -e[:, None, None]))
         trig = np.ldexp(rabi_frequencies_trig(inter), e[:, None])
         assert (np.abs(trig - rabi) / np.abs(rabi).max(axis=1, keepdims=True)).max() < 1e-9
+
+
+class TestDegeneracy:
+    """The triple-root flag -Q <= 1e-14 max|H|^2 is read from the block
+    alone, so it scales exactly as the block does."""
+
+    @pytest.mark.parametrize("k", [-40, 40])
+    def test_flag_is_unchanged_by_powers_of_two(self, k):
+        rng = np.random.default_rng(79)
+        drawn = np.stack([build_block(*random_draw(rng)) for _ in range(2000)])
+        # identities pushed off the triple root by 1e-9 .. 1e-5, across the threshold
+        a = rng.normal(size=(400, 3, 3))
+        eps = 10.0 ** rng.uniform(-9, -5, 400)[:, None, None]
+        near = np.eye(3) + eps * (a + a.swapaxes(1, 2))
+        H = np.concatenate([drawn, near])
+        flags = cardano(H).degenerate
+        assert not flags[:len(drawn)].any()
+        assert flags[len(drawn):].any() and not flags[len(drawn):].all()
+        np.testing.assert_array_equal(cardano(np.ldexp(H, k)).degenerate, flags)
+
+    @pytest.mark.parametrize("c", [1e-300, 1.0, 1e300])
+    def test_multiple_of_identity(self, c):
+        row = solve_blocks(c * np.eye(3), 0)
+        assert np.all(np.abs(row.energies - c) <= np.spacing(c))
