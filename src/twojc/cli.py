@@ -12,6 +12,8 @@ of the same config produce byte-identical outputs.
 """
 
 import argparse
+import contextlib
+import errno
 import hashlib
 import json
 import os
@@ -29,15 +31,20 @@ _FMT = "%.17g"
 _CHUNK_ROWS = 1 << 12
 
 
-def _write_csv(path, header_lines, columns, rows):
-    """Write a table and return the sha256 of the bytes written.
+def _finite(path, *arrays):
+    """The arrays as floats plus 0.0 (-0.0 becomes 0.0, for byte-stable output).
 
-    A NaN or Inf anywhere trips the guard and nothing is written."""
-    rows = np.asarray(rows, dtype=float) + 0.0  # -0.0 becomes 0.0, for byte-stable output
-    if not np.all(np.isfinite(rows)):
+    A NaN or Inf in any of them trips the guard, before anything is written."""
+    arrays = [np.asarray(a, dtype=float) + 0.0 for a in arrays]
+    if not all(np.all(np.isfinite(a)) for a in arrays):
         raise NumericalGuardError(
             f"{os.path.basename(path)}: non-finite values computed; not written")
-    row_fmt = ",".join([_FMT] * len(columns)) + "\n"
+    return arrays
+
+
+def _write_blocks(path, header_lines, columns, blocks):
+    """Write the header, then each text block of a table; return the sha256
+    of the bytes written."""
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
         def put(text):
@@ -46,10 +53,51 @@ def _write_csv(path, header_lines, columns, rows):
             digest.update(data)
 
         put("".join(f"# {line}\n" for line in header_lines) + ",".join(columns) + "\n")
-        for start in range(0, len(rows), _CHUNK_ROWS):
-            chunk = rows[start:start + _CHUNK_ROWS]
-            put((row_fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
+        for text in blocks:
+            put(text)
     return digest.hexdigest()
+
+
+def _write_csv(path, header_lines, columns, rows):
+    """Write a table and return the sha256 of the bytes written.
+
+    A NaN or Inf anywhere trips the guard and nothing is written."""
+    rows, = _finite(path, rows)
+    row_fmt = ",".join([_FMT] * len(columns)) + "\n"
+
+    def blocks():
+        for lo in range(0, len(rows), _CHUNK_ROWS):
+            chunk = rows[lo:lo + _CHUNK_ROWS]
+            yield (row_fmt * len(chunk)) % tuple(chunk.ravel().tolist())
+
+    return _write_blocks(path, header_lines, columns, blocks())
+
+
+def _write_q_csv(path, header_lines, re_axis, im_axis, q):
+    """Write the rows (re, im, q) of a grid q[i, j] at (im_axis[i], re_axis[j]),
+    re running fastest; return the sha256 of the bytes written.
+
+    The same bytes as _write_csv with the three columns, but each axis value
+    is formatted once and a block's "re,im," prefixes go into its `%`
+    template, so only q is formatted per row.  A NaN or Inf anywhere trips
+    the guard and nothing is written."""
+    re_axis, im_axis, q = _finite(path, re_axis, im_axis, q)
+    re_text = [_FMT % v for v in re_axis.tolist()]
+    im_text = [_FMT % v for v in im_axis.tolist()]
+    width, values = len(re_text), q.ravel()
+    # whole grid rows per block, or pieces of one row wider than _CHUNK_ROWS
+    step = _CHUNK_ROWS if width > _CHUNK_ROWS else width * (_CHUNK_ROWS // width)
+
+    def blocks():
+        for lo in range(0, values.size, step):
+            hi = min(lo + step, values.size)
+            parts = []
+            for i in range(lo // width, (hi - 1) // width + 1):
+                tail = f",{im_text[i]},{_FMT}\n"
+                parts += [tail.join(re_text[max(lo - i * width, 0):hi - i * width]), tail]
+            yield "".join(parts) % tuple(values[lo:hi].tolist())
+
+    return _write_blocks(path, header_lines, ["re", "im", "q"], blocks())
 
 
 def _series_units(name):
@@ -78,9 +126,13 @@ def _derived_columns(spectra, g):
     return columns
 
 
-def _curve_outputs(cfg: RunConfig, curve: CurveSpec, out_dir: str):
+def _curve_outputs(cfg: RunConfig, curve: CurveSpec, staged: list):
     """Compute and write every requested file for one curve; return their
-    manifest entries."""
+    manifest entries.
+
+    Each table goes under a temporary name in the output directory, and
+    its (temporary, final) path pair is added to `staged` before it is
+    written."""
     params = curve.params
     field = dynamics.coherent_field(curve.mean_n, phase=curve.phase,
                                     n_max=curve.n_max,
@@ -90,34 +142,35 @@ def _curve_outputs(cfg: RunConfig, curve: CurveSpec, out_dir: str):
     header = resolved_lines(cfg, curve)
     files = []
 
-    def emit(suffix, notes, columns, rows):
+    def emit(suffix, write, notes, *table):
         name = f"{cfg.prefix}_{curve.label}_{suffix}.csv"
-        sha = _write_csv(os.path.join(out_dir, name), header + notes, columns, rows)
-        files.append({"path": name, "sha256": sha})
+        final = os.path.join(cfg.out_dir, name)
+        temporary = final + ".partial"
+        staged.append((temporary, final))
+        files.append({"path": name, "sha256": write(temporary, header + notes, *table)})
 
     series_wanted = [o for o in cfg.observables if o in dynamics.SERIES_OBSERVABLES]
     if series_wanted:
         series = dynamics.observable_series(field, spectra, times, series_wanted)
         for name in series_wanted:
-            emit(name, ["tau column: dimensionless time g*t",
-                        f"{name} column: {_series_units(name)}"],
+            emit(name, _write_csv,
+                 ["tau column: dimensionless time g*t",
+                  f"{name} column: {_series_units(name)}"],
                  ["tau", name], np.column_stack([cfg.times_tau, series[name]]))
 
     if "qfunction" in cfg.observables:
         re_axis, im_axis = cfg.q_grid.axes()
-        re_grid, im_grid = np.meshgrid(re_axis, im_axis)
         for idx, tau in enumerate(cfg.q_grid.times_tau):
             rho_f = dynamics.reduced_field_density(field, spectra, tau / params.g)
             grid = dynamics.husimi_grid(rho_f, re_axis, im_axis)
-            emit(f"qfunction_{idx}",
+            emit(f"qfunction_{idx}", _write_q_csv,
                  [f"tau = {tau!r} (dimensionless g*t)",
                   "re, im: coherent amplitude alpha = re + i*im (dimensionless)",
                   "q: Husimi density, 1/area in phase space"],
-                 ["re", "im", "q"],
-                 np.column_stack([re_grid.ravel(), im_grid.ravel(), grid.values.ravel()]))
+                 re_axis, im_axis, grid.values)
 
     if "spectrum-dump" in cfg.observables:
-        emit("spectrum",
+        emit("spectrum", _write_csv,
              ["E*: block eigenvalues, rad/time; *_over_g: same in units of g",
               "omega*: eigenvalue differences (21, 31, 23), rad/time",
               "lam*: inversion weighting amplitudes, dimensionless"],
@@ -130,11 +183,24 @@ def _curve_outputs(cfg: RunConfig, curve: CurveSpec, out_dir: str):
 
 
 def run_config(cfg: RunConfig) -> dict:
+    """Write every table of a config, then its manifest; return the manifest.
+
+    Tables take their names only once every curve is computed, so a run
+    that fails leaves no table of its own in the output directory, and
+    the files of an earlier run there as they were."""
+    staged = []  # (temporary, final) path of each table written so far
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
         files = []
         for curve in cfg.curves:
-            files.extend(_curve_outputs(cfg, curve, cfg.out_dir))
+            files.extend(_curve_outputs(cfg, curve, staged))
+        # a rename onto a directory fails, so look for one before renaming any
+        taken = [final for _, final in staged if os.path.isdir(final)]
+        if taken:
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), taken[0])
+        for temporary, final in staged:
+            os.replace(temporary, final)
+        staged.clear()
         manifest = {
             "tool": {"name": "twojc", "version": __version__},
             "config": cfg.raw,
@@ -144,8 +210,14 @@ def run_config(cfg: RunConfig) -> dict:
         with open(manifest_path, "w", newline="\n") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    except OSError as exc:  # the only OS calls here are the output writes
-        raise ConfigError(f"config.output.dir: {exc.filename!r}: {exc.strerror}") from exc
+    except BaseException as exc:
+        for temporary, _ in staged:
+            with contextlib.suppress(OSError):  # not yet written, or already renamed
+                os.remove(temporary)
+        if isinstance(exc, OSError):  # the only OS calls here are the output writes
+            path = exc.filename2 or exc.filename  # a rename names its target second
+            raise ConfigError(f"config.output.dir: {path!r}: {exc.strerror}") from exc
+        raise
     return manifest
 
 

@@ -124,8 +124,8 @@ def _core_count() -> int:
         return os.cpu_count() or 1
 
 
-# threads that build one rho_A stack; numpy releases the GIL in every kernel
-# they run, and no result depends on their number
+# threads that build one rho_A stack or Husimi grid; numpy releases the GIL in
+# every kernel they run, and no result depends on their number
 _WORKERS = min(4, _core_count())
 
 # phases in flight over all workers (times x levels x 3), each worker's chunk
@@ -421,7 +421,16 @@ class QGrid:
 
 _HORNER_RESCALE_EVERY = 32  # Horner steps between checks of the partial sums
 _HORNER_RESCALE_ABOVE = 1e150  # ... which are rescaled once they pass this
-_HUSIMI_CHUNK = 1 << 18  # partial sums held at once, rows x points
+_HUSIMI_CHUNK = 1 << 18  # partial sums held at once over all workers, rows x points
+
+
+def _point_chunks(n_points: int, n_rows: int):
+    """Equal slices of a grid's points, a multiple of _WORKERS of them, each
+    holding at most _HUSIMI_CHUNK // _WORKERS partial sums."""
+    cap = max(1, _HUSIMI_CHUNK // _WORKERS // max(1, n_rows))
+    count = _WORKERS * max(1, -(-n_points // (cap * _WORKERS)))
+    step = max(1, -(-n_points // count))
+    return [slice(lo, lo + step) for lo in range(0, n_points, step)]
 
 
 def corner_alpha_sq(re_axis, im_axis) -> float:
@@ -473,9 +482,11 @@ def _bargmann_amplitudes(rows, z):
     """e^{-|z|^2/2} v_k(z) for each row v_k, by Horner over the points z.
 
     The partial sums grow like e^{|z|^2/2}, beyond double range for
-    |z|^2 > 1400.  Once they pass 1e150 they are divided by their largest
-    modulus per point, every few steps, and the Gaussian is applied to the
-    log of the accumulated scale at the end.
+    |z|^2 > 1400.  Every few steps, the points whose partial sums passed
+    1e150 have them divided by their largest modulus, and the Gaussian is
+    applied to the log of each point's accumulated scale at the end.  A
+    point's value thus depends on that point alone, not on the others
+    evaluated with it.
     """
     dim = rows.shape[1]
     inv_sqrt = 1.0 / np.sqrt(np.arange(1, dim))
@@ -490,11 +501,12 @@ def _bargmann_amplitudes(rows, z):
         acc += rows[:, p - 1:p] if inv_scale is None else rows[:, p - 1:p] * inv_scale
         if p % _HORNER_RESCALE_EVERY == 0:
             big = np.abs(acc).max(axis=0)
-            if big.max() > _HORNER_RESCALE_ABOVE:
-                np.maximum(big, 1.0, out=big)
-                acc /= big
-                inv_scale = 1.0 / big if inv_scale is None else inv_scale / big
-                log_scale += np.log(big)
+            over = big > _HORNER_RESCALE_ABOVE
+            if over.any():
+                scale = np.where(over, big, 1.0)  # the other points stay as they are
+                acc /= scale
+                inv_scale = 1.0 / scale if inv_scale is None else inv_scale / scale
+                log_scale += np.log(scale)
     return acc * np.exp(log_scale - 0.5 * np.abs(z) ** 2)
 
 
@@ -507,18 +519,22 @@ def husimi_grid(rho: FieldDensity, re_axis, im_axis) -> QGrid:
     Each polynomial is evaluated by Horner over the grid points at once, as
     v_0 + z/sqrt(1) (v_1 + z/sqrt(2) (v_2 + ...)).  A FieldDensity is its
     rank <= 3 factors, so a grid costs three polynomials rather than a
-    quadratic form in the full Fock space.
+    quadratic form in the full Fock space.  The point chunks run on
+    _WORKERS threads (_run_chunks), each writing only its own points, and
+    every value is the same bits for any thread count or chunk size.
     """
     rows = rho.factors
     re_axis = np.ascontiguousarray(re_axis, dtype=float)
     im_axis = np.ascontiguousarray(im_axis, dtype=float)
     _check_window(rows.shape[1], corner_alpha_sq(re_axis, im_axis))
     z = (re_axis[None, :] - 1j * im_axis[:, None]).ravel()
-    values = np.zeros(z.size)
-    chunk = max(1, _HUSIMI_CHUNK // max(1, len(rows)))
-    for lo in range(0, z.size, chunk):
-        amps = _bargmann_amplitudes(rows, z[lo:lo + chunk])
-        values[lo:lo + chunk] = np.sum(np.abs(amps) ** 2, axis=0) / math.pi
+    values = np.empty(z.size)
+
+    def task(part):
+        amps = _bargmann_amplitudes(rows, z[part])
+        values[part] = np.sum(np.abs(amps) ** 2, axis=0) / math.pi
+
+    _run_chunks(lambda: task, _point_chunks(z.size, len(rows)))
     return QGrid(re_axis=re_axis, im_axis=im_axis,
                  values=values.reshape(len(im_axis), len(re_axis)))
 

@@ -277,6 +277,15 @@ class TestCliEntry:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith("config error: config.output.dir") and reason in err
 
+    def test_taken_table_path_renames_no_table(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "x_base_purity.csv").mkdir(parents=True)
+        doc = deep(BASE, observables=["inversion", "purity"],
+                   output={"dir": str(out), "prefix": "x"})
+        assert main(["run", write_cfg(tmp_path, doc)]) == 2
+        assert "x_base_purity.csv': Is a directory" in capsys.readouterr().err
+        assert os.listdir(out) == ["x_base_purity.csv"]
+
     def test_numerical_guard_exit_code(self, tmp_path):
         doc = deep(BASE, observables=["qfunction"],
                    q_grid={"times": [0.1], "re_min": -6.0, "re_max": 6.0,
@@ -394,6 +403,62 @@ class TestCliEntry:
         data = path.read_bytes()
         assert data == ref.encode()
         assert digest == hashlib.sha256(data).hexdigest()
+
+    @pytest.mark.parametrize("re_count, im_count", [
+        (97, 91),     # more than 2 * _CHUNK_ROWS rows, blocks of whole grid rows
+        (5, 3),       # non-square, one block
+        (1, 9000),    # a 1 x N grid: one column, many grid rows
+        (9000, 1),    # one grid row wider than _CHUNK_ROWS, cut into pieces
+        (4500, 3),    # pieces of rows, blocks straddling two grid rows
+    ])
+    def test_q_csv_bytes_and_digest(self, tmp_path, re_count, im_count):
+        from twojc.cli import _CHUNK_ROWS, _write_q_csv
+        rng = np.random.default_rng(re_count * im_count)
+        re_axis = rng.standard_normal(re_count) * 10.0 ** rng.integers(-300, 300, re_count)
+        im_axis = rng.standard_normal(im_count) * 10.0 ** rng.integers(-300, 300, im_count)
+        re_axis[:3] = [-0.0, 1e-300, 1e300][:re_count]
+        im_axis[-3:] = [1e300, -0.0, -1e-300][-im_count:]
+        q = rng.standard_normal((im_count, re_count))
+        q.flat[:2] = [-0.0, 1e-300][:q.size]
+        assert re_count * im_count > 2 * _CHUNK_ROWS or re_count * im_count < _CHUNK_ROWS
+        path = tmp_path / "q.csv"
+        digest = _write_q_csv(str(path), ["note"], re_axis, im_axis, q)
+        ref = "# note\nre,im,q\n" + "".join(
+            ",".join("%.17g" % (v + 0.0) for v in (re, im, q[i, j])) + "\n"
+            for i, im in enumerate(im_axis.tolist()) for j, re in enumerate(re_axis.tolist()))
+        data = path.read_bytes()
+        assert data == ref.encode()
+        assert digest == hashlib.sha256(data).hexdigest()
+
+    def test_q_csv_guard(self, tmp_path):
+        from twojc.cli import _write_q_csv
+        from twojc.errors import NumericalGuardError
+        path = tmp_path / "q.csv"
+        q = np.zeros((3, 4))
+        q[2, 1] = math.inf
+        with pytest.raises(NumericalGuardError, match="non-finite"):
+            _write_q_csv(str(path), [], np.arange(4.0), np.arange(3.0), q)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("previous", [False, True])
+    def test_failed_run_adds_no_file(self, tmp_path, capsys, previous):
+        # the inversion is computed and written before the spectrum dump's
+        # frequencies overflow
+        out = tmp_path / "out"
+        out.mkdir()
+        doc = deep(BASE, observables=["inversion", "spectrum-dump"],
+                   time_grid={"start": 0.0, "stop": 1e-12, "count": 40},
+                   output={"dir": str(out), "prefix": "x"})
+        doc["model"]["g"] = 2.0
+        if previous:  # an earlier, successful run of the same file names
+            assert main(["run", write_cfg(tmp_path, doc, "ok.json")]) == 0
+            assert sorted(os.listdir(out)) == ["x_base_inversion.csv",
+                                               "x_base_spectrum.csv", "x_manifest.json"]
+        before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        doc["model"]["J"] = -1.5e308
+        assert main(["run", write_cfg(tmp_path, doc)]) == 3
+        assert "block n = 0" in capsys.readouterr().err
+        assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
 
     @pytest.mark.parametrize("where", ["prefix", "label"])
     @pytest.mark.parametrize("name", ["a/b", "..\\x", "", "a b", 7.5, True])

@@ -4,14 +4,15 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 import twojc
 from twojc import dynamics
-from twojc import (F_BUCK_SUKUMAR, ModelParams, coherent_field, concurrence,
-                   husimi_grid, husimi_q, observable_series,
+from twojc import (F_BUCK_SUKUMAR, ModelParams, NumericalGuardError, coherent_field,
+                   concurrence, husimi_grid, husimi_q, observable_series,
                    reduced_atom_density)
 from twojc.dynamics import (FieldDensity, coherent_vector,
                             entropy_of_eigvals, hermitian_eigvals)
@@ -58,14 +59,19 @@ class TestHusimiGrid:
         np.testing.assert_allclose(grid, ref, rtol=0, atol=1e-14)
         np.testing.assert_allclose(ref, quad, rtol=0, atol=1e-14)
 
-    def test_matches_single_point_beyond_double_range(self):
-        # |alpha|^2 > 1400: the unscaled Horner sums e^{|alpha|^2/2} overflow
+    @staticmethod
+    def far_state():
+        """A rank-3 state on Fock levels 1300 .. 1599 at n_max 2900."""
         n_max = 2900
         rng = np.random.default_rng(7)
         chi = np.zeros((3, n_max + 3))
         chi[:, 1300:1600] = rng.normal(size=(3, 300))
         chi /= math.sqrt(np.sum(chi ** 2))
-        rho = FieldDensity(factors=chi)
+        return FieldDensity(factors=chi)
+
+    def test_matches_single_point_beyond_double_range(self):
+        # |alpha|^2 > 1400: the unscaled Horner sums e^{|alpha|^2/2} overflow
+        rho = self.far_state()
         re_axis = np.linspace(36.0, 38.0, 3)
         im_axis = np.linspace(-1.5, 1.5, 3)
         grid = husimi_grid(rho, re_axis, im_axis).values
@@ -79,11 +85,68 @@ class TestHusimiGrid:
         chi = rng.normal(size=(15, 15)) + 1j * rng.normal(size=(15, 15))
         rho = FieldDensity(factors=chi / math.sqrt(np.sum(np.abs(chi) ** 2)))
         assert np.linalg.matrix_rank(rho.matrix) == 15
-        monkeypatch.setattr(dynamics, "_HUSIMI_CHUNK", 64)  # 4 points a chunk
+        monkeypatch.setattr(dynamics, "_HUSIMI_CHUNK", 64)  # <= 4 points a chunk
         ax = np.linspace(-1.7, 1.7, 5)
         ref = np.array([[husimi_q(rho, complex(re, im)) for re in ax] for im in ax])
         np.testing.assert_allclose(husimi_grid(rho, ax, ax).values, ref,
                                    rtol=0, atol=1e-14)
+
+    def test_same_bits_for_any_worker_count_and_chunk_size(self, monkeypatch):
+        # |alpha|^2 runs from 0 to 1446: the partial sums of the points past
+        # about 2 ln(1e150) = 691 are rescaled, the others are not
+        rho = self.far_state()
+        re_axis = np.linspace(0.0, 38.0, 39)
+        im_axis = np.linspace(-1.5, 1.5, 5)
+        alpha_sq = re_axis[None, :] ** 2 + im_axis[:, None] ** 2
+        limit = 2.0 * math.log(dynamics._HORNER_RESCALE_ABOVE)
+        assert alpha_sq.min() < limit < alpha_sq.max()
+        grids = {}
+        for chunk in (dynamics._HUSIMI_CHUNK, 96, 30):
+            monkeypatch.setattr(dynamics, "_HUSIMI_CHUNK", chunk)
+            for workers in (1, 2, 3, 8):
+                monkeypatch.setattr(dynamics, "_WORKERS", workers)
+                grids[chunk, workers] = husimi_grid(rho, re_axis, im_axis).values
+        assert len(dynamics._point_chunks(alpha_sq.size, 3)) == alpha_sq.size  # 1 point each
+        ref = next(iter(grids.values()))
+        for key, grid in grids.items():
+            assert np.array_equal(grid, ref), key
+        single = np.array([[husimi_q(rho, complex(re, im)) for re in re_axis]
+                           for im in im_axis])
+        np.testing.assert_allclose(ref, single, rtol=1e-9, atol=0)
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        chi = rng.normal(size=(3, 43)) + 1j * rng.normal(size=(3, 43))
+        rho = FieldDensity(factors=chi / math.sqrt(np.sum(np.abs(chi) ** 2)))
+        ax = np.linspace(-3.0, 3.0, 31)
+        monkeypatch.setattr(dynamics, "_HUSIMI_CHUNK", 3 * 8 * 5)  # 5 points a chunk
+        monkeypatch.setattr(dynamics, "_WORKERS", 1)
+        ref = husimi_grid(rho, ax, ax).values
+        monkeypatch.setattr(dynamics, "_WORKERS", 8)
+        assert len(dynamics._point_chunks(ax.size ** 2, 3)) == 193
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            grid = husimi_grid(rho, ax, ax).values
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(grid, ref)
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        caller = threading.current_thread()
+        amplitudes = dynamics._bargmann_amplitudes
+
+        def fail_off_caller(rows, z):
+            if threading.current_thread() is not caller:
+                raise NumericalGuardError("worker chunk")
+            return amplitudes(rows, z)
+
+        monkeypatch.setattr(dynamics, "_WORKERS", 2)
+        monkeypatch.setattr(dynamics, "_bargmann_amplitudes", fail_off_caller)
+        ax = np.linspace(-1.0, 1.0, 7)
+        rho = FieldDensity(factors=np.eye(3, 12, dtype=complex) / math.sqrt(3.0))
+        with pytest.raises(NumericalGuardError, match="worker chunk"):
+            husimi_grid(rho, ax, ax)
 
 
 class TestBatchedSeries:
