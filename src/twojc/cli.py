@@ -187,8 +187,14 @@ def run_config(cfg: RunConfig) -> dict:
 
     Tables take their names only once every curve is computed, so a run
     that fails leaves no table of its own in the output directory, and
-    the files of an earlier run there as they were."""
+    the files of an earlier run there as they were.  A failed run also
+    removes the directories it created, if they are still empty."""
     staged = []  # (temporary, final) path of each table written so far
+    created = []  # the output directory and its ancestors that were missing, deepest first
+    missing = cfg.out_dir
+    while missing and not os.path.lexists(missing):
+        created.append(missing)
+        missing = os.path.dirname(missing)
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
         files = []
@@ -214,6 +220,9 @@ def run_config(cfg: RunConfig) -> dict:
         for temporary, _ in staged:
             with contextlib.suppress(OSError):  # not yet written, or already renamed
                 os.remove(temporary)
+        for directory in created:
+            with contextlib.suppress(OSError):  # not empty, or never made
+                os.rmdir(directory)
         if isinstance(exc, OSError):  # the only OS calls here are the output writes
             path = exc.filename2 or exc.filename  # a rename names its target second
             raise ConfigError(f"config.output.dir: {path!r}: {exc.strerror}") from exc

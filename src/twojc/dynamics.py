@@ -74,9 +74,17 @@ class FieldInit:
         return np.abs(self.amplitudes) ** 2
 
 
-def _log_factorials(count: int) -> np.ndarray:
-    """ln(p!) for p = 0 .. count - 1."""
-    return np.array([math.lgamma(p + 1.0) for p in range(count)])
+def _coherent_amplitudes(m: float, phase: float, dim: int) -> np.ndarray:
+    """exp(-m/2 + p/2 ln m - ln(p!)/2) e^{i p phase} for p < dim: the Fock
+    components of the coherent state of mean photon number m, in log space."""
+    if m == 0.0:
+        amps = np.zeros(dim, dtype=np.complex128)
+        amps[0] = 1.0
+        return amps
+    p = np.arange(dim)
+    log_factorials = np.array([math.lgamma(k + 1.0) for k in range(dim)])
+    logmag = -m / 2.0 + 0.5 * p * math.log(m) - 0.5 * log_factorials
+    return np.exp(logmag) * np.exp(1j * p * phase)
 
 
 def auto_n_max(mean_n: float) -> int:
@@ -95,15 +103,8 @@ def coherent_field(mean_n: float, phase: float = 0.0, n_max: int = None,
         raise TwojcError("mean photon number must be nonnegative")
     if n_max is None:
         n_max = auto_n_max(mean_n)
-    n = np.arange(n_max + 1)
-    if mean_n == 0.0:
-        amps = np.zeros(n_max + 1, dtype=np.complex128)
-        amps[0] = 1.0
-    else:
-        logmag = (-mean_n / 2.0 + 0.5 * n * math.log(mean_n)
-                  - 0.5 * _log_factorials(n_max + 1))
-        with np.errstate(over="ignore", invalid="ignore"):  # FieldInit rejects the result
-            amps = np.exp(logmag) * np.exp(1j * n * phase)
+    with np.errstate(over="ignore", invalid="ignore"):  # FieldInit rejects the result
+        amps = _coherent_amplitudes(mean_n, phase, n_max + 1)
     try:
         return FieldInit(amplitudes=amps, n_max=n_max, mean_n=float(mean_n),
                          atom_init=atom_init)
@@ -128,16 +129,27 @@ def _core_count() -> int:
 # every kernel they run, and no result depends on their number
 _WORKERS = min(4, _core_count())
 
-# phases in flight over all workers (times x levels x 3), each worker's chunk
-# being 1/_WORKERS of them; a worker's buffers take about 70 bytes per phase of
-# its chunk, so a series holds ~9 MB whatever its number of times or of workers
-_SERIES_CHUNK = 1 << 17
+# units of work in flight over all workers: phases (times x levels x 3) for
+# rho_A, Horner partial sums (rows x points) for a Husimi grid; a unit takes
+# about 60-70 bytes with its temporaries, so a kernel holds about 9 MB
+_CHUNK = 1 << 17
 
 
-def _time_chunks(n_times: int, n_levels: int):
-    """Slices of a time axis, each holding about _SERIES_CHUNK // _WORKERS phases."""
-    step = max(1, _SERIES_CHUNK // _WORKERS // (3 * n_levels))
-    return [slice(lo, lo + step) for lo in range(0, n_times, step)]
+def _chunks(n_items: int, width: int):
+    """Slices of n_items items of `width` units each, for _run_chunks.
+
+    A worker holds at most cap = _CHUNK // _WORKERS // width items.  Work
+    within one cap is one slice, which the caller runs alone; more is cut
+    into a multiple of _WORKERS slices (one per item if fewer), their sizes
+    within one item of each other, the larger first.
+    """
+    cap = max(1, _CHUNK // _WORKERS // width)
+    if n_items <= cap:
+        return [slice(0, n_items)]
+    count = min(n_items, _WORKERS * -(-n_items // (cap * _WORKERS)))
+    size, extra = divmod(n_items, count)
+    bounds = [i * size + min(i, extra) for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _run_chunks(share_task, chunks):
@@ -278,10 +290,10 @@ def _rho_atoms(field: FieldInit, spectra, times) -> np.ndarray:
     """
     weights = _fold_weights(spectra, field.atom_init, field.amplitudes)
     rho = np.empty((len(times), 3, 3), dtype=np.complex128)
-    chunks = _time_chunks(len(times), len(spectra))
+    chunks = _chunks(len(times), 3 * len(spectra))
 
     def share_task():
-        rows = _BranchRows(weights, spectra.energies, min(len(times), chunks[0].stop))
+        rows = _BranchRows(weights, spectra.energies, chunks[0].stop)
         return lambda part: rows.gram(times[part], out=rho[part])
 
     _run_chunks(share_task, chunks)
@@ -421,16 +433,6 @@ class QGrid:
 
 _HORNER_RESCALE_EVERY = 32  # Horner steps between checks of the partial sums
 _HORNER_RESCALE_ABOVE = 1e150  # ... which are rescaled once they pass this
-_HUSIMI_CHUNK = 1 << 18  # partial sums held at once over all workers, rows x points
-
-
-def _point_chunks(n_points: int, n_rows: int):
-    """Equal slices of a grid's points, a multiple of _WORKERS of them, each
-    holding at most _HUSIMI_CHUNK // _WORKERS partial sums."""
-    cap = max(1, _HUSIMI_CHUNK // _WORKERS // max(1, n_rows))
-    count = _WORKERS * max(1, -(-n_points // (cap * _WORKERS)))
-    step = max(1, -(-n_points // count))
-    return [slice(lo, lo + step) for lo in range(0, n_points, step)]
 
 
 def corner_alpha_sq(re_axis, im_axis) -> float:
@@ -460,14 +462,7 @@ def _check_window(rho_dim: int, alpha_sq_max: float):
 
 def coherent_vector(alpha: complex, dim: int) -> np.ndarray:
     """Fock components <p|alpha> for p < dim, built in log space."""
-    p = np.arange(dim)
-    aa = abs(alpha) ** 2
-    if aa == 0.0:
-        c = np.zeros(dim, dtype=np.complex128)
-        c[0] = 1.0
-        return c
-    logmag = -aa / 2.0 + 0.5 * p * math.log(aa) - 0.5 * _log_factorials(dim)
-    return np.exp(logmag) * np.exp(1j * p * np.angle(alpha))
+    return _coherent_amplitudes(abs(alpha) ** 2, np.angle(alpha), dim)
 
 
 def husimi_q(rho: FieldDensity, alpha: complex) -> float:
@@ -534,7 +529,7 @@ def husimi_grid(rho: FieldDensity, re_axis, im_axis) -> QGrid:
         amps = _bargmann_amplitudes(rows, z[part])
         values[part] = np.sum(np.abs(amps) ** 2, axis=0) / math.pi
 
-    _run_chunks(lambda: task, _point_chunks(z.size, len(rows)))
+    _run_chunks(lambda: task, _chunks(z.size, len(rows)))
     return QGrid(re_axis=re_axis, im_axis=im_axis,
                  values=values.reshape(len(im_axis), len(re_axis)))
 

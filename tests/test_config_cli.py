@@ -313,7 +313,7 @@ class TestCliEntry:
         doc["model"].update(kappa=1e308, J=-1e308)
         assert main(["run", write_cfg(tmp_path, doc)]) == 3
         assert "non-finite" in capsys.readouterr().err
-        assert os.listdir(tmp_path / "out") == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kappa", [1e200, 1e306])
     def test_large_finite_block_runs_quietly(self, tmp_path, kappa):
@@ -335,8 +335,11 @@ class TestCliEntry:
             assert proc.returncode == (3 if kappa == 1e306 else 0), proc.stderr
             assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
             assert proc.stderr.count("\n") == (proc.returncode == 3)
+        if kappa == 1e306:  # the failed run removes the directory it made
+            assert not out.exists()
+            return
         csvs = [name for name in os.listdir(out) if name.endswith(".csv")]
-        assert len(csvs) == (0 if kappa == 1e306 else 6)
+        assert len(csvs) == 6
         for name in csvs:
             lines = [ln for ln in (out / name).read_text().splitlines()
                      if not ln.startswith("#")]
@@ -360,7 +363,7 @@ class TestCliEntry:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert "non-finite" in captured.err and "block n = 0" in captured.err
-        assert not out.exists() or os.listdir(out) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("observable", ["spectrum-dump", "dump-spectrum"])
     def test_overflowing_frequency_is_one_line_guard(self, tmp_path, capsys, observable):
@@ -458,7 +461,25 @@ class TestCliEntry:
         doc["model"]["J"] = -1.5e308
         assert main(["run", write_cfg(tmp_path, doc)]) == 3
         assert "block n = 0" in capsys.readouterr().err
+        assert out.is_dir()
         assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+
+    @pytest.mark.parametrize("existing", [None, "rn2", "rn2/a"])
+    def test_failed_run_removes_the_directories_it_made(self, tmp_path, capsys, existing):
+        # only the directories the run created go, and only while empty
+        if existing:
+            (tmp_path / existing).mkdir(parents=True)
+            (tmp_path / existing / "keep.txt").write_bytes(b"earlier\n")
+        doc = deep(BASE, output={"dir": str(tmp_path / "rn2" / "a" / "b"), "prefix": "x"})
+        doc["model"].update(kappa=1e308, J=-1e308)
+        assert main(["run", write_cfg(tmp_path, doc)]) == 3
+        assert "block n = 0" in capsys.readouterr().err
+        expected = {"cfg.json"}
+        if existing:
+            expected |= {"rn2", existing, f"{existing}/keep.txt"}
+        assert {str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")} == expected
+        if existing:
+            assert (tmp_path / existing / "keep.txt").read_bytes() == b"earlier\n"
 
     @pytest.mark.parametrize("where", ["prefix", "label"])
     @pytest.mark.parametrize("name", ["a/b", "..\\x", "", "a b", 7.5, True])

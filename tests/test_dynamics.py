@@ -22,7 +22,7 @@ from twojc import (F_BUCK_SUKUMAR, F_LINEAR, H_KERR, ModelParams, NumericalGuard
 from twojc.cli import run_config
 from twojc.config import parse_config
 from twojc.dynamics import (SERIES_OBSERVABLES, AtomInit, FieldDensity,
-                            _time_chunks, auto_n_max, coherent_vector,
+                            _chunks, auto_n_max, coherent_vector,
                             entropy_of_eigvals, hermitian_eigvals)
 from twojc.features import local_maxima, nearest_extremum
 
@@ -469,7 +469,7 @@ class TestTimeChunks:
 
     def test_series_match_per_time_densities(self, large_n_kerr):
         fields, spectra = large_n_kerr
-        c = _time_chunks(1, len(spectra))[0].stop
+        c = dynamics._CHUNK // dynamics._WORKERS // (3 * len(spectra))
         assert 1 < c < 100
         for n_times in (1, c - 1, c, c + 1, 2 * c + 3):
             times = np.linspace(0.1, 7.0, n_times)
@@ -499,6 +499,36 @@ class TestTimeChunks:
         assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
 
 
+class TestChunkPlan:
+    """_chunks cuts both threaded kernels' work: one slice when it fits in one
+    worker's cap, otherwise a multiple of _WORKERS near-equal slices."""
+
+    WIDTH = 3 * 95  # the phases of one time at n_max 94
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("size", ["zero", "one", "cap", "cap+1", "large"])
+    def test_plan(self, monkeypatch, workers, size):
+        monkeypatch.setattr(dynamics, "_WORKERS", workers)
+        cap = dynamics._CHUNK // workers // self.WIDTH
+        n_items = {"zero": 0, "one": 1, "cap": cap, "cap+1": cap + 1,
+                   "large": 100 * cap + 7}[size]
+        chunks = _chunks(n_items, self.WIDTH)
+        assert chunks[0].start == 0 and chunks[-1].stop == n_items
+        assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
+        sizes = [c.stop - c.start for c in chunks]
+        if n_items <= cap:
+            assert len(chunks) == 1
+        else:
+            assert len(chunks) % workers == 0
+            assert max(sizes) - min(sizes) <= 1 and max(sizes) <= cap
+            assert sizes[0] == max(sizes)  # a worker's buffers are sized by it
+
+    def test_fewer_items_than_slices(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_WORKERS", 8)
+        chunks = _chunks(3, dynamics._CHUNK)  # cap 1
+        assert [(c.start, c.stop) for c in chunks] == [(0, 1), (1, 2), (2, 3)]
+
+
 class TestWorkers:
     """rho_A's time chunks run on dynamics._WORKERS threads; no output may
     depend on how many."""
@@ -509,7 +539,7 @@ class TestWorkers:
         out = {}
         for workers in (1, 2, 3):
             monkeypatch.setattr(dynamics, "_WORKERS", workers)
-            assert len(_time_chunks(len(times), len(spectra))) >= 4
+            assert len(_chunks(len(times), 3 * len(spectra))) >= 4
             out[workers] = [
                 (observable_series(field, spectra, times, SERIES_OBSERVABLES),
                  inversion_series(field, spectra, times),
@@ -533,7 +563,7 @@ class TestWorkers:
             monkeypatch.setattr(dynamics, "_WORKERS", workers)
             doc["output"] = {"dir": str(tmp_path / f"w{workers}"), "prefix": "k"}
             cfg = parse_config(doc)
-            assert len(_time_chunks(len(cfg.times_tau), cfg.curves[0].n_max + 1)) > 1
+            assert len(_chunks(len(cfg.times_tau), 3 * (cfg.curves[0].n_max + 1))) > 1
             hashes[workers] = [f["sha256"] for f in run_config(cfg)["files"]]
         assert len(hashes[1]) == 4 and hashes[1] == hashes[2]
 
@@ -541,11 +571,11 @@ class TestWorkers:
                                                           monkeypatch):
         _, field, spectra = small_system
         times = np.linspace(0.0, 12.0, 997)
-        monkeypatch.setattr(dynamics, "_SERIES_CHUNK", 3 * len(spectra) * 64)
+        monkeypatch.setattr(dynamics, "_CHUNK", 3 * len(spectra) * 64)
         monkeypatch.setattr(dynamics, "_WORKERS", 1)
         ref = dynamics._rho_atoms(field, spectra, times)
         monkeypatch.setattr(dynamics, "_WORKERS", 8)
-        assert len(_time_chunks(len(times), len(spectra))) == 125
+        assert len(_chunks(len(times), 3 * len(spectra))) == 128
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

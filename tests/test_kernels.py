@@ -85,7 +85,7 @@ class TestHusimiGrid:
         chi = rng.normal(size=(15, 15)) + 1j * rng.normal(size=(15, 15))
         rho = FieldDensity(factors=chi / math.sqrt(np.sum(np.abs(chi) ** 2)))
         assert np.linalg.matrix_rank(rho.matrix) == 15
-        monkeypatch.setattr(dynamics, "_HUSIMI_CHUNK", 64)  # <= 4 points a chunk
+        monkeypatch.setattr(dynamics, "_CHUNK", 64)  # <= 4 points a chunk
         ax = np.linspace(-1.7, 1.7, 5)
         ref = np.array([[husimi_q(rho, complex(re, im)) for re in ax] for im in ax])
         np.testing.assert_allclose(husimi_grid(rho, ax, ax).values, ref,
@@ -101,12 +101,12 @@ class TestHusimiGrid:
         limit = 2.0 * math.log(dynamics._HORNER_RESCALE_ABOVE)
         assert alpha_sq.min() < limit < alpha_sq.max()
         grids = {}
-        for chunk in (dynamics._HUSIMI_CHUNK, 96, 30):
-            monkeypatch.setattr(dynamics, "_HUSIMI_CHUNK", chunk)
+        for chunk in (dynamics._CHUNK, 96, 30):
+            monkeypatch.setattr(dynamics, "_CHUNK", chunk)
             for workers in (1, 2, 3, 8):
                 monkeypatch.setattr(dynamics, "_WORKERS", workers)
                 grids[chunk, workers] = husimi_grid(rho, re_axis, im_axis).values
-        assert len(dynamics._point_chunks(alpha_sq.size, 3)) == alpha_sq.size  # 1 point each
+        assert len(dynamics._chunks(alpha_sq.size, 3)) == alpha_sq.size  # 1 point each
         ref = next(iter(grids.values()))
         for key, grid in grids.items():
             assert np.array_equal(grid, ref), key
@@ -119,11 +119,11 @@ class TestHusimiGrid:
         chi = rng.normal(size=(3, 43)) + 1j * rng.normal(size=(3, 43))
         rho = FieldDensity(factors=chi / math.sqrt(np.sum(np.abs(chi) ** 2)))
         ax = np.linspace(-3.0, 3.0, 31)
-        monkeypatch.setattr(dynamics, "_HUSIMI_CHUNK", 3 * 8 * 5)  # 5 points a chunk
+        monkeypatch.setattr(dynamics, "_CHUNK", 3 * 8 * 5)  # <= 5 points a chunk
         monkeypatch.setattr(dynamics, "_WORKERS", 1)
         ref = husimi_grid(rho, ax, ax).values
         monkeypatch.setattr(dynamics, "_WORKERS", 8)
-        assert len(dynamics._point_chunks(ax.size ** 2, 3)) == 193
+        assert len(dynamics._chunks(ax.size ** 2, 3)) == 200
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -131,6 +131,21 @@ class TestHusimiGrid:
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(grid, ref)
+
+    def test_grid_in_one_chunk_starts_no_thread(self, monkeypatch):
+        # each chunk pays the whole Horner loop, so a small grid runs alone
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        rho = self.far_state()
+        re_axis = np.linspace(34.0, 38.0, 5)
+        im_axis = np.linspace(-1.5, 1.5, 5)
+        monkeypatch.setattr(dynamics, "_WORKERS", 4)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        grid = husimi_grid(rho, re_axis, im_axis).values
+        ref = np.array([[husimi_q(rho, complex(re, im)) for re in re_axis]
+                        for im in im_axis])
+        np.testing.assert_allclose(grid, ref, rtol=1e-9, atol=0)
 
     def test_worker_exception_reaches_caller(self, monkeypatch):
         caller = threading.current_thread()
@@ -142,6 +157,7 @@ class TestHusimiGrid:
             return amplitudes(rows, z)
 
         monkeypatch.setattr(dynamics, "_WORKERS", 2)
+        monkeypatch.setattr(dynamics, "_CHUNK", 3 * 2 * 8)  # <= 8 points a chunk
         monkeypatch.setattr(dynamics, "_bargmann_amplitudes", fail_off_caller)
         ax = np.linspace(-1.0, 1.0, 7)
         rho = FieldDensity(factors=np.eye(3, 12, dtype=complex) / math.sqrt(3.0))
