@@ -151,13 +151,21 @@ class RunConfig:
     raw: dict = field(repr=False, default=None)
 
 
-def _parse_selector(spec, kind_map, table, path, default):
-    if spec is None:
+def _parse_selector(obj, name, kind_map, path, default):
+    """The <name>_kind selector of a model, with the <name>_table of values
+    that only the custom kind takes."""
+    table = _numbers(obj, f"{name}_table", path)
+    spec = obj.get(f"{name}_kind")
+    kind = None if spec is None else _choice(spec, kind_map, f"{path}.{name}_kind")
+    custom = kind in (HKind.CUSTOM, FKind.CUSTOM)
+    if table is not None and not custom:
+        raise ConfigError(f"{path}.{name}_table: only {name}_kind \"custom\" "
+                          "takes a value table")
+    if kind is None:
         return default
-    kind = _choice(spec, kind_map, path)
-    if kind in (HKind.CUSTOM, FKind.CUSTOM):
+    if custom:
         if not table:
-            raise ConfigError(f"{path}: custom kind needs a non-empty value table")
+            raise ConfigError(f"{path}.{name}_kind: custom kind needs a non-empty value table")
         return NonlinearitySelector(kind, table)
     return NonlinearitySelector(kind)
 
@@ -172,12 +180,8 @@ def _parse_model(obj, path):
         chi=_number(obj, "chi", path, default=0.0),
         omega=_number(obj, "omega", path),
         delta=_number(obj, "delta", path),
-        h_kind=_parse_selector(obj.get("h_kind"), _H_KINDS,
-                               _numbers(obj, "h_table", path), f"{path}.h_kind",
-                               NonlinearitySelector(HKind.STANDARD)),
-        f_kind=_parse_selector(obj.get("f_kind"), _F_KINDS,
-                               _numbers(obj, "f_table", path), f"{path}.f_kind",
-                               NonlinearitySelector(FKind.LINEAR)),
+        h_kind=_parse_selector(obj, "h", _H_KINDS, path, NonlinearitySelector(HKind.STANDARD)),
+        f_kind=_parse_selector(obj, "f", _F_KINDS, path, NonlinearitySelector(FKind.LINEAR)),
     )
     return kwargs
 

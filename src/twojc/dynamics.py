@@ -481,8 +481,10 @@ def _bargmann_amplitudes(rows, z):
     1e150 have them divided by their largest modulus, and the Gaussian is
     applied to the log of each point's accumulated scale at the end.  A
     point's value thus depends on that point alone, not on the others
-    evaluated with it.
+    evaluated with it.  Horner starts at the last level where any row is
+    nonzero: the steps above it would only carry exact zeros.
     """
+    rows = rows[:, :1 + max(np.flatnonzero(rows.any(axis=0)), default=0)]
     dim = rows.shape[1]
     inv_sqrt = 1.0 / np.sqrt(np.arange(1, dim))
     acc = np.empty((len(rows), z.size), dtype=np.complex128)

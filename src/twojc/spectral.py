@@ -8,8 +8,10 @@ fixed phase labeling
 
 which downstream amplitude labels depend on (roots are never re-sorted;
 with theta in [0, pi] this makes E_1 >= E_3 >= E_2).  Eigenvector rows
-come from the adjugate of (H - E I); LAPACK's eigh backs the formula up
-wherever it degenerates.  Every function takes the blocks as the plain
+come from the adjugate of (H - E I).  Wherever that formula degenerates,
+the block is solved by LAPACK's eigh instead, which gives the row both
+its energies and its vectors, labelled by sorted order: the ascending
+eigenvalues are E_2, E_3, E_1.  Every function takes the blocks as the plain
 (..., 3, 3) arrays of model.build_block.  The package's one hand-written
 eigensolver is the oracle's cyclic Jacobi, which the roots are checked
 against so that the reference shares no code with this module.
@@ -34,6 +36,8 @@ _NORM_FLOOR = 1e-10
 _QUALITY_TOL = 5e-12
 # degeneracy threshold on -Q, scaled by max|H|^2 so that 2^k H is flagged as H is
 _DEGENERACY = 1e-14
+# E_1, E_2, E_3 as indices into eigh's ascending eigenvalues (E_1 >= E_3 >= E_2)
+_SORTED_LABELS = [2, 0, 1]
 
 
 @dataclass(frozen=True)
@@ -143,33 +147,17 @@ def _adjugate_rows(H, E):
                      (E - h11) * (E - h00) - h01 ** 2], axis=-1)
 
 
-def _fallback_coeffs(H, energies, rows):
-    """Orthonormal rows from LAPACK's eigh, matched to the requested
-    eigenvalue labels and sign-aligned with the adjugate rows."""
-    w, V = np.linalg.eigh(H)
-    taken = np.zeros(len(w), dtype=bool)
-    C = np.empty((3, 3))
-    for j in range(3):
-        free = np.where(~taken)[0]
-        k = free[np.argmin(np.abs(w[free] - energies[j]))]
-        taken[k] = True
-        v = V[:, k]
-        ref = rows[j]
-        s = float(ref @ v)
-        if s == 0.0:  # deterministic sign: first nonzero component positive
-            s = v[np.flatnonzero(v)[0]]
-        C[j] = v if s >= 0.0 else -v
-    return C
-
-
 def eigenvector_coeffs(energies, H):
     """Row-orthonormal eigenvector coefficients in the symmetric basis.
 
-    Returns (C, used_fallback), C with the blocks' leading shape plus
-    (3, 3).  The adjugate formula is used wherever its normalization is
-    healthy; a block with a tiny row normalization (e.g. g = 0 makes every
-    component vanish) or any residual orthonormality defect is solved by
-    eigh instead, and only those blocks are.
+    Returns (energies, C, used_fallback), C with the blocks' leading shape
+    plus (3, 3).  The adjugate formula is used wherever its normalization
+    is healthy; a block with a tiny row normalization (e.g. g = 0 makes
+    every component vanish) or any residual orthonormality defect is
+    solved by one stacked eigh instead, and only those blocks are; such a
+    block takes eigh's eigenvalues too.  Each eigh row points along the
+    adjugate row at its own eigenvalue, else has its first nonzero entry
+    positive.
     """
     hnorm2 = np.sum(H * H, axis=(-2, -1))
     rows = _adjugate_rows(H, energies)
@@ -178,10 +166,16 @@ def eigenvector_coeffs(energies, H):
     C = rows / np.where(healthy, norm, 1.0)[..., None]
     defect = np.abs(C @ np.swapaxes(C, -1, -2) - np.eye(3)).max(axis=(-2, -1))
     used_fallback = ~healthy.all(axis=-1) | (defect > _QUALITY_TOL)
-    for k in map(tuple, np.argwhere(used_fallback)):
-        C[k] = np.eye(3) if hnorm2[k] == 0.0 else _fallback_coeffs(
-            H[k], energies[k], rows[k])
-    return C, used_fallback
+    blocks = H[used_fallback]
+    w, V = np.linalg.eigh(blocks)
+    w, V = w[:, _SORTED_LABELS], np.swapaxes(V, -1, -2)[:, _SORTED_LABELS]
+    s = (_adjugate_rows(blocks, w)[..., None, :] @ V[..., :, None])[..., 0, 0]
+    first = np.take_along_axis(V, np.argmax(V != 0.0, axis=-1)[..., None], axis=-1)[..., 0]
+    s = np.where(s == 0.0, first, s)
+    energies = np.array(energies)
+    energies[used_fallback] = w
+    C[used_fallback] = np.where(s[..., None] >= 0.0, V, -V)
+    return energies, C, used_fallback
 
 
 def rabi_frequencies(energies) -> np.ndarray:
@@ -233,8 +227,7 @@ def solve_blocks(H, n) -> SpectrumTable:
     """
     e = np.frexp(np.abs(H).max(axis=(-2, -1)))[1]
     scaled = np.ldexp(H, -e[..., None, None])
-    energies = eigenvalues(cardano(scaled), scaled)
-    C, fell_back = eigenvector_coeffs(energies, scaled)
+    energies, C, fell_back = eigenvector_coeffs(eigenvalues(cardano(scaled), scaled), scaled)
     table = SpectrumTable(n=np.array(n), energies=np.ldexp(energies, e[..., None]),
                           coeffs=C, used_fallback=fell_back)
     for arr in (table.n, table.energies, C, fell_back):

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twojc import ConfigError, FixtureIntegrityError
+from twojc import ConfigError, FixtureIntegrityError, build_block
 from twojc.cli import main, run_config
 from twojc.config import MAX_COUNT, RunConfig, load_config, parse_config
 from twojc.validation import (check_spectral_identities, check_t0_anchors,
@@ -149,6 +150,43 @@ class TestConfigParsing:
         assert main(["run", write_cfg(tmp_path, doc)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("model", [
+        {"f_table": [1.0, 2.0, 3.0]},
+        {"f_kind": "linear", "f_table": [1.0, 2.0, 3.0]},
+        {"h_table": [1.0, 2.0, 3.0]},
+        {"h_kind": "kerr", "h_table": [1.0, 2.0, 3.0]},
+    ], ids=["f_no_kind", "f_linear", "h_no_kind", "h_kerr"])
+    @pytest.mark.parametrize("where", ["config.model", "config.curves[0].model"])
+    def test_value_table_needs_the_custom_kind(self, tmp_path, capsys, model, where):
+        doc = deep(BASE, model={"omega0": 1.0, "g": 0.001})
+        if where == "config.model":
+            doc["model"].update(model)
+        else:
+            doc["curves"] = [{"label": "a", "model": model}]
+        key = f"{where}.{next(k for k in model if k.endswith('_table'))}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
+            parse_config(doc)
+        assert main(["run", write_cfg(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_curve_leaving_the_custom_kind_inherits_no_table(self):
+        doc = deep(BASE, curves=[{"label": "a", "model": {"f_kind": "linear"}}])
+        doc["model"].update(f_kind="custom", f_table=[1.0] * 40)
+        with pytest.raises(ConfigError, match=r"^config\.curves\[0\]\.model\.f_table: "):
+            parse_config(doc)
+
+    def test_custom_kinds_take_their_tables(self):
+        h_table = [0.01 * m for m in range(40)]
+        doc = deep(BASE, curves=[{"label": "a"}, {"label": "b", "model": {
+            "h_kind": "custom", "h_table": h_table}}])
+        doc["model"].update(f_kind="custom", f_table=[1.0] * 40)
+        a, b = parse_config(doc).curves
+        assert a.params.f_kind.custom_table == b.params.f_kind.custom_table == (1.0,) * 40
+        assert a.params.h_kind.custom_table is None
+        assert b.params.h_kind.custom_table == tuple(h_table)
 
     def test_duplicate_curve_labels(self):
         doc = deep(BASE, curves=[{"label": "a"}, {"label": "a"}])
@@ -508,6 +546,17 @@ class TestCliEntry:
         assert len(doc["energies_rad_per_time"]) == 3
         assert doc["rabi_21_31_23"][0] == pytest.approx(
             doc["rabi_21_31_23"][1] + doc["rabi_21_31_23"][2])
+
+    def test_dump_spectrum_of_a_fallback_block(self, tmp_path, capsys):
+        doc = deep(BASE, field={"mean_n": 20.0})
+        doc["model"].update(omega0=1.0, g=1e-6, kappa=1.0, J=1.0)
+        assert main(["dump-spectrum", "--n", "0", write_cfg(tmp_path, doc)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["used_numeric_fallback"] is True
+        assert min(out["rabi_21_31_23"]) >= 0.0
+        cfg = parse_config(doc)
+        exact = np.linalg.eigvalsh(build_block(cfg.curves[0].params, 0))
+        np.testing.assert_allclose(np.sort(out["energies_rad_per_time"]), exact, rtol=1e-14)
 
     def test_dump_spectrum_block_out_of_range(self, tmp_path):
         cfg = write_cfg(tmp_path, deep(BASE))

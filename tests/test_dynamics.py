@@ -453,6 +453,20 @@ class TestShiftInvarianceOfObservables:
         for key in ("inversion", "purity", "entropy"):
             np.testing.assert_allclose(outs[0][key], outs[1][key], atol=1e-12)
 
+    def test_weak_coupling_shift_drops_out_of_the_inversion(self):
+        """g = 1e-6 with kappa = J = 1: the low blocks fall back to eigh,
+        and their level gap (~3e-6) is below the Cardano roots' error."""
+        taus = np.linspace(0.0, 4.0 * math.pi, 400)
+        field = coherent_field(20.0)
+        outs = []
+        for shift in (1.0, 0.0):
+            p = ModelParams(omega0=1.0, g=1e-6, kappa=shift, J_ising=shift,
+                            f_kind=F_BUCK_SUKUMAR)
+            spectra = spectrum_table(p, field.n_max)
+            assert spectra.used_fallback.any() == (shift != 0.0)
+            outs.append(observable_series(field, spectra, taus / p.g, ["inversion"]))
+        assert np.abs(outs[0]["inversion"] - outs[1]["inversion"]).max() < 1e-8
+
 
 @pytest.fixture(scope="module")
 def large_n_kerr():

@@ -174,7 +174,7 @@ class TestEigenvectors:
         p = ModelParams(omega0=1.0, g=0.9, f_kind=F_LINEAR)
         b = build_block(p, 0)
         e = eigenvalues(cardano(b), b)
-        C, fell_back = eigenvector_coeffs(e, b)
+        e, C, fell_back = eigenvector_coeffs(e, b)
         assert not fell_back
         expect = np.array([2.0, 0.0, -SQRT2]) / math.sqrt(6.0)
         row = C[2]  # E = 0 is the third Cardano root here
@@ -185,7 +185,7 @@ class TestEigenvectors:
         diag = np.array([0.3, -0.2, 0.45])
         b = np.diag(diag)
         e = eigenvalues(cardano(b), b)
-        C, fell_back = eigenvector_coeffs(e, b)
+        e, C, fell_back = eigenvector_coeffs(e, b)
         assert fell_back  # adjugate rows vanish without coupling
         perm = np.abs(C)
         assert np.allclose(perm @ perm.T, np.eye(3), atol=1e-12)
@@ -200,7 +200,7 @@ class TestEigenvectors:
             params, n = random_draw(rng)
             b = build_block(params, n)
             e = eigenvalues(cardano(b), b)
-            C, _ = eigenvector_coeffs(e, b)
+            e, C, _ = eigenvector_coeffs(e, b)
             assert np.abs(C @ C.T - np.eye(3)).max() < 1e-10
             assert np.abs(C.T @ C - np.eye(3)).max() < 1e-10
             nrm = max(1.0, np.linalg.norm(b))
@@ -337,6 +337,21 @@ def assert_rows_identical(a, b):
         np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name), err_msg=f.name)
 
 
+def near_degenerate_blocks(count=200, seed=83):
+    """Blocks with d1 = d0 + O(s) and couplings O(s), s in [1e-12, 1e-7]:
+    the adjugate rows fail the quality check, so every one falls back."""
+    rng = np.random.default_rng(seed)
+    s = 10.0 ** rng.uniform(-12, -7, count)
+    H = np.zeros((count, 3, 3))
+    d0 = rng.uniform(-1, 1, count)
+    H[:, 0, 0] = d0
+    H[:, 1, 1] = d0 + s * rng.uniform(-1, 1, count)
+    H[:, 2, 2] = rng.uniform(-1, 1, count)
+    H[:, 0, 1] = H[:, 1, 0] = s * rng.uniform(-1, 1, count)
+    H[:, 1, 2] = H[:, 2, 1] = s * rng.uniform(-1, 1, count)
+    return H
+
+
 class TestSpectrumTable:
     CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..",
                                             "configs", "*.json")))
@@ -373,22 +388,24 @@ class TestSpectrumTable:
         np.diag([0.3, -0.2, 0.45]),
         # the negative coupling makes eigh's sign disagree with one adjugate row
         [[0.2, 0.0, 0.0], [0.0, 0.2, -0.35], [0.0, -0.35, 0.2]],
-    ], ids=["decoupled", "repeated_diagonal"])
+        near_degenerate_blocks(),
+    ], ids=["decoupled", "repeated_diagonal", "near_degenerate_stack"])
     def test_fallback_rows_match_the_cyclic_jacobi(self, matrix):
-        H = np.asarray(matrix, dtype=float)
-        row = solve_blocks(H, 0)
-        assert row.used_fallback
-        C, E = row.coeffs, row.energies
+        H = np.asarray(matrix, dtype=float).reshape(-1, 3, 3)
+        table = solve_blocks(H, np.arange(len(H)))
+        assert table.used_fallback.all()
         w, _ = jacobi_eigh_cyclic(H)
-        scale = max(1.0, np.linalg.norm(H))
-        assert np.abs(np.sort(E) - np.sort(w)).max() <= 1e-12 * scale
-        # the eigenvalue each row carries, not only the Cardano labels
-        assert np.abs(np.sort(np.diag(C @ H @ C.T)) - np.sort(w)).max() <= 1e-12 * scale
-        np.testing.assert_allclose(C.T @ np.diag(E) @ C, H, rtol=0, atol=1e-12 * scale)
-        # sign rule: along the adjugate row, else first nonzero entry positive
-        for ref, c in zip(_adjugate_rows(H, E), C):
-            s = ref @ c
-            assert s > 0.0 or (s == 0.0 and c[np.flatnonzero(c)[0]] > 0.0)
+        for block, C, E, exact in zip(H, table.coeffs, table.energies, w):
+            scale = max(1.0, np.linalg.norm(block))
+            assert np.abs(np.sort(E) - np.sort(exact)).max() <= 1e-12 * scale
+            # the eigenvalue each row carries, not only the Cardano labels
+            assert np.abs(np.sort(np.diag(C @ block @ C.T)) - np.sort(exact)).max() <= 1e-12 * scale
+            np.testing.assert_allclose(C.T @ np.diag(E) @ C, block, rtol=0, atol=1e-12 * scale)
+            assert E[0] >= E[2] >= E[1]
+            # sign rule: along the adjugate row, else first nonzero entry positive
+            for ref, c in zip(_adjugate_rows(block, E), C):
+                s = ref @ c
+                assert s > 0.0 or (s == 0.0 and c[np.flatnonzero(c)[0]] > 0.0)
 
 
 class TestLargeEntries:
