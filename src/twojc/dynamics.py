@@ -185,6 +185,13 @@ def _run_chunks(share_task, chunks):
             raise exc
 
 
+def _check_phases(energies, times):
+    """Abort when a phase E t of the table is beyond double range."""
+    if len(times) and not math.isfinite(float(np.abs(energies).max())
+                                        * float(np.abs(times).max())):
+        raise NumericalGuardError("phases E t beyond double range")
+
+
 def _fold_weights(spectra, atom_init: AtomInit, amplitudes):
     """W[k, j, n] = A_n C[n, j, init] C[n, j, k]; (3, 3, N+1) over (k, j, n).
 
@@ -203,12 +210,12 @@ class _BranchRows:
     k .. k + N are zero; so rho_A = X X^dagger and rho_F = X^T X^*.  A call
     takes up to `capacity` times and returns a view of buffers that the
     next call overwrites, so the chunks of one series reuse the same memory.
+    The caller checks the phases first (_check_phases).
     """
 
     def __init__(self, weights, energies, capacity: int):
         self._weights = weights
         self._minus_energies = -energies.T                            # (3, N+1)
-        self._max_energy = float(np.abs(energies).max())
         self._x = np.empty((capacity,) + self._minus_energies.shape)  # -E t
         self._phases = np.empty(self._x.shape, dtype=np.complex128)
         self._rows = np.zeros((capacity, 3, energies.shape[0] + 2), dtype=np.complex128)
@@ -216,8 +223,6 @@ class _BranchRows:
 
     def __call__(self, times):
         n_times = len(times)
-        if n_times and not math.isfinite(self._max_energy * float(np.abs(times).max())):
-            raise NumericalGuardError("phases E t beyond double range")
         n_levels = self._x.shape[2]
         x, phases = self._x[:n_times], self._phases[:n_times]
         branch, rows = self._spare[:n_times, :, :n_levels], self._rows[:n_times]
@@ -238,8 +243,10 @@ class _BranchRows:
 
 def evolve_coeffs(spectra, atom_init: AtomInit, t: float) -> np.ndarray:
     """Branch coefficients D_k^(n)(t) of every block at time t; (N+1, 3)."""
+    times = np.array([float(t)])
+    _check_phases(spectra.energies, times)
     weights = _fold_weights(spectra, atom_init, np.ones(len(spectra)))
-    rows = _BranchRows(weights, spectra.energies, 1)(np.array([float(t)]))[0]
+    rows = _BranchRows(weights, spectra.energies, 1)(times)[0]
     levels = len(spectra)
     return np.stack([rows[k, k:k + levels] for k in range(3)], axis=1)
 
@@ -279,21 +286,48 @@ class FieldDensity:
         return float(np.sum(np.arange(len(pop)) * pop))
 
 
+# blocks at the two ends of the ladder whose combined probability is at most
+# this are left out of rho_A (_support)
+_SUPPORT_MASS = 1e-32
+
+
+def _support(amplitudes):
+    """Blocks [lo, hi) that hold the field: the ladder less the longest runs
+    at its two ends whose combined probability sum |A_n|^2 is at most
+    _SUPPORT_MASS (of the splits that drop the most blocks, the one with
+    the smallest lo)."""
+    p = np.abs(amplitudes) ** 2
+    head = np.concatenate(([0.0], np.cumsum(p)))              # mass below block i
+    tail = np.concatenate((np.cumsum(p[::-1])[::-1], [0.0]))  # mass from block j up
+    los = np.flatnonzero(head <= _SUPPORT_MASS)
+    # the first hi whose tail fits in what each lo leaves; tail never grows
+    his = np.searchsorted(-tail, head[los] - _SUPPORT_MASS)
+    best = int(np.argmax(los - his))
+    return int(los[best]), int(his[best])
+
+
 def _rho_atoms(field: FieldInit, spectra, times) -> np.ndarray:
     """rho_A(t) = X X^dagger over a time array; (T, 3, 3).
 
     Entry (k, j) sums A_{n+j-k} A_n^* D_k^{(n+j-k)} D_j^{(n)*} over n: the
-    Gram matrix of the branch rows (_BranchRows).  Each time chunk writes
-    only its own slice of the stack, so the chunks run on _WORKERS threads
-    (_run_chunks), each thread with its own row buffers, and every entry is
-    the same bits for any thread count.
+    Gram matrix of the branch rows (_BranchRows).  The rows span only the
+    blocks [lo, hi) that hold the field (_support).  Each row is
+    chi_k[n + k] = A_n D_k^(n) with sum_k |D_k^(n)|^2 = 1, so leaving out
+    blocks of mass m moves every entry of rho_A by at most 2 sqrt(m) + m,
+    about 2e-16 at m = 1e-32.  The phase guard still reads every block.
+    Each time chunk writes only its own slice of the stack, so the chunks
+    run on _WORKERS threads (_run_chunks), each thread with its own row
+    buffers, and every entry is the same bits for any thread count.
     """
-    weights = _fold_weights(spectra, field.atom_init, field.amplitudes)
+    _check_phases(spectra.energies, times)
+    lo, hi = _support(field.amplitudes)
+    support = spectra[lo:hi]
+    weights = _fold_weights(support, field.atom_init, field.amplitudes[lo:hi])
     rho = np.empty((len(times), 3, 3), dtype=np.complex128)
-    chunks = _chunks(len(times), 3 * len(spectra))
+    chunks = _chunks(len(times), 3 * len(support))
 
     def share_task():
-        rows = _BranchRows(weights, spectra.energies, chunks[0].stop)
+        rows = _BranchRows(weights, support.energies, chunks[0].stop)
         return lambda part: rows.gram(times[part], out=rho[part])
 
     _run_chunks(share_task, chunks)
@@ -307,8 +341,10 @@ def reduced_atom_density(field: FieldInit, spectra, t: float) -> np.ndarray:
 
 def reduced_field_density(field: FieldInit, spectra, t: float) -> FieldDensity:
     """rho_F(t) = sum_k |chi_k><chi_k| with chi_k[n+k-1] = A_n D_k^(n)."""
+    times = np.array([float(t)])
+    _check_phases(spectra.energies, times)
     weights = _fold_weights(spectra, field.atom_init, field.amplitudes)
-    chi = _BranchRows(weights, spectra.energies, 1)(np.array([float(t)]))[0]
+    chi = _BranchRows(weights, spectra.energies, 1)(times)[0]
     chi.setflags(write=False)
     return FieldDensity(factors=chi)
 

@@ -477,13 +477,71 @@ def large_n_kerr():
     return fields, spectrum_table(params, fields[0].n_max)
 
 
+def rho_width(field):
+    """The phases of one time in rho_A: 3 per block of the field's support."""
+    lo, hi = dynamics._support(field.amplitudes)
+    return 3 * (hi - lo)
+
+
+def end_mass(p, lo, hi):
+    return float(np.sum(p[:lo]) + np.sum(p[hi:]))
+
+
+class TestSupport:
+    """rho_A sums over the blocks [lo, hi) that hold the field; the ends it
+    leaves out carry at most _SUPPORT_MASS together."""
+
+    def test_vacuum_is_one_block(self):
+        assert dynamics._support(coherent_field(0.0, n_max=10).amplitudes) == (0, 1)
+
+    def test_large_field_drops_as_much_as_fits(self, large_n_kerr):
+        (field, _), _ = large_n_kerr
+        p = field.probabilities
+        lo, hi = dynamics._support(field.amplitudes)
+        assert 0 < lo < hi < len(p)
+        assert end_mass(p, lo, hi) <= dynamics._SUPPORT_MASS
+        assert end_mass(p, lo + 1, hi) > dynamics._SUPPORT_MASS
+        assert end_mass(p, lo, hi - 1) > dynamics._SUPPORT_MASS
+
+    def test_field_without_negligible_end_keeps_the_ladder(self, small_system):
+        _, field, _ = small_system
+        assert dynamics._support(field.amplitudes) == (0, field.n_max + 1)
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 2.7, 7.0, 50.0])
+    def test_density_matches_the_full_ladder_gram(self, large_n_kerr, t):
+        fields, spectra = large_n_kerr
+        for field in fields:
+            D = evolve_coeffs(spectra, field.atom_init, t)
+            levels = len(spectra)
+            X = np.zeros((3, levels + 2), dtype=complex)
+            for k in range(3):
+                X[k, k:k + levels] = field.amplitudes * D[:, k]
+            ref = X @ X.conj().T
+            rho = reduced_atom_density(field, spectra, t)
+            assert np.abs(rho - ref).max() <= 1e-15, field.atom_init
+
+    def test_phase_guard_reads_blocks_outside_the_support(self):
+        params = ModelParams(omega0=1.0, g=1.0, chi=1.0, h_kind=H_KERR)
+        amps = np.zeros(41)
+        amps[5] = 1.0
+        field = dynamics.FieldInit(amplitudes=amps, n_max=40, mean_n=5.0)
+        spectra = spectrum_table(params, 40)
+        assert dynamics._support(field.amplitudes) == (5, 6)
+        top = float(np.abs(spectra.energies).max())
+        own = float(np.abs(spectra.energies[5]).max())
+        t = sys.float_info.max / math.sqrt(top * own)
+        assert math.isfinite(own * t) and not math.isfinite(top * t)
+        with pytest.raises(NumericalGuardError, match="double range"):
+            observable_series(field, spectra, np.array([0.0, t]), ["inversion"])
+
+
 class TestTimeChunks:
     """observable_series and inversion_series work through the time axis in
     chunks; nothing may change where one chunk ends and the next begins."""
 
     def test_series_match_per_time_densities(self, large_n_kerr):
         fields, spectra = large_n_kerr
-        c = dynamics._CHUNK // dynamics._WORKERS // (3 * len(spectra))
+        c = dynamics._CHUNK // dynamics._WORKERS // rho_width(fields[0])
         assert 1 < c < 100
         for n_times in (1, c - 1, c, c + 1, 2 * c + 3):
             times = np.linspace(0.1, 7.0, n_times)
@@ -549,11 +607,11 @@ class TestWorkers:
 
     def test_series_equal_for_any_worker_count(self, large_n_kerr, monkeypatch):
         fields, spectra = large_n_kerr
-        times = np.linspace(0.1, 7.0, 100)
+        times = np.linspace(0.1, 7.0, 200)
         out = {}
         for workers in (1, 2, 3):
             monkeypatch.setattr(dynamics, "_WORKERS", workers)
-            assert len(_chunks(len(times), 3 * len(spectra))) >= 4
+            assert len(_chunks(len(times), rho_width(fields[0]))) >= 4
             out[workers] = [
                 (observable_series(field, spectra, times, SERIES_OBSERVABLES),
                  inversion_series(field, spectra, times),
@@ -577,7 +635,9 @@ class TestWorkers:
             monkeypatch.setattr(dynamics, "_WORKERS", workers)
             doc["output"] = {"dir": str(tmp_path / f"w{workers}"), "prefix": "k"}
             cfg = parse_config(doc)
-            assert len(_chunks(len(cfg.times_tau), 3 * (cfg.curves[0].n_max + 1))) > 1
+            curve = cfg.curves[0]
+            field = coherent_field(curve.mean_n, n_max=curve.n_max)
+            assert len(_chunks(len(cfg.times_tau), rho_width(field))) > 1
             hashes[workers] = [f["sha256"] for f in run_config(cfg)["files"]]
         assert len(hashes[1]) == 4 and hashes[1] == hashes[2]
 
@@ -585,11 +645,11 @@ class TestWorkers:
                                                           monkeypatch):
         _, field, spectra = small_system
         times = np.linspace(0.0, 12.0, 997)
-        monkeypatch.setattr(dynamics, "_CHUNK", 3 * len(spectra) * 64)
+        monkeypatch.setattr(dynamics, "_CHUNK", rho_width(field) * 64)
         monkeypatch.setattr(dynamics, "_WORKERS", 1)
         ref = dynamics._rho_atoms(field, spectra, times)
         monkeypatch.setattr(dynamics, "_WORKERS", 8)
-        assert len(_chunks(len(times), 3 * len(spectra))) == 128
+        assert len(_chunks(len(times), rho_width(field))) == 128
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
