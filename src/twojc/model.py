@@ -144,7 +144,7 @@ class ModelParams:
 
 
 def _check_index(n, least=0):
-    if np.any(np.asarray(n) < least):
+    if (np.asarray(n) < least).any():
         raise TwojcError(f"photon index must be >= {least}")
 
 
@@ -214,7 +214,7 @@ def build_block(params: ModelParams, n) -> np.ndarray:
         mat[..., 0, 1] = mat[..., 1, 0] = off1
         mat[..., 1, 2] = mat[..., 2, 1] = off2
     bad = ~np.isfinite(mat).all(axis=(-2, -1))
-    if np.any(bad):
+    if bad.any():
         raise NumericalGuardError(
             f"block n = {int(np.asarray(n)[bad].flat[0])}: non-finite entries "
             "(the couplings overflow double range)")

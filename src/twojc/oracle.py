@@ -9,9 +9,11 @@ the matrix splits into sectors of dimension 1, 3 or 4; the sectors of one
 size are held as one stack, diagonalized once by the cyclic Jacobi, the
 package's one hand-written eigensolver, which takes a matrix or a stack
 and uses no LAPACK), and a fixed-step 4th-order Runge-Kutta integrator
-over the full matrix.  The analytic layer is deliberately not imported
-for any numerics here, so agreement between the two code paths is
-meaningful.
+over the full matrix.  RK4 assumes no sector structure: it evaluates the
+full-matrix step on the connected blocks of H's own nonzero pattern, so a
+coupling across sectors merges them into one block and a dense H is a
+single block.  The analytic layer is deliberately not imported for any
+numerics here, so agreement between the two code paths is meaningful.
 
 The top two Fock levels are a truncation buffer: runs that populate
 them beyond 1e-10 are rejected.
@@ -110,6 +112,15 @@ def excitation_sectors(M: int):
     return sectors
 
 
+def _size_stacks(index_sets):
+    """Index sets grouped by size: one (S, d) array per size d, ascending in
+    d, the sets of one size in their given order."""
+    by_size = {}
+    for idx in index_sets:
+        by_size.setdefault(len(idx), []).append(idx)
+    return [np.array(by_size[d]) for d in sorted(by_size)]
+
+
 def jacobi_eigh_cyclic(mat):
     """Cyclic-by-rows Jacobi for a symmetric matrix or a stack (..., n, n).
 
@@ -159,10 +170,8 @@ class SectorPropagator:
             raise ValueError("Hamiltonian shape does not match n_max")
         self.n_max = n_max
         self.M = M
-        sectors = excitation_sectors(M)
         self._stacks = []  # (idx (S, d), w (S, d), V (S, d, d)) per size d
-        for d in sorted({len(idx) for idx in sectors}):
-            idx = np.array([i for i in sectors if len(i) == d])
+        for idx in _size_stacks(excitation_sectors(M)):
             w, V = jacobi_eigh_cyclic(H[idx[:, :, None], idx[:, None, :]])
             self._stacks.append((idx, w, V))
 
@@ -182,7 +191,30 @@ class SectorPropagator:
 # One RK4 step of size h multiplies the state by the Taylor polynomial
 # P(h) = sum_{j<=4} (-i h H)^j / j!, so n steps are P(h)^n.  Intervals of
 # one length share a single P^n, formed by repeated squaring, and each
-# sample is then one matrix-vector product.
+# sample is then one matrix-vector product.  A polynomial in a
+# block-diagonal matrix is block-diagonal with the same blocks, so P^n is
+# formed on the connected blocks of H's nonzero pattern, the blocks of one
+# size held as one (S, d, d) stack; the step size and step count still
+# come from the whole of H.
+
+def _connected_blocks(H):
+    """Index sets of the connected components of H's nonzero pattern, taken
+    as an undirected graph: each ascending, ordered by their least index."""
+    rows, cols = np.nonzero(H)
+    src, dst = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    # every node ends labelled by the least node of its component: take the
+    # least label among the neighbours, then jump to the label's own label
+    label = np.arange(H.shape[0])
+    while True:
+        new = label.copy()
+        np.minimum.at(new, src, label[dst])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+
 
 def _auto_dt(H):
     bound = float(np.abs(H).sum(axis=1).max())  # Gershgorin bound on |E|
@@ -194,7 +226,7 @@ def _auto_dt(H):
 def _rk4_step_matrix(H, h):
     """P(h) = I + A + A^2/2 + A^3/6 + A^4/24 with A = -i h H, in Horner form."""
     A = (-1j * h) * H
-    eye = np.eye(H.shape[0])
+    eye = np.eye(H.shape[-1])
     P = eye + A / 4.0
     for j in (3.0, 2.0, 1.0):
         P = eye + (A @ P) / j
@@ -202,7 +234,7 @@ def _rk4_step_matrix(H, h):
 
 
 def _matrix_power(P, n):
-    """P^n for n >= 1 by repeated squaring."""
+    """P^n for n >= 1 by repeated squaring (of each matrix of a stack)."""
     result = None
     while True:
         if n & 1:
@@ -252,8 +284,13 @@ def evolve_numeric(H: np.ndarray, psi0: JointState, t: float, dt: float = None) 
 
 def evolve_numeric_sampled(H: np.ndarray, psi0: JointState, times, dt: float = None):
     """RK4 samples on the full joint matrix at the given times (ascending,
-    from psi0.time).  dt defaults to 0.02 / (Gershgorin bound on |E|); norm
-    drift beyond 1e-8 raises.
+    from psi0.time).  dt defaults to 0.02 / (Gershgorin bound on |E|) of
+    the whole H; norm drift beyond 1e-8 raises.
+
+    The step polynomial and its powers are evaluated on the connected
+    blocks of H's nonzero pattern, found from H itself and never from the
+    excitation sectors, so the samples are those of the full-matrix RK4
+    for any H, dense or coupling any sectors.
 
     Sample times carry rounding, so intervals that agree to a few ulps of
     the latest time (evenly spaced samples) are integrated with one common
@@ -276,16 +313,21 @@ def evolve_numeric_sampled(H: np.ndarray, psi0: JointState, times, dt: float = N
         return []
     tol = 4.0 * np.finfo(float).eps * max(abs(psi0.time), float(np.abs(times).max()))
     shared, uses_left = _shared_spans(spans, tol)
-    powers = {}  # span -> P^n, kept while more intervals of that span follow
+    stacks = [(idx, H[idx[:, :, None], idx[:, None, :]])
+              for idx in _size_stacks(_connected_blocks(H))]
+    powers = {}  # span -> P^n per stack, kept while more intervals of that span follow
     out = []
     for t, span, left in zip(times, shared, uses_left):
         if span:
             power = powers.pop(span, None)
             if power is None:
-                power = _rk4_power(H, float(span), dt)
+                power = [_rk4_power(Hs, float(span), dt) for _, Hs in stacks]
             if left > 1:
                 powers[span] = power
-            psi = power @ psi
+            nxt = np.empty_like(psi)
+            for (idx, _), P in zip(stacks, power):
+                nxt[idx] = (P @ psi[idx][..., None])[..., 0]
+            psi = nxt
         _check_norm(psi, n0)
         out.append(JointState(amplitudes=psi.reshape(4, -1).copy(), time=float(t)))
     return out

@@ -10,15 +10,15 @@ import numpy as np
 import pytest
 
 import twojc
-from twojc import dynamics
+from twojc import dynamics, oracle
 from twojc import (F_BUCK_SUKUMAR, ModelParams, NumericalGuardError, coherent_field,
                    concurrence, husimi_grid, husimi_q, observable_series,
                    reduced_atom_density)
 from twojc.dynamics import (FieldDensity, coherent_vector,
                             entropy_of_eigvals, hermitian_eigvals)
 from twojc.oracle import (build_joint_hamiltonian, evolve_numeric,
-                          evolve_numeric_sampled, jacobi_eigh_cyclic,
-                          joint_initial_state)
+                          evolve_numeric_sampled, excitation_sectors,
+                          jacobi_eigh_cyclic, joint_initial_state)
 
 
 def random_densities(rng, count, dim, rank=None):
@@ -250,6 +250,37 @@ class TestRk4Powers:
                             [1.7], dt)[0]
         np.testing.assert_allclose(out.amplitudes.reshape(-1), ref,
                                    rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("pattern", ["cross_sector", "dense", "zero"])
+    def test_any_block_pattern_matches_sequential_loop(self, pattern, monkeypatch):
+        H, psi0, _ = self.system()
+        M = psi0.n_levels
+        n_blocks = {"cross_sector": len(excitation_sectors(M)) - 1,
+                    "dense": 1, "zero": 4 * M}[pattern]
+        if pattern == "cross_sector":
+            H = H.copy()
+            # |e,e,4> (excitation 5) to |g,g,9> (excitation 8)
+            H[3 * M + 4, 9] = H[9, 3 * M + 4] = 0.05
+        elif pattern == "dense":
+            a = np.random.default_rng(4).normal(size=H.shape)
+            H = (a + a.T) / math.sqrt(2.0 * len(a))
+        else:
+            H = np.zeros_like(H)
+        assert len(oracle._connected_blocks(H)) == n_blocks
+        bound = float(np.abs(H).sum(axis=1).max())
+        dt = 0.02 / bound if bound else math.inf
+
+        def no_sectors(M):
+            raise AssertionError("RK4 read the excitation sectors")
+
+        monkeypatch.setattr(oracle, "excitation_sectors", no_sectors)
+        times = np.linspace(0.0, 2.0, 21)
+        states = evolve_numeric_sampled(H, psi0, times)
+        ref = reference_rk4(H, psi0.amplitudes.reshape(-1).astype(complex),
+                            times, dt)
+        for s, r in zip(states, ref):
+            np.testing.assert_allclose(s.amplitudes.reshape(-1), r,
+                                       rtol=0, atol=1e-12)
 
     def test_descending_times_rejected(self):
         H, psi0, _ = self.system()

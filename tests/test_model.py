@@ -44,6 +44,17 @@ class TestNonlinearities:
         with pytest.raises(TwojcError):
             ladder_factor(F_BUCK_SUKUMAR, -3)
 
+    @pytest.mark.parametrize("call, least", [
+        (lambda p: eval_f(F_BUCK_SUKUMAR, -1), 0),
+        (lambda p: eval_h(H_KERR, p, np.array([3, -2, 0])), 0),
+        (lambda p: ladder_factor(F_LINEAR, 0), 1),
+        (lambda p: build_block(p, -1), 0),
+    ], ids=["int", "array", "ladder_m0", "block_n-1"])
+    def test_negative_photon_index_message(self, call, least):
+        p = ModelParams(omega0=1.0, g=0.2, chi=0.1, h_kind=H_KERR)
+        with pytest.raises(TwojcError, match=rf"^photon index must be >= {least}$"):
+            call(p)
+
     def test_custom_table(self):
         sel = NonlinearitySelector(FKind.CUSTOM, custom_table=(1.0, 2.0, 3.0))
         assert eval_f(sel, 2) == 3.0

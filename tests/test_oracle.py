@@ -7,8 +7,9 @@ from twojc import (F_BUCK_SUKUMAR, F_LINEAR, H_KERR, ModelParams,
                    NumericalGuardError, TruncationError, build_block,
                    coherent_field, reduced_atom_density, spectrum_table)
 from twojc.dynamics import AtomInit, embed_atom_density
-from twojc.oracle import (JointState, SectorPropagator, antisymmetric_leakage,
-                          buffer_population, build_joint_hamiltonian,
+from twojc.oracle import (JointState, SectorPropagator, _connected_blocks,
+                          antisymmetric_leakage, buffer_population,
+                          build_joint_hamiltonian,
                           evolve_numeric, evolve_numeric_sampled,
                           excitation_sectors, inversion_of,
                           jacobi_eigh_cyclic, joint_initial_state,
@@ -80,6 +81,23 @@ class TestJointHamiltonian:
         M = 9
         all_idx = np.sort(np.concatenate(excitation_sectors(M)))
         np.testing.assert_array_equal(all_idx, np.arange(4 * M))
+
+    def test_connected_blocks_are_the_excitation_sectors(self):
+        # found from the nonzero pattern alone, checked against the sectors
+        n_max = 20
+        M = n_max + 3
+        H = build_joint_hamiltonian(bs_params(kmj=0.3, chi=0.05, delta=0.2), n_max)
+        blocks = _connected_blocks(H)
+        np.testing.assert_array_equal(np.sort(np.concatenate(blocks)),
+                                      np.arange(4 * M))
+        label = np.empty(4 * M, dtype=np.int64)
+        for k, idx in enumerate(blocks):
+            label[idx] = k
+        rows, cols = np.nonzero(H)
+        np.testing.assert_array_equal(label[rows], label[cols])
+        np.testing.assert_array_equal(
+            np.bincount([len(idx) for idx in blocks]),
+            np.bincount([len(idx) for idx in excitation_sectors(M)]))
 
 
 class TestInitialStates:
