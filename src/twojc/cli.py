@@ -238,15 +238,29 @@ def _cmd_run(args):
 
 
 def _cmd_validate(args):
-    try:  # opened before the checks run, so a bad path costs no run
-        report_file = open(args.report, "w") if args.report else None
+    """The report goes under a temporary name, opened before the checks run
+    so that a bad path costs no run; it takes its name once complete, so a
+    failed run leaves an earlier report at the path as it was."""
+    temporary = args.report and args.report + ".partial"
+    try:
+        if args.report and os.path.isdir(args.report):  # a rename onto it would fail
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        report_file = open(temporary, "w") if args.report else None
     except OSError as exc:
         raise ConfigError(f"--report {args.report!r}: {exc.strerror}") from exc
-    report = validation.run_level(args.level)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if report_file:
-        with report_file:
-            report_file.write(text + "\n")
+    try:
+        report = validation.run_level(args.level)
+        text = json.dumps(report, indent=2, sort_keys=True)
+        if report_file:
+            with report_file:
+                report_file.write(text + "\n")
+            os.replace(temporary, args.report)
+    except BaseException:
+        if report_file:
+            report_file.close()
+            with contextlib.suppress(OSError):
+                os.remove(temporary)
+        raise
     print(text)
     return 0 if report["passed"] else 1
 

@@ -15,12 +15,16 @@ coupling across sectors merges them into one block and a dense H is a
 single block.  The analytic layer is deliberately not imported for any
 numerics here, so agreement between the two code paths is meaningful.
 
+A joint state is a complex array of shape (4, M): amplitudes over the
+atomic basis times the Fock levels.  Both propagators take an array of
+times and return one state per time, a (..., 4, M) stack, and every
+reduction acts on the last two axes of such a stack.
+
 The top two Fock levels are a truncation buffer: runs that populate
 them beyond 1e-10 are rejected.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +32,8 @@ from .dynamics import AtomInit, FieldInit
 from .errors import NumericalGuardError, TruncationError
 from .model import ModelParams, ladder_factor, shift_factor
 
-__all__ = ["JointState", "build_joint_hamiltonian", "joint_initial_state",
-           "SectorPropagator", "evolve_numeric", "evolve_numeric_sampled",
+__all__ = ["build_joint_hamiltonian", "joint_initial_state",
+           "SectorPropagator", "evolve_numeric_sampled",
            "partial_trace_atoms", "partial_trace_field", "inversion_of",
            "buffer_population", "antisymmetric_leakage", "jacobi_eigh_cyclic"]
 
@@ -39,22 +43,6 @@ _RK4_STEP_FRACTION = 0.02  # dt * (Gershgorin bound on |E|)
 
 # sigma_z weight per atomic basis state (gg, ge, eg, ee)
 _ATOM_WEIGHT = np.array([-1.0, 0.0, 0.0, 1.0])
-
-
-@dataclass(frozen=True)
-class JointState:
-    """Amplitudes over {atom basis} x {Fock levels}, shape (4, M)."""
-
-    amplitudes: np.ndarray
-    time: float
-
-    @property
-    def n_levels(self):
-        return self.amplitudes.shape[1]
-
-    @property
-    def norm(self):
-        return float(np.linalg.norm(self.amplitudes))
 
 
 def build_joint_hamiltonian(params: ModelParams, n_max: int) -> np.ndarray:
@@ -81,8 +69,8 @@ def build_joint_hamiltonian(params: ModelParams, n_max: int) -> np.ndarray:
     return H
 
 
-def joint_initial_state(field: FieldInit) -> JointState:
-    """Product of the selected atomic state with the configured field.
+def joint_initial_state(field: FieldInit) -> np.ndarray:
+    """Product of the selected atomic state with the configured field, (4, M).
 
     The symmetric start places amplitude A_n on Fock level n + 1,
     matching the block-n bookkeeping of the analytic layer.
@@ -95,7 +83,7 @@ def joint_initial_state(field: FieldInit) -> JointState:
     else:
         psi[1, 1:field.n_max + 2] = A / math.sqrt(2.0)
         psi[2, 1:field.n_max + 2] = A / math.sqrt(2.0)
-    return JointState(amplitudes=psi, time=0.0)
+    return psi
 
 
 def excitation_sectors(M: int):
@@ -175,14 +163,17 @@ class SectorPropagator:
             w, V = jacobi_eigh_cyclic(H[idx[:, :, None], idx[:, None, :]])
             self._stacks.append((idx, w, V))
 
-    def evolve(self, psi0: JointState, t: float) -> JointState:
-        flat = psi0.amplitudes.reshape(-1)
-        out = np.zeros_like(flat)
+    def evolve(self, psi0: np.ndarray, t):
+        """psi0 (4, M) a time t later: (4, M) for a scalar t, t.shape + (4, M)
+        for an array of times."""
+        t = np.asarray(t, dtype=float)
+        flat = np.asarray(psi0, dtype=np.complex128).reshape(-1)
+        out = np.zeros(t.shape + flat.shape, dtype=np.complex128)
         for idx, w, V in self._stacks:
             c = np.einsum("sji,sj->si", V, flat[idx])
-            out[idx] = np.einsum("sij,sj->si", V, np.exp(-1j * w * t) * c)
-        return JointState(amplitudes=out.reshape(4, self.M),
-                          time=psi0.time + t)
+            phases = np.exp(-1j * w * t[..., None, None])
+            out[..., idx] = np.einsum("sij,...sj->...si", V, phases * c)
+        return out.reshape(t.shape + (4, self.M))
 
 
 # ---------------------------------------------------------------------------
@@ -273,19 +264,13 @@ def _check_norm(psi_flat, n0):
     drift = abs(np.linalg.norm(psi_flat) - n0)
     if not drift <= NORM_DRIFT_LIMIT:  # catches NaN from an unstable step
         raise NumericalGuardError(
-            f"integrator norm drift {drift:.2e} exceeds {NORM_DRIFT_LIMIT:g}; "
-            "reduce the step size")
+            f"integrator norm drift {drift:.2e} exceeds {NORM_DRIFT_LIMIT:g}")
 
 
-def evolve_numeric(H: np.ndarray, psi0: JointState, t: float, dt: float = None) -> JointState:
-    """The state a duration t >= 0 after psi0: one RK4 sample."""
-    return evolve_numeric_sampled(H, psi0, [psi0.time + t], dt)[0]
-
-
-def evolve_numeric_sampled(H: np.ndarray, psi0: JointState, times, dt: float = None):
-    """RK4 samples on the full joint matrix at the given times (ascending,
-    from psi0.time).  dt defaults to 0.02 / (Gershgorin bound on |E|) of
-    the whole H; norm drift beyond 1e-8 raises.
+def evolve_numeric_sampled(H: np.ndarray, psi0: np.ndarray, times) -> np.ndarray:
+    """RK4 samples of psi0 at the given times (ascending, from t = 0), one
+    (T,) + psi0.shape array.  The step is 0.02 / (Gershgorin bound on |E|)
+    of the whole H; norm drift beyond 1e-8 raises.
 
     The step polynomial and its powers are evaluated on the connected
     blocks of H's nonzero pattern, found from H itself and never from the
@@ -298,26 +283,27 @@ def evolve_numeric_sampled(H: np.ndarray, psi0: JointState, times, dt: float = N
     """
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError("Hamiltonian must be a square matrix")
-    psi = psi0.amplitudes.reshape(-1).astype(np.complex128)
+    psi0 = np.asarray(psi0)
+    psi = psi0.reshape(-1).astype(np.complex128)
     if psi.shape[0] != H.shape[0]:
         raise ValueError(
             f"state dimension {psi.shape[0]} does not match the "
             f"{H.shape[0]}-dimensional Hamiltonian")
-    dt = _auto_dt(H) if dt is None else float(dt)
+    dt = _auto_dt(H)
     n0 = np.linalg.norm(psi)
     times = np.asarray(times, dtype=float).reshape(-1)
-    spans = np.diff(times, prepend=psi0.time)
+    spans = np.diff(times, prepend=0.0)
     if np.any(spans < 0):
         raise ValueError("sample times must be ascending")
+    out = np.empty(times.shape + psi0.shape, dtype=np.complex128)
     if not len(times):
-        return []
-    tol = 4.0 * np.finfo(float).eps * max(abs(psi0.time), float(np.abs(times).max()))
+        return out
+    tol = 4.0 * np.finfo(float).eps * float(np.abs(times).max())
     shared, uses_left = _shared_spans(spans, tol)
     stacks = [(idx, H[idx[:, :, None], idx[:, None, :]])
               for idx in _size_stacks(_connected_blocks(H))]
     powers = {}  # span -> P^n per stack, kept while more intervals of that span follow
-    out = []
-    for t, span, left in zip(times, shared, uses_left):
+    for k, (span, left) in enumerate(zip(shared, uses_left)):
         if span:
             power = powers.pop(span, None)
             if power is None:
@@ -329,45 +315,43 @@ def evolve_numeric_sampled(H: np.ndarray, psi0: JointState, times, dt: float = N
                 nxt[idx] = (P @ psi[idx][..., None])[..., 0]
             psi = nxt
         _check_norm(psi, n0)
-        out.append(JointState(amplitudes=psi.reshape(4, -1).copy(), time=float(t)))
+        out[k] = psi.reshape(psi0.shape)
     return out
 
 
 # ---------------------------------------------------------------------------
-# reductions
+# reductions, each of one (4, M) state or over the last two axes of a stack
 
-def partial_trace_field(psi: JointState) -> np.ndarray:
+def partial_trace_field(psi) -> np.ndarray:
     """4x4 atomic density (computational basis), tracing the field."""
-    P = psi.amplitudes
-    return P @ P.conj().T
+    return psi @ np.conj(psi).swapaxes(-1, -2)
 
 
-def partial_trace_atoms(psi: JointState) -> np.ndarray:
+def partial_trace_atoms(psi) -> np.ndarray:
     """M x M field density, tracing the atoms."""
-    P = psi.amplitudes
-    return P.T @ P.conj()
+    return np.swapaxes(psi, -1, -2) @ np.conj(psi)
 
 
-def inversion_of(psi: JointState) -> float:
-    pop = np.sum(np.abs(psi.amplitudes) ** 2, axis=1)
-    return float(pop @ _ATOM_WEIGHT)
+def inversion_of(psi):
+    pop = np.sum(np.abs(psi) ** 2, axis=-1)
+    return pop @ _ATOM_WEIGHT
 
 
-def buffer_population(psi: JointState) -> float:
+def buffer_population(psi):
     """Population of the top two Fock levels (the truncation buffer)."""
-    return float(np.sum(np.abs(psi.amplitudes[:, -2:]) ** 2))
+    return np.sum(np.abs(psi[..., -2:]) ** 2, axis=(-2, -1))
 
 
-def require_buffer_empty(psi: JointState):
-    pop = buffer_population(psi)
+def require_buffer_empty(psi):
+    """Raise TruncationError if any state of the stack populates the buffer."""
+    pop = float(np.max(buffer_population(psi)))
     if pop > BUFFER_TOL:
         raise TruncationError(
             f"truncation buffer population {pop:.2e} exceeds {BUFFER_TOL:g}")
 
 
-def antisymmetric_leakage(psi: JointState) -> float:
+def antisymmetric_leakage(psi):
     """Population of the antisymmetric atomic state (zero for symmetric
     initial conditions with identical atoms)."""
-    P = psi.amplitudes
-    anti = (P[1] - P[2]) / math.sqrt(2.0)
-    return float(np.sum(np.abs(anti) ** 2))
+    anti = (psi[..., 1, :] - psi[..., 2, :]) / math.sqrt(2.0)
+    return np.sum(np.abs(anti) ** 2, axis=-1)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import twojc.validation
 from twojc import ConfigError, FixtureIntegrityError, build_block
 from twojc.cli import main, run_config
 from twojc.config import MAX_COUNT, RunConfig, load_config, parse_config
@@ -702,6 +703,28 @@ class TestValidationSuites:
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert captured.err.startswith("config error: --report") and "No such file" in captured.err
 
+    def test_failed_validation_keeps_the_earlier_report(self, tmp_path, monkeypatch, capsys):
+        report = tmp_path / "report.json"
+        report.write_text("earlier\n")
+
+        def broken(level):
+            raise FixtureIntegrityError("fixture approx_window.json failed its checksum")
+
+        monkeypatch.setattr(twojc.validation, "run_level", broken)
+        assert main(["validate", "--report", str(report)]) == 2
+        assert "failed its checksum" in capsys.readouterr().err
+        assert report.read_text() == "earlier\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_report_path_that_is_a_directory_costs_no_run(self, tmp_path, monkeypatch, capsys):
+        def never(level):
+            raise AssertionError("the checks ran")
+
+        monkeypatch.setattr(twojc.validation, "run_level", never)
+        assert main(["validate", "--report", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: --report")
+        assert list(tmp_path.iterdir()) == []
+
     def test_fixture_generator_reproduces_the_committed_payloads(self, derived):
         pytest.importorskip("scipy")
         path = os.path.join(os.path.dirname(__file__), "..", "tools", "make_fixtures.py")
@@ -715,6 +738,7 @@ class TestValidationSuites:
         report = str(tmp_path / "report.json")
         assert main(["validate", "--level", "fast", "--report", report]) == 0
         doc = json.loads((tmp_path / "report.json").read_text())
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
         assert doc["passed"] is True
         assert {c["name"] for c in doc["checks"]} == {
             "spectral_identities", "per_block_unitarity", "t0_anchors"}

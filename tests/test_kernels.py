@@ -16,8 +16,8 @@ from twojc import (F_BUCK_SUKUMAR, ModelParams, NumericalGuardError, coherent_fi
                    reduced_atom_density)
 from twojc.dynamics import (FieldDensity, coherent_vector,
                             entropy_of_eigvals, hermitian_eigvals)
-from twojc.oracle import (build_joint_hamiltonian, evolve_numeric,
-                          evolve_numeric_sampled, excitation_sectors,
+from twojc.oracle import (build_joint_hamiltonian, evolve_numeric_sampled,
+                          excitation_sectors,
                           jacobi_eigh_cyclic, joint_initial_state)
 
 
@@ -236,25 +236,21 @@ class TestRk4Powers:
     def test_sampled_matches_sequential_loop(self, times):
         H, psi0, dt = self.system()
         states = evolve_numeric_sampled(H, psi0, times)
-        ref = reference_rk4(H, psi0.amplitudes.reshape(-1).astype(complex),
-                            times, dt)
-        for s, r, t in zip(states, ref, times):
-            assert s.time == t
-            np.testing.assert_allclose(s.amplitudes.reshape(-1), r,
-                                       rtol=0, atol=1e-12)
+        assert states.shape == (len(times), 4, 23)
+        ref = reference_rk4(H, psi0.reshape(-1).astype(complex), times, dt)
+        np.testing.assert_allclose(states.reshape(len(times), -1), ref,
+                                   rtol=0, atol=1e-12)
 
     def test_single_span_matches_sequential_loop(self):
         H, psi0, dt = self.system()
-        out = evolve_numeric(H, psi0, 1.7)
-        ref = reference_rk4(H, psi0.amplitudes.reshape(-1).astype(complex),
-                            [1.7], dt)[0]
-        np.testing.assert_allclose(out.amplitudes.reshape(-1), ref,
-                                   rtol=0, atol=1e-12)
+        out = evolve_numeric_sampled(H, psi0, [1.7])[-1]
+        ref = reference_rk4(H, psi0.reshape(-1).astype(complex), [1.7], dt)[0]
+        np.testing.assert_allclose(out.reshape(-1), ref, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("pattern", ["cross_sector", "dense", "zero"])
     def test_any_block_pattern_matches_sequential_loop(self, pattern, monkeypatch):
         H, psi0, _ = self.system()
-        M = psi0.n_levels
+        M = psi0.shape[1]
         n_blocks = {"cross_sector": len(excitation_sectors(M)) - 1,
                     "dense": 1, "zero": 4 * M}[pattern]
         if pattern == "cross_sector":
@@ -276,17 +272,15 @@ class TestRk4Powers:
         monkeypatch.setattr(oracle, "excitation_sectors", no_sectors)
         times = np.linspace(0.0, 2.0, 21)
         states = evolve_numeric_sampled(H, psi0, times)
-        ref = reference_rk4(H, psi0.amplitudes.reshape(-1).astype(complex),
-                            times, dt)
-        for s, r in zip(states, ref):
-            np.testing.assert_allclose(s.amplitudes.reshape(-1), r,
-                                       rtol=0, atol=1e-12)
+        ref = reference_rk4(H, psi0.reshape(-1).astype(complex), times, dt)
+        np.testing.assert_allclose(states.reshape(len(times), -1), ref,
+                                   rtol=0, atol=1e-12)
 
     def test_descending_times_rejected(self):
         H, psi0, _ = self.system()
         with pytest.raises(ValueError, match="ascending"):
             evolve_numeric_sampled(H, psi0, [0.5, 0.4])
-        assert evolve_numeric_sampled(H, psi0, []) == []
+        assert evolve_numeric_sampled(H, psi0, []).shape == (0, 4, 23)
 
 
 def test_cli_import_loads_no_scipy():

@@ -6,11 +6,11 @@ import pytest
 from twojc import (F_BUCK_SUKUMAR, F_LINEAR, H_KERR, ModelParams,
                    NumericalGuardError, TruncationError, build_block,
                    coherent_field, reduced_atom_density, spectrum_table)
+from twojc import oracle
 from twojc.dynamics import AtomInit, embed_atom_density
-from twojc.oracle import (JointState, SectorPropagator, _connected_blocks,
+from twojc.oracle import (SectorPropagator, _connected_blocks,
                           antisymmetric_leakage, buffer_population,
-                          build_joint_hamiltonian,
-                          evolve_numeric, evolve_numeric_sampled,
+                          build_joint_hamiltonian, evolve_numeric_sampled,
                           excitation_sectors, inversion_of,
                           jacobi_eigh_cyclic, joint_initial_state,
                           partial_trace_atoms, partial_trace_field,
@@ -111,8 +111,9 @@ class TestInitialStates:
     def test_symmetric_field_shifted_one_quantum(self):
         field = coherent_field(2.0, n_max=20, atom_init=AtomInit.SYMMETRIC)
         psi = joint_initial_state(field)
-        assert psi.amplitudes[1, 0] == 0.0  # nothing on the vacuum level
-        assert abs(psi.amplitudes[1, 1]) == pytest.approx(
+        assert psi.shape == (4, 23)
+        assert psi[1, 0] == 0.0  # nothing on the vacuum level
+        assert abs(psi[1, 1]) == pytest.approx(
             abs(field.amplitudes[0]) / SQRT2)
         assert inversion_of(psi) == pytest.approx(0.0, abs=1e-12)
         assert antisymmetric_leakage(psi) < 1e-15
@@ -126,9 +127,9 @@ class TestSectorPropagator:
         prop = SectorPropagator(H, 26)
         psi0 = joint_initial_state(field)
         t = 1.3
-        got = prop.evolve(psi0, t).amplitudes.reshape(-1)
+        got = prop.evolve(psi0, t).reshape(-1)
         w, U = np.linalg.eigh(H)
-        expect = U @ (np.exp(-1j * w * t) * (U.conj().T @ psi0.amplitudes.reshape(-1)))
+        expect = U @ (np.exp(-1j * w * t) * (U.conj().T @ psi0.reshape(-1)))
         np.testing.assert_allclose(got, expect, atol=1e-11)
 
     def test_norm_exactly_preserved(self):
@@ -136,15 +137,27 @@ class TestSectorPropagator:
         field = coherent_field(3.0, n_max=25)
         prop = SectorPropagator(build_joint_hamiltonian(p, 25), 25)
         psi = prop.evolve(joint_initial_state(field), 17.0)
-        assert psi.norm == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_initial_state_never_leaks(self):
         p = bs_params()
         field = coherent_field(3.0, n_max=25, atom_init=AtomInit.SYMMETRIC)
         prop = SectorPropagator(build_joint_hamiltonian(p, 25), 25)
         psi0 = joint_initial_state(field)
-        for t in np.linspace(0.0, 9.0, 12):
-            assert antisymmetric_leakage(prop.evolve(psi0, float(t))) < 1e-12
+        states = prop.evolve(psi0, np.linspace(0.0, 9.0, 12))
+        assert antisymmetric_leakage(states).max() < 1e-12
+
+    def test_time_array_stacks_the_scalar_calls(self):
+        p = bs_params(kmj=0.2, chi=0.03)
+        prop = SectorPropagator(build_joint_hamiltonian(p, 20), 20)
+        psi0 = joint_initial_state(coherent_field(2.0, n_max=20))
+        times = np.linspace(0.0, 7.0, 12).reshape(3, 4)
+        states = prop.evolve(psi0, times)
+        assert states.shape == (3, 4, 4, 23)
+        np.testing.assert_array_equal(
+            states, np.array([[prop.evolve(psi0, t) for t in row] for row in times]))
+        np.testing.assert_array_equal(prop.evolve(psi0, times[0]), states[0])
+        assert prop.evolve(psi0, []).shape == (0, 4, 23)
 
 
 class TestRk4:
@@ -153,15 +166,18 @@ class TestRk4:
         field = coherent_field(2.0, n_max=26)
         H = build_joint_hamiltonian(p, 26)
         psi0 = joint_initial_state(field)
-        out = evolve_numeric(H, psi0, 0.0)
-        np.testing.assert_array_equal(out.amplitudes, psi0.amplitudes)
+        out = evolve_numeric_sampled(H, psi0, [0.0])
+        assert out.shape == (1, 4, 29)
+        np.testing.assert_array_equal(out[0], psi0)
 
     def test_zero_hamiltonian_freezes_state(self):
+        # a zero Gershgorin bound gives one step over each span, whatever the
+        # step fraction
         field = coherent_field(2.0, n_max=26)
         psi0 = joint_initial_state(field)
         H = np.zeros((4 * 29, 4 * 29))
-        out = evolve_numeric(H, psi0, 5.0, dt=0.5)
-        np.testing.assert_allclose(out.amplitudes, psi0.amplitudes, atol=1e-15)
+        out = evolve_numeric_sampled(H, psi0, [2.5, 5.0])
+        np.testing.assert_allclose(out, [psi0, psi0], atol=1e-15)
 
     def test_single_block_matches_closed_form(self):
         # start in |e,e,0>: the three-frequency closed form of block 0
@@ -172,7 +188,7 @@ class TestRk4:
         psi0 = np.zeros((4, M), dtype=complex)
         psi0[3, 0] = 1.0
         t = 1.234
-        out = evolve_numeric(H, JointState(psi0, 0.0), t).amplitudes
+        out = evolve_numeric_sampled(H, psi0, [t])[0]
         s = spectrum_table(p, 0)[0]
         D = (s.coeffs[:, 0][:, None] * s.coeffs
              * np.exp(-1j * s.energies * t)[:, None]).sum(axis=0)
@@ -181,16 +197,16 @@ class TestRk4:
         assert abs(out[2, 1] - D[1] / SQRT2) < 1e-9
         assert abs(out[0, 2] - D[2]) < 1e-9
 
-    def test_norm_preserved_and_dt_halving(self):
+    def test_norm_preserved_and_dt_halving(self, monkeypatch):
         p = bs_params()
         field = coherent_field(2.0, n_max=26)
         H = build_joint_hamiltonian(p, 26)
         psi0 = joint_initial_state(field)
-        a = evolve_numeric(H, psi0, 3.0)
-        assert abs(a.norm - 1.0) < 1e-10
-        engine_dt = 0.02 / float(np.abs(H).sum(axis=1).max())
-        b = evolve_numeric(H, psi0, 3.0, dt=engine_dt / 2.0)
-        assert np.abs(a.amplitudes - b.amplitudes).max() < 1e-9
+        a = evolve_numeric_sampled(H, psi0, [3.0])[0]
+        assert abs(np.linalg.norm(a) - 1.0) < 1e-10
+        monkeypatch.setattr(oracle, "_RK4_STEP_FRACTION", oracle._RK4_STEP_FRACTION / 2.0)
+        b = evolve_numeric_sampled(H, psi0, [3.0])[0]
+        assert np.abs(a - b).max() < 1e-9
 
     def test_energy_conserved_along_samples(self):
         p = bs_params()
@@ -198,30 +214,30 @@ class TestRk4:
         H = build_joint_hamiltonian(p, 25)
         psi0 = joint_initial_state(field)
         states = evolve_numeric_sampled(H, psi0, np.linspace(0.5, 6.0, 8))
-        energies = [np.real(np.vdot(s.amplitudes.reshape(-1),
-                                    H @ s.amplitudes.reshape(-1)))
+        energies = [np.real(np.vdot(s.reshape(-1), H @ s.reshape(-1)))
                     for s in states]
-        e0 = np.real(np.vdot(psi0.amplitudes.reshape(-1),
-                             H @ psi0.amplitudes.reshape(-1)))
+        e0 = np.real(np.vdot(psi0.reshape(-1), H @ psi0.reshape(-1)))
         scale = max(1.0, abs(e0))
         assert np.abs(np.array(energies) - e0).max() < 1e-9 * scale
 
-    def test_unstable_step_raises_guard(self):
+    def test_unstable_step_raises_guard(self, monkeypatch):
         p = bs_params()
         field = coherent_field(3.0, n_max=25)
         H = build_joint_hamiltonian(p, 25)
         psi0 = joint_initial_state(field)
-        # far beyond stability: the deliberate overflow is what the guard catches
+        # a step of ten times 1 / (bound on |E|) is far beyond stability: the
+        # deliberate overflow is what the guard catches
+        monkeypatch.setattr(oracle, "_RK4_STEP_FRACTION", 10.0)
         with (np.errstate(over="ignore", invalid="ignore"),
               pytest.raises(NumericalGuardError)):
-            evolve_numeric(H, psi0, 50.0, dt=0.5)
+            evolve_numeric_sampled(H, psi0, [50.0])
 
     def test_negative_duration_rejected(self):
         p = bs_params()
         field = coherent_field(2.0, n_max=26)
         H = build_joint_hamiltonian(p, 26)
         with pytest.raises(ValueError, match="ascending"):
-            evolve_numeric(H, joint_initial_state(field), -1e-4)
+            evolve_numeric_sampled(H, joint_initial_state(field), [-1e-4])
 
     def test_agrees_with_sector_propagator(self):
         p = bs_params(kmj=0.15, chi=0.02)
@@ -229,8 +245,8 @@ class TestRk4:
         H = build_joint_hamiltonian(p, 26)
         psi0 = joint_initial_state(field)
         t = 2.7
-        a = evolve_numeric(H, psi0, t).amplitudes
-        b = SectorPropagator(H, 26).evolve(psi0, t).amplitudes
+        a = evolve_numeric_sampled(H, psi0, [t])[0]
+        b = SectorPropagator(H, 26).evolve(psi0, t)
         assert np.abs(a - b).max() < 1e-9
 
 
@@ -297,13 +313,34 @@ class TestPartialTraces:
             rho4_oracle = partial_trace_field(prop.evolve(psi0, t))
             assert np.abs(rho4_analytic - rho4_oracle).max() < 1e-10
 
+    def test_stacked_reductions_match_per_state(self):
+        p = bs_params(kmj=0.2, chi=0.03, delta=0.1)
+        field = coherent_field(3.0, n_max=25, atom_init=AtomInit.SYMMETRIC)
+        prop = SectorPropagator(build_joint_hamiltonian(p, 25), 25)
+        states = prop.evolve(joint_initial_state(field), np.linspace(0.0, 6.0, 6))
+        states = states.reshape(2, 3, 4, 28)
+        for reduce in (partial_trace_field, partial_trace_atoms, inversion_of,
+                       buffer_population, antisymmetric_leakage):
+            stacked = reduce(states)
+            for i, j in np.ndindex(2, 3):
+                np.testing.assert_array_equal(stacked[i, j], reduce(states[i, j]),
+                                              err_msg=reduce.__name__)
+
 
 class TestGuards:
     def test_buffer_guard_fires(self):
         amps = np.zeros((4, 10), dtype=complex)
         amps[3, -1] = 1.0
         with pytest.raises(TruncationError):
-            require_buffer_empty(JointState(amps, 0.0))
+            require_buffer_empty(amps)
+
+    def test_buffer_guard_reads_every_state_of_a_stack(self):
+        states = np.zeros((3, 4, 10), dtype=complex)
+        states[:, 3, 0] = 1.0
+        require_buffer_empty(states)
+        states[1, 3, -2] = 1e-4  # only the middle state reaches the buffer
+        with pytest.raises(TruncationError):
+            require_buffer_empty(states)
 
     def test_buffer_stays_empty_in_normal_runs(self):
         p = bs_params()

@@ -41,15 +41,12 @@ def approx_window_fixture():
     near = np.linspace(0.0, 16.0 * math.pi, grid_points)
     far = np.linspace(412.0 * math.pi, 420.0 * math.pi, grid_points)
 
-    def oracle_series(taus):
-        return np.array([oracle.inversion_of(prop.evolve(psi0, t)) for t in taus])
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         err_near = np.abs(approx.standard_approx_inversion(regime, near)
-                          - oracle_series(near))
+                          - oracle.inversion_of(prop.evolve(psi0, near)))
         err_far = np.abs(approx.standard_approx_inversion(regime, far)
-                         - oracle_series(far))
+                         - oracle.inversion_of(prop.evolve(psi0, far)))
     near_max = float(err_near.max())
     far_max = float(err_far.max())
     payload = {
