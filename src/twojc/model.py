@@ -12,8 +12,10 @@ spanned by
     |e,e> x |n>,   (|e,g> + |g,e>)/sqrt(2) x |n+1>,   |g,g> x |n+2>.
 
 A block is a plain float array: build_block gives (3, 3) for one index
-and (..., 3, 3) for an index array.  All frequencies are angular, in
-units with hbar = 1.
+and (..., 3, 3) for an index array.  Its entries are written only by
+block_formula, whose numbers (g, J, kappa, delta, chi) broadcast against
+n, so a stack of blocks with a parameter set per row is one call.  All
+frequencies are angular, in units with hbar = 1.
 """
 
 import math
@@ -182,41 +184,55 @@ def ladder_factor(selector: NonlinearitySelector, m):
     return eval_f(selector, m) * np.sqrt(m)
 
 
-def shift_factor(params: ModelParams, m):
-    """omega0 * m * (h(m) - 1): the anharmonic part of the cavity energy."""
-    if params.h_kind.kind is HKind.KERR:
+def shift_factor(h_kind: NonlinearitySelector, omega0, chi, m):
+    """omega0 * m * (h(m) - 1): the anharmonic part of the cavity energy;
+    omega0 and chi broadcast against m."""
+    if h_kind.kind is HKind.KERR:
         # avoids the (chi/omega0)*omega0 round trip
-        return params.chi * m * m
-    return params.omega0 * m * (eval_h(params.h_kind, params, m) - 1.0)
+        return chi * m * m
+    # a standard or tabulated h reads no parameter
+    return omega0 * m * (eval_h(h_kind, None, m) - 1.0)
 
 
 def build_block(params: ModelParams, n) -> np.ndarray:
     """The symmetric-sector block of photon index n, read-only (3, 3);
     an index array n gives the stack of every index at once, with n's
-    axes in front.  In rad/time it is
+    axes in front.  It is block_formula with params' numbers."""
+    return block_formula(params.f_kind, params.h_kind, n, omega0=params.omega0,
+                         g=params.g, J_ising=params.J_ising, kappa=params.kappa,
+                         delta=params.delta, chi=params.chi)
+
+
+def block_formula(f_kind: NonlinearitySelector, h_kind: NonlinearitySelector, n,
+                  *, omega0, g, J_ising, kappa, delta, chi) -> np.ndarray:
+    """The one writer of the block entries.  The numbers (omega0, g,
+    J_ising, kappa, delta, chi) are floats or arrays that broadcast
+    against n, and the read-only result has their broadcast shape in
+    front of (3, 3).  In rad/time a block is
 
         [ w0*F0 + delta + J      sqrt(2) g f_{n+1}      0            ]
         [ sqrt(2) g f_{n+1}      w0*F1 - J + 2 kappa    sqrt(2) g f_{n+2} ]
         [ 0                      sqrt(2) g f_{n+2}      w0*F2 - delta + J ]
 
     with f_m = f(m) sqrt(m) (ladder_factor) and F_i = (n+i)(h(n+i) - 1).
-    An entry beyond double range trips the numerical guard.
+    An entry beyond double range trips the numerical guard, which names
+    the photon index of the first such block.
     """
     _check_index(n)
-    g, J, kap, dlt = params.g, params.J_ising, params.kappa, params.delta
-    off1 = SQRT2 * g * ladder_factor(params.f_kind, n + 1)
-    off2 = SQRT2 * g * ladder_factor(params.f_kind, n + 2)
-    mat = np.zeros(np.shape(n) + (3, 3))
+    shape = np.broadcast_shapes(*map(np.shape, (n, omega0, g, J_ising, kappa, delta, chi)))
+    mat = np.zeros(shape + (3, 3))
     with np.errstate(over="ignore", invalid="ignore"):
-        mat[..., 0, 0] = shift_factor(params, n) + dlt + J
-        mat[..., 1, 1] = shift_factor(params, n + 1) - J + 2.0 * kap
-        mat[..., 2, 2] = shift_factor(params, n + 2) - dlt + J
+        off1 = SQRT2 * g * ladder_factor(f_kind, n + 1)
+        off2 = SQRT2 * g * ladder_factor(f_kind, n + 2)
+        mat[..., 0, 0] = shift_factor(h_kind, omega0, chi, n) + delta + J_ising
+        mat[..., 1, 1] = shift_factor(h_kind, omega0, chi, n + 1) - J_ising + 2.0 * kappa
+        mat[..., 2, 2] = shift_factor(h_kind, omega0, chi, n + 2) - delta + J_ising
         mat[..., 0, 1] = mat[..., 1, 0] = off1
         mat[..., 1, 2] = mat[..., 2, 1] = off2
     bad = ~np.isfinite(mat).all(axis=(-2, -1))
     if bad.any():
         raise NumericalGuardError(
-            f"block n = {int(np.asarray(n)[bad].flat[0])}: non-finite entries "
+            f"block n = {int(np.broadcast_to(n, shape)[bad].flat[0])}: non-finite entries "
             "(the couplings overflow double range)")
     mat.setflags(write=False)
     return mat

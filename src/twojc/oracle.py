@@ -61,7 +61,7 @@ def build_joint_hamiltonian(params: ModelParams, n_max: int) -> np.ndarray:
     lower = np.zeros((M, M))
     m = np.arange(M)
     lower[m[:-1], m[1:]] = ladder_factor(params.f_kind, m[1:])
-    H = (np.kron(I4, np.diag(shift_factor(params, m)))
+    H = (np.kron(I4, np.diag(shift_factor(params.h_kind, params.omega0, params.chi, m)))
          + 0.5 * params.delta * np.kron(sz1 + sz2, IM)
          + params.g * (np.kron(sm1 + sm2, lower.T) + np.kron(sp1 + sp2, lower))
          + 2.0 * params.kappa * np.kron(sm1 @ sp2 + sp1 @ sm2, IM)

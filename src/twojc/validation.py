@@ -16,7 +16,7 @@ import numpy as np
 
 from . import approx, dynamics, oracle, spectral
 from .errors import FixtureIntegrityError
-from .model import F_BUCK_SUKUMAR, F_LINEAR, H_KERR, ModelParams
+from .model import F_BUCK_SUKUMAR, F_LINEAR, H_KERR, ModelParams, block_formula
 
 def _payload_digest(payload: dict) -> str:
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -57,32 +57,42 @@ def fixture_document(payload: dict) -> dict:
     return {"payload": payload, "sha256": _payload_digest(payload)}
 
 
-def random_params(rng):
-    g = 10.0 ** rng.uniform(-4, 0)
-    return ModelParams(
-        omega0=1.0, g=g,
-        J_ising=rng.uniform(-1, 1) * g,
-        kappa=rng.uniform(-1, 1) * g + rng.uniform(0, 1.5) * g,
-        chi=rng.uniform(0, 1) * g,
-        delta=rng.uniform(-1, 1) * g,
-        h_kind=H_KERR,
-        f_kind=F_BUCK_SUKUMAR if rng.integers(2) else F_LINEAR,
-    )
+def _random_numbers(rng, k):
+    """k random Kerr parameter sets at omega0 = 1 as arrays: the
+    ModelParams numbers, which rows take the Buck-Sukumar f, and photon
+    indices n in [0, 100]."""
+    g = 10.0 ** rng.uniform(-4, 0, k)
+    numbers = {
+        "g": g,
+        "J_ising": rng.uniform(-1, 1, k) * g,
+        "kappa": rng.uniform(-1, 1, k) * g + rng.uniform(0, 1.5, k) * g,
+        "chi": rng.uniform(0, 1, k) * g,
+        # the detuning as ModelParams stores it, omega - omega0
+        "delta": (1.0 + rng.uniform(-1, 1, k) * g) - 1.0,
+    }
+    return numbers, rng.integers(2, size=k).astype(bool), rng.integers(0, 101, size=k)
 
 
-def random_draw(rng):
-    """One random Kerr parameter set and photon index n in [0, 100]."""
-    return random_params(rng), int(rng.integers(0, 101))
+def random_blocks(rng, k):
+    """k random Kerr blocks (k, 3, 3) and their photon indices n (k,):
+    g = 10^U(-4, 0), J, kappa, chi and delta as multiples of g, a linear
+    or Buck-Sukumar f; the blocks of each f kind are one block_formula call."""
+    numbers, buck, n = _random_numbers(rng, k)
+    H = np.empty((k, 3, 3))
+    for f_kind, rows in ((F_LINEAR, ~buck), (F_BUCK_SUKUMAR, buck)):
+        H[rows] = block_formula(
+            f_kind, H_KERR, n[rows], omega0=1.0,
+            **{key: v[rows] for key, v in numbers.items()})
+    return H, n
 
 
 def check_spectral_identities(n_draws=1000, seed=20240117):
     """Closed-form roots vs the oracle's cyclic Jacobi, plus the polynomial
-    and frequency identities, over random parameter draws solved as one
-    stack."""
-    rng = np.random.default_rng(seed)
-    draws = [random_draw(rng) for _ in range(n_draws)]
-    H = np.stack([spectral.build_block(p, n) for p, n in draws])
-    s = spectral.solve_blocks(H, np.array([n for _, n in draws]))
+    and frequency identities, over random parameter draws.  The draws are
+    arrays whose numbers broadcast against n in block_formula, so the
+    blocks are one call per f kind, and the stack is solved in one call."""
+    H, n = random_blocks(np.random.default_rng(seed), n_draws)
+    s = spectral.solve_blocks(H, n)
     inter = spectral.cardano(H)
     lam_diag, lam_off = spectral.weighting_amplitudes(s.coeffs)
     w = oracle.jacobi_eigh_cyclic(H)[0]

@@ -404,6 +404,17 @@ class TestCliEntry:
         assert "non-finite" in captured.err and "block n = 0" in captured.err
         assert not out.exists()
 
+    def test_overflowing_coupling_is_one_line_guard(self, tmp_path, capsys):
+        # sqrt(2) g f_{n+1} passes double range while g itself is finite
+        out = tmp_path / "out"
+        doc = deep(BASE, output={"dir": str(out), "prefix": "x"})
+        doc["model"].update(g=1e308)
+        assert main(["run", write_cfg(tmp_path, doc)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "non-finite" in captured.err and "block n = 0" in captured.err
+        assert not out.exists()
+
     @pytest.mark.parametrize("observable", ["spectrum-dump", "dump-spectrum"])
     def test_overflowing_frequency_is_one_line_guard(self, tmp_path, capsys, observable):
         # every entry and E/g are finite, but E1 - E2 is beyond double range

@@ -9,6 +9,7 @@ from twojc import (F_BUCK_SUKUMAR, F_LINEAR, H_KERR, H_STANDARD, FKind, HKind,
                    ModelParams, NonlinearitySelector, NumericalGuardError,
                    TwojcError, build_block, eval_f, eval_h, ladder_factor,
                    validity_ratios)
+from twojc.model import block_formula
 
 SQRT2 = math.sqrt(2.0)
 
@@ -208,6 +209,20 @@ class TestBuildBlock:
             build_block(p, np.arange(20))
         with pytest.raises(NumericalGuardError, match="block n = 12: non-finite"):
             build_block(p, 12)
+
+    def test_overflowing_row_of_a_broadcast_stack_names_its_index(self):
+        # a parameter set per row: only row 3 (n = 7) overflows
+        g = np.array([0.1, 0.2, 0.3, 1e308, 0.5])
+        n = np.array([4, 9, 2, 7, 0])
+        numbers = dict(omega0=1.0, J_ising=0.0, kappa=0.0, delta=0.0, chi=0.0)
+        block_formula(F_BUCK_SUKUMAR, H_KERR, n[:3], g=g[:3], **numbers)
+        with pytest.raises(NumericalGuardError, match="block n = 7: non-finite"):
+            block_formula(F_BUCK_SUKUMAR, H_KERR, n, g=g, **numbers)
+        with pytest.raises(NumericalGuardError, match="block n = 7: non-finite"):
+            block_formula(F_BUCK_SUKUMAR, H_KERR, 7, g=g, **numbers)
+        p = ModelParams(omega0=1.0, g=1e308, h_kind=H_KERR, f_kind=F_BUCK_SUKUMAR)
+        with pytest.raises(NumericalGuardError, match="block n = 7: non-finite"):
+            build_block(p, 7)
 
     def test_negative_photon_index_rejected(self):
         p = ModelParams(omega0=1.0, g=0.2)

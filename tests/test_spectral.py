@@ -15,7 +15,7 @@ from twojc.approx import kerr_weight_amplitudes
 from twojc.config import load_config
 from twojc.oracle import jacobi_eigh_cyclic
 from twojc.spectral import _adjugate_rows
-from twojc.validation import random_draw
+from twojc.validation import _random_numbers, random_blocks
 
 
 SQRT2 = math.sqrt(2.0)
@@ -35,9 +35,7 @@ class TestCardano:
 
     def test_beta_is_negative_trace(self):
         rng = np.random.default_rng(5)
-        for _ in range(200):
-            params, n = random_draw(rng)
-            b = build_block(params, n)
+        for b in random_blocks(rng, 200)[0]:
             inter = cardano(b)
             assert inter.beta == pytest.approx(-np.trace(b), rel=1e-13)
 
@@ -106,9 +104,8 @@ class TestCardano:
 
     def test_real_spectrum_condition(self):
         rng = np.random.default_rng(17)
-        for _ in range(300):
-            params, n = random_draw(rng)
-            inter = cardano(build_block(params, n))
+        for b in random_blocks(rng, 300)[0]:
+            inter = cardano(b)
             scale = max(1.0, abs(inter.Q)) ** 3
             assert inter.Q ** 3 + inter.R ** 2 <= 1e-10 * scale
             assert 0.0 <= inter.theta <= math.pi
@@ -140,9 +137,7 @@ class TestEigenvalues:
 
     def test_characteristic_residual(self):
         rng = np.random.default_rng(23)
-        for _ in range(300):
-            params, n = random_draw(rng)
-            b = build_block(params, n)
+        for b in random_blocks(rng, 300)[0]:
             e = eigenvalues(cardano(b), b)
             nrm = np.linalg.norm(b)
             for ev in e:
@@ -151,9 +146,7 @@ class TestEigenvalues:
 
     def test_polynomial_identities(self):
         rng = np.random.default_rng(29)
-        for _ in range(400):
-            params, n = random_draw(rng)
-            b = build_block(params, n)
+        for b in random_blocks(rng, 400)[0]:
             inter = cardano(b)
             e1, e2, e3 = eigenvalues(inter, b)
             assert e1 + e2 + e3 == pytest.approx(-inter.beta,
@@ -196,9 +189,7 @@ class TestEigenvectors:
 
     def test_orthonormal_and_eigen_residual_over_draws(self):
         rng = np.random.default_rng(31)
-        for _ in range(500):
-            params, n = random_draw(rng)
-            b = build_block(params, n)
+        for b in random_blocks(rng, 500)[0]:
             e = eigenvalues(cardano(b), b)
             e, C, _ = eigenvector_coeffs(e, b)
             assert np.abs(C @ C.T - np.eye(3)).max() < 1e-10
@@ -220,16 +211,13 @@ class TestRabi:
 
     def test_sum_identity_exact(self):
         rng = np.random.default_rng(37)
-        for _ in range(300):
-            params, n = random_draw(rng)
-            o21, o31, o23 = rabi_frequencies(block_spectrum(params, n).energies)
+        for b, n in zip(*random_blocks(rng, 300)):
+            o21, o31, o23 = rabi_frequencies(solve_blocks(b, n).energies)
             assert o21 == o23 + o31  # differences of stored roots: exact
 
     def test_trig_forms_match_differences(self):
         rng = np.random.default_rng(41)
-        for _ in range(300):
-            params, n = random_draw(rng)
-            b = build_block(params, n)
+        for b in random_blocks(rng, 300)[0]:
             inter = cardano(b)
             e = eigenvalues(inter, b)
             direct = rabi_frequencies(e)
@@ -239,20 +227,18 @@ class TestRabi:
 
     def test_quadratic_identity_against_Q(self):
         rng = np.random.default_rng(43)
-        for _ in range(300):
-            params, n = random_draw(rng)
-            o21, o31, o23 = rabi_frequencies(block_spectrum(params, n).energies)
+        for b, n in zip(*random_blocks(rng, 300)):
+            o21, o31, o23 = rabi_frequencies(solve_blocks(b, n).energies)
             lhs = (o23 + 2 * o31) ** 2 / 3.0 + o23 ** 2
-            rhs = 4.0 * abs(3.0 * cardano(build_block(params, n)).Q)
+            rhs = 4.0 * abs(3.0 * cardano(b).Q)
             assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
 class TestWeightingAmplitudes:
     def test_completeness(self):
         rng = np.random.default_rng(47)
-        for _ in range(300):
-            params, n = random_draw(rng)
-            lam_diag, lam_off = weighting_amplitudes(block_spectrum(params, n).coeffs)
+        for b, n in zip(*random_blocks(rng, 300)):
+            lam_diag, lam_off = weighting_amplitudes(solve_blocks(b, n).coeffs)
             total = lam_diag.sum() + 2.0 * lam_off.sum()
             assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -280,8 +266,8 @@ class TestWeightingAmplitudes:
 
     def test_weighting_matches_direct_formula(self):
         rng = np.random.default_rng(53)
-        params, n = random_draw(rng)
-        C = block_spectrum(params, n).coeffs
+        H, n = random_blocks(rng, 1)
+        C = solve_blocks(H[0], n[0]).coeffs
         diag, off = weighting_amplitudes(C)
         lam = np.array([[C[j, 0] * C[k, 0] * (C[j, 0] * C[k, 0] - C[j, 2] * C[k, 2])
                          for k in range(3)] for j in range(3)])
@@ -320,15 +306,28 @@ class TestJacobi:
         the eigenvalue reference for: diagonals near n, couplings down to
         1e-4, so the tolerance is scaled by the block norm."""
         rng = np.random.default_rng(61)
-        for _ in range(200):
-            params, n = random_draw(rng)
-            a = build_block(params, n)
-            scale = np.linalg.norm(a)
-            w, V = jacobi_eigh_cyclic(a)
-            np.testing.assert_allclose(np.sort(w), np.linalg.eigvalsh(a),
+        for b in random_blocks(rng, 200)[0]:
+            scale = np.linalg.norm(b)
+            w, V = jacobi_eigh_cyclic(b)
+            np.testing.assert_allclose(np.sort(w), np.linalg.eigvalsh(b),
                                        rtol=0, atol=1e-12 * scale)
-            np.testing.assert_allclose(V @ np.diag(w) @ V.T, a, atol=1e-12 * scale)
+            np.testing.assert_allclose(V @ np.diag(w) @ V.T, b, atol=1e-12 * scale)
             np.testing.assert_allclose(V.T @ V, np.eye(3), atol=1e-12)
+
+
+class TestRandomBlocks:
+    def test_rows_are_build_block_of_the_drawn_numbers(self):
+        """The drawn stack comes from the one block formula: every row is
+        build_block of a ModelParams holding that row's numbers, bit for bit."""
+        numbers, buck, n = _random_numbers(np.random.default_rng(71), 400)
+        H, n_drawn = random_blocks(np.random.default_rng(71), 400)
+        np.testing.assert_array_equal(n_drawn, n)
+        assert H.shape == (400, 3, 3) and buck.any() and not buck.all()
+        for i in range(400):
+            p = ModelParams(omega0=1.0, h_kind=H_KERR,
+                            f_kind=F_BUCK_SUKUMAR if buck[i] else F_LINEAR,
+                            **{key: float(v[i]) for key, v in numbers.items()})
+            np.testing.assert_array_equal(H[i], build_block(p, int(n[i])))
 
 
 def assert_rows_identical(a, b):
@@ -370,8 +369,7 @@ class TestSpectrumTable:
 
     def test_fallback_only_on_the_decoupled_row(self):
         rng = np.random.default_rng(67)
-        draws = [random_draw(rng) for _ in range(4)]
-        healthy = [(build_block(params, n), n) for params, n in draws]
+        healthy = list(zip(*random_blocks(rng, 4)))
         decoupled = (np.diag([0.3, -0.2, 0.45]), 0)
         blocks = healthy[:2] + [decoupled] + healthy[2:]
         table = solve_blocks(np.stack([H for H, _ in blocks]),
@@ -439,7 +437,7 @@ class TestDegeneracy:
     @pytest.mark.parametrize("k", [-40, 40])
     def test_flag_is_unchanged_by_powers_of_two(self, k):
         rng = np.random.default_rng(79)
-        drawn = np.stack([build_block(*random_draw(rng)) for _ in range(2000)])
+        drawn = random_blocks(rng, 2000)[0]
         # identities pushed off the triple root by 1e-9 .. 1e-5, across the threshold
         a = rng.normal(size=(400, 3, 3))
         eps = 10.0 ** rng.uniform(-9, -5, 400)[:, None, None]
