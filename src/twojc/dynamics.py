@@ -260,7 +260,8 @@ class FieldDensity:
 
     factors (K, n_max + 3) holds rows chi_k with rho_F = sum_k |chi_k><chi_k|
     (K = 3 for the states built here); the dense matrix is formed only when
-    .matrix is read.
+    .matrix is read.  The rows built by reduced_field_density vanish outside
+    the levels of the field's support, while n_max stays the ladder's.
     """
 
     factors: np.ndarray
@@ -287,7 +288,7 @@ class FieldDensity:
 
 
 # blocks at the two ends of the ladder whose combined probability is at most
-# this are left out of rho_A (_support)
+# this are left out of rho_A and rho_F (_support)
 _SUPPORT_MASS = 1e-32
 
 
@@ -306,23 +307,34 @@ def _support(amplitudes):
     return int(los[best]), int(his[best])
 
 
-def _rho_atoms(field: FieldInit, spectra, times) -> np.ndarray:
-    """rho_A(t) = X X^dagger over a time array; (T, 3, 3).
+def _support_weights(field: FieldInit, spectra, times):
+    """(lo, support, weights) for the branch rows of the field's support.
 
-    Entry (k, j) sums A_{n+j-k} A_n^* D_k^{(n+j-k)} D_j^{(n)*} over n: the
-    Gram matrix of the branch rows (_BranchRows).  The rows span only the
-    blocks [lo, hi) that hold the field (_support).  Each row is
-    chi_k[n + k] = A_n D_k^(n) with sum_k |D_k^(n)|^2 = 1, so leaving out
-    blocks of mass m moves every entry of rho_A by at most 2 sqrt(m) + m,
-    about 2e-16 at m = 1e-32.  The phase guard still reads every block.
-    Each time chunk writes only its own slice of the stack, so the chunks
-    run on _WORKERS threads (_run_chunks), each thread with its own row
-    buffers, and every entry is the same bits for any thread count.
+    The phase guard reads every block of the table at `times`; then the
+    blocks [lo, hi) that hold the field (_support) are sliced out as
+    `support`, with their _fold_weights.  Each row is
+    chi_k[n + k] = A_n D_k^(n) with sum_k |D_k^(n)|^2 = 1, so the blocks
+    left out carry at most _SUPPORT_MASS = m of the state: every entry of
+    rho_A moves by at most 2 sqrt(m) + m, about 2e-16, and every Husimi
+    value by at most (2 sqrt(m) + m) / pi.
     """
     _check_phases(spectra.energies, times)
     lo, hi = _support(field.amplitudes)
     support = spectra[lo:hi]
-    weights = _fold_weights(support, field.atom_init, field.amplitudes[lo:hi])
+    return lo, support, _fold_weights(support, field.atom_init, field.amplitudes[lo:hi])
+
+
+def _rho_atoms(field: FieldInit, spectra, times) -> np.ndarray:
+    """rho_A(t) = X X^dagger over a time array; (T, 3, 3).
+
+    Entry (k, j) sums A_{n+j-k} A_n^* D_k^{(n+j-k)} D_j^{(n)*} over n: the
+    Gram matrix of the branch rows (_BranchRows) of the field's support
+    (_support_weights).  Each time chunk writes only its own slice of the
+    stack, so the chunks run on _WORKERS threads (_run_chunks), each thread
+    with its own row buffers, and every entry is the same bits for any
+    thread count.
+    """
+    _, support, weights = _support_weights(field, spectra, times)
     rho = np.empty((len(times), 3, 3), dtype=np.complex128)
     chunks = _chunks(len(times), 3 * len(support))
 
@@ -340,11 +352,16 @@ def reduced_atom_density(field: FieldInit, spectra, t: float) -> np.ndarray:
 
 
 def reduced_field_density(field: FieldInit, spectra, t: float) -> FieldDensity:
-    """rho_F(t) = sum_k |chi_k><chi_k| with chi_k[n+k-1] = A_n D_k^(n)."""
+    """rho_F(t) = sum_k |chi_k><chi_k| with chi_k[n + k] = A_n D_k^(n).
+
+    The rows of the field's support [lo, hi) (_support_weights) fill levels
+    [lo, hi + 2) of zeroed (3, n_max + 3) factors, so Horner in husimi_grid
+    starts at level hi + 1 while the window guard still reads the ladder.
+    """
     times = np.array([float(t)])
-    _check_phases(spectra.energies, times)
-    weights = _fold_weights(spectra, field.atom_init, field.amplitudes)
-    chi = _BranchRows(weights, spectra.energies, 1)(times)[0]
+    lo, support, weights = _support_weights(field, spectra, times)
+    chi = np.zeros((3, len(spectra) + 2), dtype=np.complex128)
+    chi[:, lo:lo + len(support) + 2] = _BranchRows(weights, support.energies, 1)(times)[0]
     chi.setflags(write=False)
     return FieldDensity(factors=chi)
 

@@ -487,6 +487,32 @@ def end_mass(p, lo, hi):
     return float(np.sum(p[:lo]) + np.sum(p[hi:]))
 
 
+def phase_beyond_the_support():
+    """(field, spectra, t): the field fills block 5 alone, and E t is beyond
+    double range only in blocks outside it."""
+    params = ModelParams(omega0=1.0, g=1.0, chi=1.0, h_kind=H_KERR)
+    amps = np.zeros(41)
+    amps[5] = 1.0
+    field = dynamics.FieldInit(amplitudes=amps, n_max=40, mean_n=5.0)
+    spectra = spectrum_table(params, 40)
+    assert dynamics._support(field.amplitudes) == (5, 6)
+    top = float(np.abs(spectra.energies).max())
+    own = float(np.abs(spectra.energies[5]).max())
+    t = sys.float_info.max / math.sqrt(top * own)
+    assert math.isfinite(own * t) and not math.isfinite(top * t)
+    return field, spectra, t
+
+
+def full_ladder_rows(field, spectra, t):
+    """The branch rows chi_k[n + k] = A_n D_k^(n)(t) over every block; (3, N+3)."""
+    D = evolve_coeffs(spectra, field.atom_init, t)
+    levels = len(spectra)
+    X = np.zeros((3, levels + 2), dtype=complex)
+    for k in range(3):
+        X[k, k:k + levels] = field.amplitudes * D[:, k]
+    return X
+
+
 class TestSupport:
     """rho_A sums over the blocks [lo, hi) that hold the field; the ends it
     leaves out carry at most _SUPPORT_MASS together."""
@@ -511,28 +537,100 @@ class TestSupport:
     def test_density_matches_the_full_ladder_gram(self, large_n_kerr, t):
         fields, spectra = large_n_kerr
         for field in fields:
-            D = evolve_coeffs(spectra, field.atom_init, t)
-            levels = len(spectra)
-            X = np.zeros((3, levels + 2), dtype=complex)
-            for k in range(3):
-                X[k, k:k + levels] = field.amplitudes * D[:, k]
+            X = full_ladder_rows(field, spectra, t)
             ref = X @ X.conj().T
             rho = reduced_atom_density(field, spectra, t)
             assert np.abs(rho - ref).max() <= 1e-15, field.atom_init
 
     def test_phase_guard_reads_blocks_outside_the_support(self):
-        params = ModelParams(omega0=1.0, g=1.0, chi=1.0, h_kind=H_KERR)
-        amps = np.zeros(41)
-        amps[5] = 1.0
-        field = dynamics.FieldInit(amplitudes=amps, n_max=40, mean_n=5.0)
-        spectra = spectrum_table(params, 40)
-        assert dynamics._support(field.amplitudes) == (5, 6)
-        top = float(np.abs(spectra.energies).max())
-        own = float(np.abs(spectra.energies[5]).max())
-        t = sys.float_info.max / math.sqrt(top * own)
-        assert math.isfinite(own * t) and not math.isfinite(top * t)
+        field, spectra, t = phase_beyond_the_support()
         with pytest.raises(NumericalGuardError, match="double range"):
             observable_series(field, spectra, np.array([0.0, t]), ["inversion"])
+
+
+@pytest.fixture(scope="module")
+def phase_space_field():
+    """The phase-space snapshots' state: mean_n 10 on a ladder (n_max 144)
+    wide enough for a 12 x 12 window, support [0, 68); times g t."""
+    params = ModelParams(omega0=1.0, g=5e-4, f_kind=F_BUCK_SUKUMAR)
+    field = coherent_field(10.0, n_max=144)
+    taus = np.array([0.0, math.pi / 4.0, math.pi / 2.0, math.pi])
+    return field, spectrum_table(params, 144), taus / params.g
+
+
+def q_bound():
+    """(2 sqrt(m) + m) / pi: the most a Husimi value moves when blocks of
+    mass m = _SUPPORT_MASS are left out of rho_F."""
+    m = dynamics._SUPPORT_MASS
+    return (2.0 * math.sqrt(m) + m) / math.pi
+
+
+class TestFieldSupport:
+    """rho_F's factors span only the levels of the field's support; the
+    rest of the ladder is exact zeros, and the guards still read all of it."""
+
+    def cases(self, large_n_kerr, phase_space_field):
+        fields, spectra = large_n_kerr
+        for field in fields:
+            for t in (0.3, 7.0):
+                # the window of n_max 1400 ends at |alpha|^2 = 700, inside the
+                # field's ring at 1000: the values here are its tails
+                yield field, spectra, t, np.linspace(20.0, 26.0, 31), np.linspace(-3.0, 3.0, 31)
+        field, spectra, times = phase_space_field
+        for t in times:
+            yield field, spectra, t, np.linspace(-6.0, 6.0, 61), np.linspace(-6.0, 6.0, 61)
+
+    def test_husimi_values_match_the_full_ladder(self, large_n_kerr, phase_space_field):
+        """Against the same fold over every block, each value moves by at most
+        the bound.  The rows of evolve_coeffs x amplitudes are rounded in
+        another order, a few ulps per entry, so that reference also allows
+        8 ulps of the value at the corners, the peak and random points."""
+        rng = np.random.default_rng(21)
+        eps = np.finfo(float).eps
+        for field, spectra, t, re, im in self.cases(large_n_kerr, phase_space_field):
+            grid = husimi_grid(reduced_field_density(field, spectra, t), re, im).values
+            weights = dynamics._fold_weights(spectra, field.atom_init, field.amplitudes)
+            rows = dynamics._BranchRows(weights, spectra.energies, 1)(np.array([t]))[0]
+            same_fold = husimi_grid(FieldDensity(factors=rows), re, im).values
+            assert np.abs(grid - same_fold).max() <= q_bound()
+
+            ref = FieldDensity(factors=full_ladder_rows(field, spectra, t))
+            ref_grid = husimi_grid(ref, re, im).values
+            corners = np.ix_([0, -1], [0, -1])
+            peak = np.unravel_index(np.argmax(ref_grid), ref_grid.shape)
+            picks = (rng.integers(len(im), size=20), rng.integers(len(re), size=20))
+            for where in (corners, peak, picks):
+                gap = np.abs(grid[where] - ref_grid[where])
+                assert np.all(gap <= q_bound() + 8 * eps * ref_grid[where])
+
+    def test_rows_vanish_outside_the_support(self, large_n_kerr, phase_space_field):
+        for field, spectra, t, *_ in self.cases(large_n_kerr, phase_space_field):
+            lo, hi = dynamics._support(field.amplitudes)
+            chi = reduced_field_density(field, spectra, t).factors
+            assert chi.shape == (3, field.n_max + 3)
+            assert not chi[:, :lo].any() and not chi[:, hi + 2:].any()
+            assert chi[0, lo] != 0 and chi[2, hi + 1] != 0
+
+    def test_phase_guard_reads_blocks_outside_the_support(self):
+        field, spectra, t = phase_beyond_the_support()
+        with pytest.raises(NumericalGuardError, match="double range"):
+            reduced_field_density(field, spectra, t)
+
+    def test_window_guard_reads_the_ladder(self, phase_space_field):
+        field, spectra, times = phase_space_field
+        _, hi = dynamics._support(field.amplitudes)
+        rho = reduced_field_density(field, spectra, times[1])
+        assert rho.n_max == field.n_max
+        re = np.linspace(-6.0, 6.0, 5)
+        inside, outside = np.linspace(-5.9, 5.9, 5), np.linspace(-6.1, 6.1, 5)
+        # 2 |alpha|^2 beyond 2 (hi + 1) but within the ladder's n_max
+        assert 2 * (hi + 1) < 2 * dynamics.corner_alpha_sq(re, inside) <= field.n_max
+        assert np.all(np.isfinite(husimi_grid(rho, re, inside).values))
+        assert math.isfinite(husimi_q(rho, 8.4))
+        with pytest.raises(NumericalGuardError, match="trusted window"):
+            husimi_grid(rho, re, outside)
+        with pytest.raises(NumericalGuardError, match="trusted window"):
+            husimi_q(rho, 8.5)
 
 
 class TestTimeChunks:
