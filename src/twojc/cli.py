@@ -14,8 +14,10 @@ of the same config produce byte-identical outputs.
 import argparse
 import contextlib
 import errno
+import functools
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -25,79 +27,256 @@ from . import __version__, dynamics, spectral, validation
 from .config import CurveSpec, RunConfig, load_config, resolved_lines
 from .errors import ConfigError, NumericalGuardError, TwojcError
 
-_FMT = "%.17g"
-# table rows formatted per `%` call: a table never exists as Python objects
-# in full, only this many rows of it at a time
+# values formatted per kernel call: a table never exists as text in full, only
+# one block of _CHUNK_ROWS // k of its lines of k values at a time
 _CHUNK_ROWS = 1 << 12
+
+# The "%.17g" kernel.  A value |v| = d0.d1...d16 * 10**e is scaled to the
+# 17-digit integer N = round(|v| * 10**(16 - e)) in double-double arithmetic,
+# N is cut into ASCII digits through a table of 4-digit words, and the digits
+# are laid out as %g lays them: fixed for -4 <= e < 17, scientific otherwise,
+# trailing zeros dropped.  A text is built in three uint64 words, read as its
+# 24 bytes in (little-endian) memory order, with 0 bytes as padding that the
+# writer drops.  The tables are filled in, not computed, so that building
+# them at import runs no arithmetic loop that nothing else uses.
+_FIELD = 24  # bytes of the longest text, "-1.2345678901234567e-308"
+_E_MIN, _E_MAX = -291, 299  # exponents formatted here; other values but 0 go through `%`
+_TIE = 1e-6  # values this close to a rounding tie also go through `%`
+_U = np.uint64
+
+
+def _digit_tables():
+    """For each 4-digit group: its ASCII word, first digit lowest, and the
+    count of its digits up to the last nonzero one (-16 for 0000)."""
+    text = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+    digits = np.arange(48, 58, dtype=np.uint8)
+    for i in range(4):
+        text[..., i] = digits.reshape([-1 if j == i else 1 for j in range(4)])
+    significant = np.full((10, 10, 10, 10), 4, dtype=np.int64)
+    significant[..., 0] = 3
+    significant[..., 0, 0] = 2
+    significant[:, 0, 0, 0] = 1
+    significant[0, 0, 0, 0] = -16
+    return text.view(np.uint32).reshape(10000), significant.reshape(10000)
+
+
+def _layout_tables():
+    """Per class of exponent (below -4, each of -4..16, above 16): the count
+    of leading digits that stay before the point (none in 0.00d0...), the
+    bit shift of the digits after them past the sign byte and the bytes put
+    in (the point, or "0." and the zeros of 0.00d0...), those bytes, and the
+    masks of the leading digits and of the rest; each byte mask as three
+    words."""
+    head, rest, put = np.zeros((3, 23, _FIELD), dtype=np.uint8)
+    cut = np.zeros(23, dtype=np.int64)
+    shift = np.zeros(23, dtype=_U)
+    for c, e in enumerate(range(-5, 18)):
+        fixed = -4 <= e < 17
+        text = b"0." + b"0" * (-e - 1) if fixed and e < 0 else b"."
+        cut[c] = max(e + 1, 0) if fixed else 1
+        head[c, :cut[c]] = 0xff
+        rest[c, cut[c]:] = 0xff
+        put[c, cut[c] + 1:cut[c] + 1 + len(text)] = np.frombuffer(text, dtype=np.uint8)
+        shift[c] = 8 * (1 + len(text))
+    head, rest, put = (b.view(_U).T.copy() for b in (head, rest, put))
+    return cut, shift, put, head, rest
+
+
+def _suffix_table():
+    """The scientific suffix "e+XX" of each exponent in [_E_MIN - 1, _E_MAX + 1],
+    in the last word's five high bytes; 0 for the exponents written fixed."""
+    suffix = np.zeros((_E_MAX - _E_MIN + 3, 8), dtype=np.uint8)
+    negative = 1 - _E_MIN  # rows of the exponents below 0
+    suffix[:, 4:] = _DIGITS.take(np.r_[negative:0:-1, :_E_MAX + 2]).view(np.uint8).reshape(-1, 4)
+    suffix[:, 3] = ord("e")
+    suffix[:, 4] = ord("+")
+    suffix[:negative, 4] = ord("-")
+    suffix[negative - 99:negative + 100, 5] = 0  # two exponent digits below 100
+    suffix[negative - 4:negative + 17] = 0
+    return suffix.view(_U).reshape(-1)
+
+
+_DIGITS, _SIGNIFICANT = _digit_tables()
+_CUT, _SHIFT, _PUT, _HEAD, _REST = _layout_tables()
+_SUFFIX = _suffix_table()
+_KEEP = np.array([(1 << (8 * n)) - 1 for n in range(9)], dtype=_U)  # the low n bytes
+
+
+@functools.cache
+def _powers():
+    """10**s for s = 16 - e, e in [_E_MIN - 1, _E_MAX + 1], as (hh, hl, lo):
+    hh + hl is 10**s correctly rounded, split in halves of at most 26
+    significant bits, and lo is the rest, rounded.  Built on first use from
+    Python ints."""
+    hi, lo = [], []
+    for s in range(15 - _E_MAX, 18 - _E_MIN):
+        p, q = (10 ** s, 1) if s >= 0 else (1, 10 ** -s)  # 10**s = p / q
+        hi.append(p / q)
+        num, den = hi[-1].as_integer_ratio()
+        lo.append((p * den - num * q) / (q * den))
+    hh = [math.ldexp(round(m * 2 ** 26), e - 26) for m, e in map(math.frexp, hi)]
+    return np.array(hh), np.array(hi) - hh, np.array(lo)
+
+
+def _scaled(a, e):
+    """a * 10**(16 - e) as p + err: p the rounded product and err the rest,
+    exact up to the rounding of a * lo (Dekker's product of a and hh + hl,
+    each split in halves of at most 26 significant bits)."""
+    i = _E_MAX + 1 - e
+    hh, hl, lo = (t.take(i) for t in _powers())
+    c = a * (2.0 ** 27 + 1)  # finite: a is below about 1e300
+    ah = c - (c - a)
+    al = a - ah
+    p = a * (hh + hl)
+    return p, ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * lo
+
+
+def _significand(x):
+    """(N, e, fallback): |v| rounded to N * 10**(e - 16) with 10**16 <= N < 10**17
+    (1 * 10**0 for 0), and whether v must go through `%`."""
+    a = np.abs(x)
+    a[a == 0] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    fallback = (e < _E_MIN) | (e > _E_MAX)
+    a[fallback], e[fallback] = 1.0, 0
+    p, err = _scaled(a, e)
+    # log10 may put e one off next to a power of ten
+    low = (p < 1e16) | ((p == 1e16) & (err < 0))
+    high = (p > 1e17) | ((p == 1e17) & (err >= 0))
+    off = np.flatnonzero(low | high)
+    if off.size:
+        e[off] += high[off].astype(np.int64) - low[off]
+        p[off], err[off] = _scaled(a[off], e[off])
+    whole = np.floor(err)
+    err -= whole
+    fallback |= np.abs(err - 0.5) <= _TIE
+    n = p.astype(np.int64)
+    n += whole.astype(np.int64)
+    n += err > 0.5
+    carry = n == 10 ** 17  # rounded up to the next power of ten
+    n[carry] = 10 ** 16
+    e += carry
+    return n, e, fallback
+
+
+def _fields(x):
+    """The text of "%.17g" % v for each v of the finite float64 array x, as
+    the rows of an (n, _FIELD) uint8 array padded with 0 bytes; -0.0 reads 0."""
+    n, e, fallback = _significand(x)
+    # d0, then the digits d1..d16 in four groups of four
+    d0 = n // 10 ** 16
+    n -= d0 * 10 ** 16
+    g12 = n // 10 ** 8
+    g34 = n - g12 * 10 ** 8
+    g1, g3 = g12 // 10 ** 4, g34 // 10 ** 4
+    groups = g1, g12 - g1 * 10 ** 4, g3, g34 - g3 * 10 ** 4
+    tail = _SIGNIFICANT.take(groups[0])  # d1..d16 up to the last nonzero one
+    for i in (1, 2, 3):
+        np.maximum(tail, _SIGNIFICANT.take(groups[i]) + 4 * i, out=tail)
+    np.maximum(tail, 0, out=tail)
+    words = [_DIGITS.take(g).astype(_U) for g in groups]
+    lw = (words[0] | words[1] << _U(32)) & _KEEP.take(np.minimum(tail, 8))
+    hw = (words[2] | words[3] << _U(32)) & _KEEP.take(np.maximum(tail - 8, 0))
+    # d0..d16 as bytes 0..16; those before the cut move one byte right, for
+    # the sign, with an integer part's trailing zeros put back, and the rest
+    # move on past the bytes put in
+    w = (d0.astype(_U) + _U(48) | lw << _U(8), lw >> _U(56) | hw << _U(8), hw >> _U(56))
+    c = np.clip(e, -5, 17) + 5
+    shift = _SHIFT.take(c)
+    back = _U(64) - shift
+    point = tail + 1 > _CUT.take(c)  # digits follow the cut, so the bytes go in
+    out = np.empty((x.size, 3), dtype=_U)
+    spill = 0
+    for i in range(3):
+        head = (w[i] | _U(0x3030303030303030)) & _HEAD[i].take(c)
+        rest = w[i] & _REST[i].take(c)
+        out[:, i] = head << _U(8) | rest << shift | _PUT[i].take(c) * point | spill
+        spill = head >> _U(56) | rest >> back
+    out[:, 0] |= (x < 0) * _U(ord("-"))
+    out[:, 2] |= _SUFFIX.take(e - (_E_MIN - 1))
+    text = out.view(np.uint8)
+    zero = x == 0
+    text[zero] = 0
+    text[zero, 1] = ord("0")
+    for i in np.flatnonzero(fallback & ~zero).tolist():
+        text[i] = np.frombuffer(("%.17g" % x[i]).encode().ljust(_FIELD, b"\0"), np.uint8)
+    return text
+
+
+def _text(values):
+    """The "%.17g" text of each finite value as the rows of a uint8 array,
+    padded with 0 bytes and without the byte columns no text uses."""
+    values = np.asarray(values, dtype=float).ravel()
+    text = np.empty((values.size, _FIELD), dtype=np.uint8)
+    for lo in range(0, values.size, _CHUNK_ROWS):
+        text[lo:lo + _CHUNK_ROWS] = _fields(values[lo:lo + _CHUNK_ROWS])
+    return text[:, text.any(axis=0)]
 
 
 def _finite(path, *arrays):
-    """The arrays as floats plus 0.0 (-0.0 becomes 0.0, for byte-stable output).
-
-    A NaN or Inf in any of them trips the guard, before anything is written."""
-    arrays = [np.asarray(a, dtype=float) + 0.0 for a in arrays]
+    """The arrays as floats; a NaN or Inf in any of them trips the guard,
+    before anything is written."""
+    arrays = [np.asarray(a, dtype=float) for a in arrays]
     if not all(np.all(np.isfinite(a)) for a in arrays):
         raise NumericalGuardError(
             f"{os.path.basename(path)}: non-finite values computed; not written")
     return arrays
 
 
-def _write_blocks(path, header_lines, columns, blocks):
-    """Write the header, then each text block of a table; return the sha256
-    of the bytes written."""
+def _write_csv(path, header_lines, columns, values, lead=()):
+    """Write a table and return the sha256 of the bytes written.
+
+    `values` is (rows, k) or (rows, cols, k): a line per row, or per entry
+    (i, j) with j running fastest, ends with the k values along the last
+    axis.  Each array of `lead`, `_text` rows broadcast against
+    (rows, cols), gives a leading field of each line.  A NaN or Inf in
+    `values` trips the guard and nothing is written."""
+    values, = _finite(path, values)
+    k = values.shape[-1]
+    values = values.reshape(len(values), -1, k)
+    rows, cols = values.shape[:2]
+    lead = [np.broadcast_to(f, (rows, cols, f.shape[-1])) for f in lead]
+    per_block = max(_CHUNK_ROWS // k, 1)
+    # whole rows of `values` per block, or pieces of one row wider than a block
+    step_r, step_c = max(per_block // cols, 1), min(cols, per_block)
+    width = sum(f.shape[-1] + 1 for f in lead) + k * (_FIELD + 1)
+    buf = bytearray(step_r * step_c * width)
+    lines = np.frombuffer(buf, dtype=np.uint8).reshape(-1, width)
+    ends = np.cumsum([f.shape[-1] + 1 for f in lead] + [_FIELD + 1] * k) - 1
+    lines[:, ends] = ord(",")
+    lines[:, -1] = ord("\n")
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        def put(text):
-            data = text.encode()
+        def put(data):
             fh.write(data)
             digest.update(data)
 
-        put("".join(f"# {line}\n" for line in header_lines) + ",".join(columns) + "\n")
-        for text in blocks:
-            put(text)
+        put(("".join(f"# {line}\n" for line in header_lines) + ",".join(columns) + "\n").encode())
+        for i in range(0, rows, step_r):
+            for j in range(0, cols, step_c):
+                block = values[i:i + step_r, j:j + step_c]
+                size = block.shape[0] * block.shape[1]
+                view = lines[:size].reshape(block.shape[:2] + (width,))
+                at = 0
+                for f in lead:
+                    w = f.shape[-1]
+                    view[:, :, at:at + w] = f[i:i + step_r, j:j + step_c]
+                    at += w + 1
+                cells = lines[:size, at:].reshape(size, k, _FIELD + 1)
+                cells[:, :, :_FIELD] = _fields(block.ravel()).reshape(size, k, _FIELD)
+                put((buf if size == len(lines) else buf[:size * width]).translate(None, b"\0"))
     return digest.hexdigest()
-
-
-def _write_csv(path, header_lines, columns, rows):
-    """Write a table and return the sha256 of the bytes written.
-
-    A NaN or Inf anywhere trips the guard and nothing is written."""
-    rows, = _finite(path, rows)
-    row_fmt = ",".join([_FMT] * len(columns)) + "\n"
-
-    def blocks():
-        for lo in range(0, len(rows), _CHUNK_ROWS):
-            chunk = rows[lo:lo + _CHUNK_ROWS]
-            yield (row_fmt * len(chunk)) % tuple(chunk.ravel().tolist())
-
-    return _write_blocks(path, header_lines, columns, blocks())
 
 
 def _write_q_csv(path, header_lines, re_axis, im_axis, q):
     """Write the rows (re, im, q) of a grid q[i, j] at (im_axis[i], re_axis[j]),
     re running fastest; return the sha256 of the bytes written.
 
-    The same bytes as _write_csv with the three columns, but each axis value
-    is formatted once and a block's "re,im," prefixes go into its `%`
-    template, so only q is formatted per row.  A NaN or Inf anywhere trips
-    the guard and nothing is written."""
+    Each axis value is formatted once.  A NaN or Inf anywhere trips the
+    guard and nothing is written."""
     re_axis, im_axis, q = _finite(path, re_axis, im_axis, q)
-    re_text = [_FMT % v for v in re_axis.tolist()]
-    im_text = [_FMT % v for v in im_axis.tolist()]
-    width, values = len(re_text), q.ravel()
-    # whole grid rows per block, or pieces of one row wider than _CHUNK_ROWS
-    step = _CHUNK_ROWS if width > _CHUNK_ROWS else width * (_CHUNK_ROWS // width)
-
-    def blocks():
-        for lo in range(0, values.size, step):
-            hi = min(lo + step, values.size)
-            parts = []
-            for i in range(lo // width, (hi - 1) // width + 1):
-                tail = f",{im_text[i]},{_FMT}\n"
-                parts += [tail.join(re_text[max(lo - i * width, 0):hi - i * width]), tail]
-            yield "".join(parts) % tuple(values[lo:hi].tolist())
-
-    return _write_blocks(path, header_lines, ["re", "im", "q"], blocks())
+    return _write_csv(path, header_lines, ["re", "im", "q"], q[:, :, None],
+                      (_text(re_axis)[None], _text(im_axis)[:, None]))
 
 
 def _series_units(name):
@@ -126,13 +305,14 @@ def _derived_columns(spectra, g):
     return columns
 
 
-def _curve_outputs(cfg: RunConfig, curve: CurveSpec, staged: list):
+def _curve_outputs(cfg: RunConfig, curve: CurveSpec, staged: list, tau_text):
     """Compute and write every requested file for one curve; return their
     manifest entries.
 
     Each table goes under a temporary name in the output directory, and
     its (temporary, final) path pair is added to `staged` before it is
-    written."""
+    written.  `tau_text()` is the config's tau column, formatted when
+    first written and then reused."""
     params = curve.params
     field = dynamics.coherent_field(curve.mean_n, phase=curve.phase,
                                     n_max=curve.n_max,
@@ -156,7 +336,7 @@ def _curve_outputs(cfg: RunConfig, curve: CurveSpec, staged: list):
             emit(name, _write_csv,
                  ["tau column: dimensionless time g*t",
                   f"{name} column: {_series_units(name)}"],
-                 ["tau", name], np.column_stack([cfg.times_tau, series[name]]))
+                 ["tau", name], series[name][:, None], (tau_text()[:, None],))
 
     if "qfunction" in cfg.observables:
         re_axis, im_axis = cfg.q_grid.axes()
@@ -198,8 +378,9 @@ def run_config(cfg: RunConfig) -> dict:
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
         files = []
+        tau_text = functools.cache(lambda: _text(cfg.times_tau))
         for curve in cfg.curves:
-            files.extend(_curve_outputs(cfg, curve, staged))
+            files.extend(_curve_outputs(cfg, curve, staged, tau_text))
         # a rename onto a directory fails, so look for one before renaming any
         taken = [final for _, final in staged if os.path.isdir(final)]
         if taken:

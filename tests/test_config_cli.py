@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -573,6 +574,70 @@ class TestCliEntry:
     def test_dump_spectrum_block_out_of_range(self, tmp_path):
         cfg = write_cfg(tmp_path, deep(BASE))
         assert main(["dump-spectrum", "--n", "99", cfg]) == 2
+
+
+def exact_ties(rng, count):
+    """Doubles whose exact decimal has 18 significant digits, the last one a
+    5, so that rounding them to 17 digits is a tie.  A double m / 2**k with
+    m odd has the digits of m * 5**k, so the search draws odd m that give
+    18 of them and keeps the quotients that are exact doubles."""
+    ties = []
+    for k in range(2, 26):
+        for m in rng.integers(-(-10 ** 17 // 5 ** k), 10 ** 18 // 5 ** k, size=count):
+            v = (int(m) | 1) / 2 ** k
+            exact = Fraction(v)
+            digits = str(exact.numerator * 10 ** k // exact.denominator)
+            if exact.denominator == 2 ** k and len(digits) == 18 and digits.endswith("5"):
+                ties.append(v)
+    return np.array(ties)
+
+
+class TestTextKernel:
+    """The writer formats values as arrays; its text must be "%.17g" % v."""
+
+    @staticmethod
+    def assert_text(tmp_path, values):
+        from twojc.cli import _write_csv
+        values = np.asarray(values, dtype=float)
+        path = tmp_path / "v.csv"
+        _write_csv(str(path), [], ["v"], values[:, None])
+        want = ("%.17g\n" * values.size) % tuple((values + 0.0).tolist())
+        got = path.read_bytes().decode()
+        if got != "v\n" + want:
+            bad = [(v, g, w) for v, g, w in
+                   zip(values.tolist(), got.split("\n")[1:], want.split("\n")) if g != w]
+            pytest.fail(f"{len(bad)} values differ from %.17g, first (value, got, want): {bad[:5]}")
+
+    @pytest.mark.parametrize("seed", [17, 18, 19, 20])  # 10**6 draws in all
+    def test_random_bit_patterns(self, tmp_path, seed):
+        bits = np.random.default_rng(seed).integers(0, 2 ** 64, size=10 ** 6 // 4, dtype=np.uint64)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)]
+        assert (values < 0).any() and (values > 0).any()
+        self.assert_text(tmp_path, values)
+
+    def test_powers_of_ten_and_their_neighbours(self, tmp_path):
+        powers = np.array([float(f"1e{k}") for k in range(-308, 309)])
+        self.assert_text(tmp_path, np.concatenate(
+            [powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)]))
+
+    def test_exact_ties_take_the_fallback(self, tmp_path):
+        from twojc.cli import _significand
+        ties = exact_ties(np.random.default_rng(5), 8)
+        assert len(ties) > 100
+        assert _significand(ties)[2].all()
+        self.assert_text(tmp_path, np.concatenate([ties, -ties]))
+
+    def test_integers_and_extremes(self, tmp_path):
+        integers = np.random.default_rng(9).integers(0, 2 ** 63, size=10 ** 4)
+        self.assert_text(tmp_path, np.concatenate([
+            integers.astype(float), 2.0 ** np.arange(64),
+            [5e-324, -5e-324, np.finfo(float).max, -np.finfo(float).max, 0.0]]))
+
+    def test_fixed_and_scientific_edges(self, tmp_path):
+        edges = [1e-4, np.nextafter(1e-4, 0), 1e-5, 1e16, 1e17, np.nextafter(1e17, 0),
+                 100.0, 1000.0, 0.5, 123.456, 0.000123]
+        self.assert_text(tmp_path, np.concatenate([edges, np.negative(edges), np.arange(1401.0)]))
 
 
 # (config path, JSON literal put there, exit code); the literal goes into the
