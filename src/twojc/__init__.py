@@ -13,8 +13,7 @@ from .spectral import (CardanoIntermediates, SpectrumTable, block_spectrum,
                        cardano, eigenvalues, eigenvector_coeffs,
                        rabi_frequencies, rabi_frequencies_trig, solve_blocks,
                        spectrum_table, weighting_amplitudes)
-from .dynamics import (AtomInit, FieldDensity, FieldInit, QGrid,
-                       atomic_inversion, auto_n_max, coherent_field,
+from .dynamics import (AtomInit, FieldInit, QGrid, auto_n_max, coherent_field,
                        concurrence, embed_atom_density,
                        evolve_coeffs, field_entropy, husimi_grid, husimi_q,
                        inversion_series, observable_series, purity,

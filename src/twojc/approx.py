@@ -23,9 +23,6 @@ import numpy as np
 from .errors import TwojcError
 from .model import FKind, ModelParams
 
-__all__ = ["RegimeKind", "ApproxRegime", "Timescales", "kerr_approx_inversion",
-           "standard_approx_inversion", "timescales"]
-
 # anharmonicity ratio above which the locked-Kerr expansion is dubious
 _X_WARN_KERR = 0.1
 

@@ -241,51 +241,18 @@ class _BranchRows:
         np.matmul(X, X_conj.swapaxes(1, 2), out=out)
 
 
-def evolve_coeffs(spectra, atom_init: AtomInit, t: float) -> np.ndarray:
-    """Branch coefficients D_k^(n)(t) of every block at time t; (N+1, 3)."""
-    times = np.array([float(t)])
+def evolve_coeffs(spectra, atom_init: AtomInit, times) -> np.ndarray:
+    """Branch coefficients D_k^(n)(t) of every block at each time; (T, N+1, 3)."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
     _check_phases(spectra.energies, times)
     weights = _fold_weights(spectra, atom_init, np.ones(len(spectra)))
-    rows = _BranchRows(weights, spectra.energies, 1)(times)[0]
+    rows = _BranchRows(weights, spectra.energies, len(times))(times)
     levels = len(spectra)
-    return np.stack([rows[k, k:k + levels] for k in range(3)], axis=1)
+    return np.stack([rows[:, k, k:k + levels] for k in range(3)], axis=2)
 
 
 # ---------------------------------------------------------------------------
 # densities
-
-@dataclass(frozen=True)
-class FieldDensity:
-    """Reduced field density on Fock levels 0 .. n_max + 2, held as its factors.
-
-    factors (K, n_max + 3) holds rows chi_k with rho_F = sum_k |chi_k><chi_k|
-    (K = 3 for the states built here); the dense matrix is formed only when
-    .matrix is read.  The rows built by reduced_field_density vanish outside
-    the levels of the field's support, while n_max stays the ladder's.
-    """
-
-    factors: np.ndarray
-
-    @property
-    def matrix(self):
-        return self.factors.T @ self.factors.conj()
-
-    @property
-    def n_max(self):
-        return self.factors.shape[1] - 3
-
-    def _populations(self):
-        """Diagonal of rho_F: sum_k |chi_k[p]|^2 per Fock level p."""
-        return np.sum(np.abs(self.factors) ** 2, axis=0)
-
-    @property
-    def trace_defect(self):
-        return abs(float(np.sum(self._populations())) - 1.0)
-
-    def mean_photons(self):
-        pop = self._populations()
-        return float(np.sum(np.arange(len(pop)) * pop))
-
 
 # blocks at the two ends of the ladder whose combined probability is at most
 # this are left out of rho_A and rho_F (_support)
@@ -324,8 +291,9 @@ def _support_weights(field: FieldInit, spectra, times):
     return lo, support, _fold_weights(support, field.atom_init, field.amplitudes[lo:hi])
 
 
-def _rho_atoms(field: FieldInit, spectra, times) -> np.ndarray:
-    """rho_A(t) = X X^dagger over a time array; (T, 3, 3).
+def reduced_atom_density(field: FieldInit, spectra, times) -> np.ndarray:
+    """rho_A(t) = X X^dagger over a time array; (T, 3, 3) in the basis
+    (|e,e>, sym, |g,g>).
 
     Entry (k, j) sums A_{n+j-k} A_n^* D_k^{(n+j-k)} D_j^{(n)*} over n: the
     Gram matrix of the branch rows (_BranchRows) of the field's support
@@ -334,6 +302,7 @@ def _rho_atoms(field: FieldInit, spectra, times) -> np.ndarray:
     with its own row buffers, and every entry is the same bits for any
     thread count.
     """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
     _, support, weights = _support_weights(field, spectra, times)
     rho = np.empty((len(times), 3, 3), dtype=np.complex128)
     chunks = _chunks(len(times), 3 * len(support))
@@ -346,24 +315,20 @@ def _rho_atoms(field: FieldInit, spectra, times) -> np.ndarray:
     return rho
 
 
-def reduced_atom_density(field: FieldInit, spectra, t: float) -> np.ndarray:
-    """rho_A(t), 3x3 in the basis (|e,e>, sym, |g,g>)."""
-    return _rho_atoms(field, spectra, np.array([float(t)]))[0]
-
-
-def reduced_field_density(field: FieldInit, spectra, t: float) -> FieldDensity:
-    """rho_F(t) = sum_k |chi_k><chi_k| with chi_k[n + k] = A_n D_k^(n).
+def reduced_field_density(field: FieldInit, spectra, t: float) -> np.ndarray:
+    """The factors chi (3, n_max + 3) of rho_F(t) = sum_k |chi_k><chi_k|,
+    chi_k[n + k] = A_n D_k^(n); read-only.
 
     The rows of the field's support [lo, hi) (_support_weights) fill levels
-    [lo, hi + 2) of zeroed (3, n_max + 3) factors, so Horner in husimi_grid
-    starts at level hi + 1 while the window guard still reads the ladder.
+    [lo, hi + 2) of zeroed factors, so Horner in husimi_grid starts at
+    level hi + 1 while the window guard still reads the ladder.
     """
     times = np.array([float(t)])
     lo, support, weights = _support_weights(field, spectra, times)
     chi = np.zeros((3, len(spectra) + 2), dtype=np.complex128)
     chi[:, lo:lo + len(support) + 2] = _BranchRows(weights, support.energies, 1)(times)[0]
     chi.setflags(write=False)
-    return FieldDensity(factors=chi)
+    return chi
 
 
 # ---------------------------------------------------------------------------
@@ -371,27 +336,17 @@ def reduced_field_density(field: FieldInit, spectra, t: float) -> FieldDensity:
 
 def inversion_series(field: FieldInit, spectra, times) -> np.ndarray:
     """<D_Z>(t) for each t; D_Z = (sigma_z^(1) + sigma_z^(2)) / 2."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    return _inversion_of(_rho_atoms(field, spectra, times))
-
-
-def atomic_inversion(field: FieldInit, spectra, t: float) -> float:
-    return float(inversion_series(field, spectra, [t])[0])
-
-
-def _scalar_or_array(x):
-    """A float for a 0-d result (one 3x3 input), the array for a stack."""
-    return float(x) if np.ndim(x) == 0 else x
+    return _inversion_of(reduced_atom_density(field, spectra, times))
 
 
 def _inversion_of(rho):
     """<D_Z> = rho_00 - rho_22 of a 3x3 atomic density or a stack of them."""
-    return _scalar_or_array(np.real(rho[..., 0, 0] - rho[..., 2, 2]))
+    return np.real(rho[..., 0, 0] - rho[..., 2, 2])
 
 
 def purity(rho):
     """Tr(rho^2); for a Hermitian matrix this is the squared entry sum."""
-    return _scalar_or_array(np.sum(np.abs(np.asarray(rho)) ** 2, axis=(-2, -1)))
+    return np.sum(np.abs(np.asarray(rho)) ** 2, axis=(-2, -1))
 
 
 def hermitian_eigvals(mat) -> np.ndarray:
@@ -414,14 +369,14 @@ def entropy_of_eigvals(w):
     """-sum w ln w over the last axis.
 
     Eigenvalues are clipped to [0, 1] and anything at or below 1e-14
-    contributes nothing (x ln x -> 0).  A 1-D input gives a float, a
-    stack of spectra an array.
+    contributes nothing (x ln x -> 0).  A 1-D input gives an np.float64,
+    a stack of spectra an array.
     """
     w = np.clip(np.asarray(w, dtype=float), 0.0, 1.0)
     keep = w > 1e-14
     terms = np.zeros_like(w)
     terms[keep] = w[keep] * np.log(w[keep])
-    return _scalar_or_array(-np.sum(terms, axis=-1))
+    return -np.sum(terms, axis=-1)
 
 
 # computational-basis order (|g,g>, |g,e>, |e,g>, |e,e>)
@@ -437,7 +392,8 @@ _SPIN_FLIP = np.array([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
 
 def embed_atom_density(rho) -> np.ndarray:
     """Map the symmetric-sector 3x3 density (or a stack of them) into the
-    two-qubit computational basis (zero antisymmetric component)."""
+    two-qubit computational basis (zero antisymmetric component): the
+    reference form that tests hold to the oracle's 4x4 partial trace."""
     return _EMBED @ np.asarray(rho) @ _EMBED.T
 
 
@@ -446,11 +402,11 @@ def concurrence(rho):
     state.
 
     Accepts a 3x3 density in the basis (|e,e>, sym, |g,g>), or a (T, 3, 3)
-    stack, for which it returns an array.  With rho = A A^dagger
-    (A = V sqrt(w) from eigh), the lambda_i are the singular values of
-    A^T (YY) A, YY being the spin flip in the same 3-state frame: no square
-    roots of near-zero eigenvalues of rho (YY) rho* (YY).  Input that is
-    not Hermitian to 1e-8 aborts.
+    stack, for which it returns an array (an np.float64 for one 3x3).
+    With rho = A A^dagger (A = V sqrt(w) from eigh), the lambda_i are the
+    singular values of A^T (YY) A, YY being the spin flip in the same
+    3-state frame: no square roots of near-zero eigenvalues of
+    rho (YY) rho* (YY).  Input that is not Hermitian to 1e-8 aborts.
     """
     m = np.asarray(rho)
     if m.ndim not in (2, 3) or m.shape[-2:] != (3, 3):
@@ -461,7 +417,7 @@ def concurrence(rho):
     w, V = np.linalg.eigh(m)
     A = V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
     lam = np.linalg.svd(A.swapaxes(-1, -2) @ _SPIN_FLIP @ A, compute_uv=False)
-    return _scalar_or_array(np.maximum(0.0, lam[..., 0] - lam[..., 1:].sum(axis=-1)))
+    return np.maximum(0.0, lam[..., 0] - lam[..., 1:].sum(axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -518,11 +474,13 @@ def coherent_vector(alpha: complex, dim: int) -> np.ndarray:
     return _coherent_amplitudes(abs(alpha) ** 2, np.angle(alpha), dim)
 
 
-def husimi_q(rho: FieldDensity, alpha: complex) -> float:
-    """Q(alpha) = sum_k |<alpha|chi_k>|^2 / pi at a single phase-space point."""
-    dim = rho.factors.shape[1]
+def husimi_q(factors, alpha: complex) -> float:
+    """Q(alpha) = sum_k |<alpha|chi_k>|^2 / pi at one point, from rho_F's
+    factors: the per-point reference for husimi_grid, also read by the
+    benchmark's phase-space check."""
+    dim = factors.shape[1]
     _check_window(dim, abs(alpha) ** 2)
-    overlaps = rho.factors @ coherent_vector(alpha, dim).conj()
+    overlaps = factors @ coherent_vector(alpha, dim).conj()
     return float(np.sum(np.abs(overlaps) ** 2) / math.pi)
 
 
@@ -560,31 +518,30 @@ def _bargmann_amplitudes(rows, z):
     return acc * np.exp(log_scale - 0.5 * np.abs(z) ** 2)
 
 
-def husimi_grid(rho: FieldDensity, re_axis, im_axis) -> QGrid:
-    """Husimi values over a rectangular grid.
+def husimi_grid(factors, re_axis, im_axis) -> QGrid:
+    """Husimi values over a rectangular grid, from the factors of rho_F.
 
     With rho = sum_k |v_k><v_k| and the Bargmann polynomial
     v(z) = sum_p v_p z^p / sqrt(p!), <alpha|v> = e^{-|alpha|^2/2} v(conj alpha)
     (Bargmann 1961), so Q = sum_k |e^{-|alpha|^2/2} v_k(conj alpha)|^2 / pi.
     Each polynomial is evaluated by Horner over the grid points at once, as
-    v_0 + z/sqrt(1) (v_1 + z/sqrt(2) (v_2 + ...)).  A FieldDensity is its
+    v_0 + z/sqrt(1) (v_1 + z/sqrt(2) (v_2 + ...)).  rho_F is given by its
     rank <= 3 factors, so a grid costs three polynomials rather than a
     quadratic form in the full Fock space.  The point chunks run on
     _WORKERS threads (_run_chunks), each writing only its own points, and
     every value is the same bits for any thread count or chunk size.
     """
-    rows = rho.factors
     re_axis = np.ascontiguousarray(re_axis, dtype=float)
     im_axis = np.ascontiguousarray(im_axis, dtype=float)
-    _check_window(rows.shape[1], corner_alpha_sq(re_axis, im_axis))
+    _check_window(factors.shape[1], corner_alpha_sq(re_axis, im_axis))
     z = (re_axis[None, :] - 1j * im_axis[:, None]).ravel()
     values = np.empty(z.size)
 
     def task(part):
-        amps = _bargmann_amplitudes(rows, z[part])
+        amps = _bargmann_amplitudes(factors, z[part])
         values[part] = np.sum(np.abs(amps) ** 2, axis=0) / math.pi
 
-    _run_chunks(lambda: task, _chunks(z.size, len(rows)))
+    _run_chunks(lambda: task, _chunks(z.size, len(factors)))
     return QGrid(re_axis=re_axis, im_axis=im_axis,
                  values=values.reshape(len(im_axis), len(re_axis)))
 
@@ -602,12 +559,11 @@ def observable_series(field: FieldInit, spectra, times, observables) -> dict:
     every observable is one function of that stack.  Times are in absolute
     units (multiply tau = g t by 1/g upstream).
     """
-    times = np.asarray(times, dtype=float)
     bad = [o for o in observables if o not in SERIES_OBSERVABLES]
     if bad:
         raise TwojcError(f"unknown observables: {bad}")
     # looked up at call time, so a wrapped module attribute is the one called
     of_rho = {"inversion": _inversion_of, "purity": purity,
               "concurrence": concurrence, "entropy": field_entropy}
-    rho = _rho_atoms(field, spectra, times)
+    rho = reduced_atom_density(field, spectra, times)
     return {name: of_rho[name](rho) for name in observables}

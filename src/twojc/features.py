@@ -12,9 +12,6 @@ import math
 
 import numpy as np
 
-__all__ = ["find_peaks", "revival_peaks", "revival_spacing", "collapse_width",
-           "beat_nodes", "local_minima", "local_maxima", "grid_lobes"]
-
 REVIVAL_SMOOTH_WIDTH = 0.05  # smoothing window in tau units
 
 

@@ -32,11 +32,6 @@ from .dynamics import AtomInit, FieldInit
 from .errors import NumericalGuardError, TruncationError
 from .model import ModelParams, ladder_factor, shift_factor
 
-__all__ = ["build_joint_hamiltonian", "joint_initial_state",
-           "SectorPropagator", "evolve_numeric_sampled",
-           "partial_trace_atoms", "partial_trace_field", "inversion_of",
-           "buffer_population", "antisymmetric_leakage", "jacobi_eigh_cyclic"]
-
 BUFFER_TOL = 1e-10
 NORM_DRIFT_LIMIT = 1e-8
 _RK4_STEP_FRACTION = 0.02  # dt * (Gershgorin bound on |E|)
@@ -323,7 +318,8 @@ def evolve_numeric_sampled(H: np.ndarray, psi0: np.ndarray, times) -> np.ndarray
 # reductions, each of one (4, M) state or over the last two axes of a stack
 
 def partial_trace_field(psi) -> np.ndarray:
-    """4x4 atomic density (computational basis), tracing the field."""
+    """4x4 atomic density (computational basis), tracing the field: the
+    independent reference for rho_A, through embed_atom_density."""
     return psi @ np.conj(psi).swapaxes(-1, -2)
 
 
@@ -352,6 +348,7 @@ def require_buffer_empty(psi):
 
 def antisymmetric_leakage(psi):
     """Population of the antisymmetric atomic state (zero for symmetric
-    initial conditions with identical atoms)."""
+    initial conditions with identical atoms): the independent check that
+    the symmetric-sector frame of the analytic layer holds."""
     anti = (psi[..., 1, :] - psi[..., 2, :]) / math.sqrt(2.0)
     return np.sum(np.abs(anti) ** 2, axis=-1)

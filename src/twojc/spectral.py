@@ -24,12 +24,6 @@ import numpy as np
 
 from .model import ModelParams, build_block
 
-__all__ = [
-    "CardanoIntermediates", "SpectrumTable", "cardano", "eigenvalues", "solve_blocks",
-    "eigenvector_coeffs", "rabi_frequencies", "rabi_frequencies_trig",
-    "weighting_amplitudes", "block_spectrum", "spectrum_table",
-]
-
 # fallback threshold for the adjugate normalization, scaled by ||H||_F^2
 _NORM_FLOOR = 1e-10
 # orthonormality defect that forces the numeric fallback
@@ -190,7 +184,8 @@ def rabi_frequencies(energies) -> np.ndarray:
 
 
 def rabi_frequencies_trig(inter: CardanoIntermediates) -> np.ndarray:
-    """Same three frequencies from the trigonometric root form."""
+    """Same three frequencies from the trigonometric root form: the
+    independent reference that tests hold rabi_frequencies to."""
     m3q = np.sqrt(np.where(inter.degenerate, 0.0, -3.0 * inter.Q))
     c = np.cos(inter.theta / 3.0)
     s = np.sin(inter.theta / 3.0)

@@ -13,7 +13,7 @@ import scipy.stats
 
 from twojc import dynamics
 from twojc import (F_BUCK_SUKUMAR, F_LINEAR, H_KERR, ModelParams, NumericalGuardError,
-                   TruncationError, atomic_inversion, build_block,
+                   TruncationError, build_block,
                    coherent_field, concurrence, embed_atom_density,
                    evolve_coeffs, field_entropy, husimi_grid, husimi_q,
                    inversion_series, observable_series, purity,
@@ -21,7 +21,7 @@ from twojc import (F_BUCK_SUKUMAR, F_LINEAR, H_KERR, ModelParams, NumericalGuard
                    spectrum_table, weighting_amplitudes)
 from twojc.cli import run_config
 from twojc.config import parse_config
-from twojc.dynamics import (SERIES_OBSERVABLES, AtomInit, FieldDensity,
+from twojc.dynamics import (SERIES_OBSERVABLES, AtomInit,
                             _chunks, auto_n_max, coherent_vector,
                             entropy_of_eigvals, hermitian_eigvals)
 from twojc.features import local_maxima, nearest_extremum
@@ -97,28 +97,37 @@ class TestCoherentField:
 class TestEvolveCoeffs:
     def test_t0_identity_both_excited(self, small_system):
         _, field, spectra = small_system
-        D = evolve_coeffs(spectra, AtomInit.BOTH_EXCITED, 0.0)
+        D = evolve_coeffs(spectra, AtomInit.BOTH_EXCITED, [0.0])[0]
         np.testing.assert_allclose(D[:, 0], 1.0, atol=1e-12)
         np.testing.assert_allclose(D[:, 1:], 0.0, atol=1e-12)
 
     def test_t0_identity_symmetric(self, small_system):
         _, _, spectra = small_system
-        D = evolve_coeffs(spectra, AtomInit.SYMMETRIC, 0.0)
+        D = evolve_coeffs(spectra, AtomInit.SYMMETRIC, [0.0])[0]
         np.testing.assert_allclose(D[:, 1], 1.0, atol=1e-12)
 
     def test_per_block_unitarity(self, small_system):
         _, _, spectra = small_system
-        for t in (0.3, 1.7, 9.2):
-            for init in AtomInit:
-                D = evolve_coeffs(spectra, init, t)
-                np.testing.assert_allclose(np.sum(np.abs(D) ** 2, axis=1), 1.0,
-                                           atol=1e-12)
+        for init in AtomInit:
+            D = evolve_coeffs(spectra, init, [0.3, 1.7, 9.2])
+            assert D.shape == (3, len(spectra), 3)
+            np.testing.assert_allclose(np.sum(np.abs(D) ** 2, axis=2), 1.0,
+                                       atol=1e-12)
+
+    def test_time_array_rows_equal_single_times(self, small_system):
+        # one call over the array gives, row for row, the bits of one call per time
+        _, _, spectra = small_system
+        times = np.linspace(0.0, 12.0, 37)
+        for init in AtomInit:
+            D = evolve_coeffs(spectra, init, times)
+            for i in range(len(times)):
+                assert np.array_equal(D[i], evolve_coeffs(spectra, init, times[i:i + 1])[0])
 
     def test_n0_linear_block_against_frozen_expm(self, derived):
         params = ModelParams(omega0=1.0, g=1.0, f_kind=F_LINEAR)
         spectra = spectrum_table(params, 0)
         t = derived["n0_linear_time"]
-        D = evolve_coeffs(spectra, AtomInit.BOTH_EXCITED, t)[0]
+        D = evolve_coeffs(spectra, AtomInit.BOTH_EXCITED, [t])[0, 0]
         expect = (np.array(derived["n0_linear_coeffs_re"])
                   + 1j * np.array(derived["n0_linear_coeffs_im"]))
         np.testing.assert_allclose(D, expect, atol=1e-12)
@@ -128,17 +137,15 @@ class TestEvolveCoeffs:
 class TestInversion:
     def test_starts_at_one(self, small_system):
         _, field, spectra = small_system
-        assert atomic_inversion(field, spectra, 0.0) == pytest.approx(1.0,
-                                                                      abs=1e-12)
+        assert inversion_series(field, spectra, [0.0])[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_negligible_coupling_freezes_inversion(self):
         p = ModelParams(omega0=1.0, g=1e-12, kappa=0.3, J_ising=0.1,
                         f_kind=F_BUCK_SUKUMAR)
         field = coherent_field(3.0, n_max=25)
         spectra = spectrum_table(p, 25)
-        for t in (0.5, 2.0, 10.0):
-            assert atomic_inversion(field, spectra, t) == pytest.approx(
-                1.0, abs=1e-10)
+        np.testing.assert_allclose(inversion_series(field, spectra, [0.5, 2.0, 10.0]),
+                                   1.0, rtol=0, atol=1e-10)
 
     def test_route_equivalence_formula_vs_density(self, small_system):
         # the paper's closed form sum_n P_n (sum_j lam_jj + 2 sum_jk lam_jk
@@ -155,8 +162,7 @@ class TestInversion:
 
     def test_symmetric_inversion_starts_at_zero(self, symmetric_system):
         _, field, spectra = symmetric_system
-        assert atomic_inversion(field, spectra, 0.0) == pytest.approx(0.0,
-                                                                      abs=1e-12)
+        assert inversion_series(field, spectra, [0.0])[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_bounded_by_one(self, small_system):
         _, field, spectra = small_system
@@ -169,8 +175,8 @@ class TestInversion:
         times = np.linspace(0.0, 6.0, 80)
         ref = inversion_series(field, spectra, times)
         calls = []
-        build = dynamics._rho_atoms
-        monkeypatch.setattr(dynamics, "_rho_atoms",
+        build = dynamics.reduced_atom_density
+        monkeypatch.setattr(dynamics, "reduced_atom_density",
                             lambda *args: calls.append(1) or build(*args))
         out = observable_series(field, spectra, times, ["inversion", "purity"])
         assert len(calls) == 1
@@ -180,30 +186,31 @@ class TestInversion:
 class TestReducedAtomDensity:
     def test_t0_pure_states(self, small_system, symmetric_system):
         _, field, spectra = small_system
-        rho = reduced_atom_density(field, spectra, 0.0)
+        rho = reduced_atom_density(field, spectra, [0.0])[0]
         np.testing.assert_allclose(rho, np.diag([1.0, 0.0, 0.0]), atol=1e-12)
         _, sym_field, _ = symmetric_system
-        rho_s = reduced_atom_density(sym_field, spectra, 0.0)
+        rho_s = reduced_atom_density(sym_field, spectra, [0.0])[0]
         np.testing.assert_allclose(rho_s, np.diag([0.0, 1.0, 0.0]), atol=1e-12)
 
     @pytest.mark.parametrize("t", [0.35, math.pi / 4, 1.9])
     def test_matches_expm_oracle(self, small_system, t):
         params, field, spectra = small_system
-        rho = reduced_atom_density(field, spectra, t)
+        rho = reduced_atom_density(field, spectra, [t])[0]
         ref = expm_rho_atoms(field, params, t)
         np.testing.assert_allclose(rho, ref, atol=1e-12)
 
     def test_matches_expm_oracle_symmetric(self, symmetric_system):
         params, field, spectra = symmetric_system
         t = 0.8
-        rho = reduced_atom_density(field, spectra, t)
+        rho = reduced_atom_density(field, spectra, [t])[0]
         ref = expm_rho_atoms(field, params, t)
         np.testing.assert_allclose(rho, ref, atol=1e-12)
 
     def test_density_invariants_along_trajectory(self, small_system):
         _, field, spectra = small_system
-        for t in np.linspace(0.0, 6.0, 25):
-            d = reduced_atom_density(field, spectra, float(t))
+        rho = reduced_atom_density(field, spectra, np.linspace(0.0, 6.0, 25))
+        assert rho.shape == (25, 3, 3)
+        for d in rho:
             assert abs(np.trace(d).real - 1.0) < 1e-10
             assert np.abs(d - d.conj().T).max() < 1e-12
             assert np.linalg.eigvalsh(d).min() > -1e-10
@@ -218,8 +225,7 @@ class TestPurity:
 
     def test_closed_form_equals_trace_of_square(self, small_system):
         _, field, spectra = small_system
-        for t in (0.4, 1.3, 2.6):
-            rho = reduced_atom_density(field, spectra, t)
+        for rho in reduced_atom_density(field, spectra, [0.4, 1.3, 2.6]):
             assert purity(rho) == pytest.approx(
                 float(np.trace(rho @ rho).real), abs=1e-12)
 
@@ -259,7 +265,7 @@ class TestConcurrence:
         sigma_y = np.array([[0.0, -1j], [1j, 0.0]])
         yy = np.kron(sigma_y, sigma_y).real
         _, field, spectra = symmetric_system
-        rhos = [reduced_atom_density(field, spectra, t) for t in (0.9, 2.3)]
+        rhos = list(reduced_atom_density(field, spectra, [0.9, 2.3]))
         rng = np.random.default_rng(83)
         for rank in (2, 3, 3, 3):  # mixed states, entangled or not
             a = rng.normal(size=(3, rank)) + 1j * rng.normal(size=(3, rank))
@@ -339,16 +345,17 @@ class TestEntropy:
 class TestFieldDensity:
     def test_initial_coherent_state_is_pure(self, small_system):
         _, field, spectra = small_system
-        rho = reduced_field_density(field, spectra, 0.0)
-        assert rho.trace_defect < 1e-10
-        assert np.trace(rho.matrix @ rho.matrix).real == pytest.approx(
-            1.0, abs=1e-10)
+        chi = reduced_field_density(field, spectra, 0.0)
+        assert abs(np.sum(np.abs(chi) ** 2) - 1.0) < 1e-10
+        rho = chi.T @ chi.conj()
+        assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-10)
 
     def test_negligible_coupling_keeps_photon_statistics(self):
         p = ModelParams(omega0=1.0, g=1e-12, kappa=0.2, f_kind=F_BUCK_SUKUMAR)
         field = coherent_field(3.0, n_max=25)
         spectra = spectrum_table(p, 25)
-        rho = reduced_field_density(field, spectra, 3.0).matrix
+        chi = reduced_field_density(field, spectra, 3.0)
+        rho = chi.T @ chi.conj()
         np.testing.assert_allclose(np.diag(rho).real[:26], field.probabilities,
                                    atol=1e-10)
         assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-9)
@@ -356,11 +363,13 @@ class TestFieldDensity:
     def test_trace_one_along_trajectory(self, small_system):
         _, field, spectra = small_system
         for t in (0.7, 2.9):
-            rho = reduced_field_density(field, spectra, t)
-            assert rho.trace_defect < 1e-10
-            assert np.abs(rho.matrix - rho.matrix.conj().T).max() < 1e-12
-            assert np.linalg.eigvalsh(rho.matrix).min() > -1e-8
-            assert rho.mean_photons() < field.mean_n + 3.0
+            chi = reduced_field_density(field, spectra, t)
+            pop = np.sum(np.abs(chi) ** 2, axis=0)  # the diagonal of rho_F
+            assert abs(np.sum(pop) - 1.0) < 1e-10
+            rho = chi.T @ chi.conj()
+            assert np.abs(rho - rho.conj().T).max() < 1e-12
+            assert np.linalg.eigvalsh(rho).min() > -1e-8
+            assert np.sum(np.arange(len(pop)) * pop) < field.mean_n + 3.0
 
     def test_memory_is_its_factors(self):
         # the dense (N+3)^2 complex matrix alone would be 64 MB here
@@ -369,20 +378,21 @@ class TestFieldDensity:
         spectra = spectrum_table(p, 2000)
         tracemalloc.start()
         try:
-            rho = reduced_field_density(field, spectra, 0.3)
+            chi = reduced_field_density(field, spectra, 0.3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rho.factors.shape == (3, 2003)
+        assert chi.shape == (3, 2003) and not chi.flags.writeable
         assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_nonzero_atom_entropy_matches_field_entropy(self, small_system):
         _, field, spectra = small_system
         t = 1.1
-        rho_a = reduced_atom_density(field, spectra, t)
-        rho_f = reduced_field_density(field, spectra, t)
+        rho_a = reduced_atom_density(field, spectra, [t])[0]
+        chi = reduced_field_density(field, spectra, t)
+        rho_f = chi.T @ chi.conj()
         s_a = field_entropy(rho_a)
-        s_f = entropy_of_eigvals(np.linalg.eigvalsh(rho_f.matrix))
+        s_f = entropy_of_eigvals(np.linalg.eigvalsh(rho_f))
         assert s_a == pytest.approx(s_f, abs=1e-10)
 
 
@@ -505,7 +515,7 @@ def phase_beyond_the_support():
 
 def full_ladder_rows(field, spectra, t):
     """The branch rows chi_k[n + k] = A_n D_k^(n)(t) over every block; (3, N+3)."""
-    D = evolve_coeffs(spectra, field.atom_init, t)
+    D = evolve_coeffs(spectra, field.atom_init, [t])[0]
     levels = len(spectra)
     X = np.zeros((3, levels + 2), dtype=complex)
     for k in range(3):
@@ -539,7 +549,7 @@ class TestSupport:
         for field in fields:
             X = full_ladder_rows(field, spectra, t)
             ref = X @ X.conj().T
-            rho = reduced_atom_density(field, spectra, t)
+            rho = reduced_atom_density(field, spectra, [t])[0]
             assert np.abs(rho - ref).max() <= 1e-15, field.atom_init
 
     def test_phase_guard_reads_blocks_outside_the_support(self):
@@ -591,11 +601,10 @@ class TestFieldSupport:
             grid = husimi_grid(reduced_field_density(field, spectra, t), re, im).values
             weights = dynamics._fold_weights(spectra, field.atom_init, field.amplitudes)
             rows = dynamics._BranchRows(weights, spectra.energies, 1)(np.array([t]))[0]
-            same_fold = husimi_grid(FieldDensity(factors=rows), re, im).values
+            same_fold = husimi_grid(rows, re, im).values
             assert np.abs(grid - same_fold).max() <= q_bound()
 
-            ref = FieldDensity(factors=full_ladder_rows(field, spectra, t))
-            ref_grid = husimi_grid(ref, re, im).values
+            ref_grid = husimi_grid(full_ladder_rows(field, spectra, t), re, im).values
             corners = np.ix_([0, -1], [0, -1])
             peak = np.unravel_index(np.argmax(ref_grid), ref_grid.shape)
             picks = (rng.integers(len(im), size=20), rng.integers(len(re), size=20))
@@ -606,7 +615,7 @@ class TestFieldSupport:
     def test_rows_vanish_outside_the_support(self, large_n_kerr, phase_space_field):
         for field, spectra, t, *_ in self.cases(large_n_kerr, phase_space_field):
             lo, hi = dynamics._support(field.amplitudes)
-            chi = reduced_field_density(field, spectra, t).factors
+            chi = reduced_field_density(field, spectra, t)
             assert chi.shape == (3, field.n_max + 3)
             assert not chi[:, :lo].any() and not chi[:, hi + 2:].any()
             assert chi[0, lo] != 0 and chi[2, hi + 1] != 0
@@ -620,7 +629,7 @@ class TestFieldSupport:
         field, spectra, times = phase_space_field
         _, hi = dynamics._support(field.amplitudes)
         rho = reduced_field_density(field, spectra, times[1])
-        assert rho.n_max == field.n_max
+        assert rho.shape[1] - 3 == field.n_max
         re = np.linspace(-6.0, 6.0, 5)
         inside, outside = np.linspace(-5.9, 5.9, 5), np.linspace(-6.1, 6.1, 5)
         # 2 |alpha|^2 beyond 2 (hi + 1) but within the ladder's n_max
@@ -645,11 +654,11 @@ class TestTimeChunks:
             times = np.linspace(0.1, 7.0, n_times)
             for field in fields:
                 out = observable_series(field, spectra, times, SERIES_OBSERVABLES)
-                rhos = [reduced_atom_density(field, spectra, float(t)) for t in times]
+                rhos = [reduced_atom_density(field, spectra, [t])[0] for t in times]
                 ref = {"purity": [purity(r) for r in rhos],
                        "concurrence": [concurrence(r) for r in rhos],
                        "entropy": [field_entropy(r) for r in rhos],
-                       "inversion": [atomic_inversion(field, spectra, float(t))
+                       "inversion": [inversion_series(field, spectra, [t])[0]
                                      for t in times]}
                 for name in SERIES_OBSERVABLES:
                     np.testing.assert_allclose(out[name], ref[name], rtol=0, atol=1e-14,
@@ -713,7 +722,7 @@ class TestWorkers:
             out[workers] = [
                 (observable_series(field, spectra, times, SERIES_OBSERVABLES),
                  inversion_series(field, spectra, times),
-                 [reduced_atom_density(field, spectra, float(t)) for t in times[::33]])
+                 [reduced_atom_density(field, spectra, [t])[0] for t in times[::33]])
                 for field in fields]
         for workers in (2, 3):
             for (series, inv, rhos), (ref_series, ref_inv, ref_rhos) in zip(
@@ -745,13 +754,13 @@ class TestWorkers:
         times = np.linspace(0.0, 12.0, 997)
         monkeypatch.setattr(dynamics, "_CHUNK", rho_width(field) * 64)
         monkeypatch.setattr(dynamics, "_WORKERS", 1)
-        ref = dynamics._rho_atoms(field, spectra, times)
+        ref = reduced_atom_density(field, spectra, times)
         monkeypatch.setattr(dynamics, "_WORKERS", 8)
         assert len(_chunks(len(times), rho_width(field))) == 128
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            rho = dynamics._rho_atoms(field, spectra, times)
+            rho = reduced_atom_density(field, spectra, times)
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(rho, ref)

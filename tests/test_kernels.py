@@ -12,10 +12,9 @@ import pytest
 import twojc
 from twojc import dynamics, oracle
 from twojc import (F_BUCK_SUKUMAR, ModelParams, NumericalGuardError, coherent_field,
-                   concurrence, husimi_grid, husimi_q, observable_series,
-                   reduced_atom_density)
-from twojc.dynamics import (FieldDensity, coherent_vector,
-                            entropy_of_eigvals, hermitian_eigvals)
+                   concurrence, field_entropy, husimi_grid, husimi_q, observable_series,
+                   purity, reduced_atom_density)
+from twojc.dynamics import coherent_vector, entropy_of_eigvals, hermitian_eigvals
 from twojc.oracle import (build_joint_hamiltonian, evolve_numeric_sampled,
                           excitation_sectors,
                           jacobi_eigh_cyclic, joint_initial_state)
@@ -44,18 +43,17 @@ class TestHusimiGrid:
         M = n_max + 3
         chi = rng.normal(size=(3, M)) + 1j * rng.normal(size=(3, M))
         chi /= math.sqrt(np.sum(np.abs(chi) ** 2))
-        rho = FieldDensity(factors=chi)
         # the grid corners sit on the edge of the trusted window
         half = math.sqrt(0.25 * n_max) * (1.0 - 1e-12)
         re_axis = np.linspace(-half, half, 9)
         im_axis = np.linspace(-half, half, 7)
-        ref = np.array([[husimi_q(rho, complex(re, im)) for re in re_axis]
+        ref = np.array([[husimi_q(chi, complex(re, im)) for re in re_axis]
                         for im in im_axis])
         # the quadratic form in the dense matrix, independent of both kernels
         c = np.array([[coherent_vector(complex(re, im), M) for re in re_axis]
                       for im in im_axis])
-        quad = np.einsum("ijp,pq,ijq->ij", c.conj(), rho.matrix, c).real / math.pi
-        grid = husimi_grid(rho, re_axis, im_axis).values
+        quad = np.einsum("ijp,pq,ijq->ij", c.conj(), chi.T @ chi.conj(), c).real / math.pi
+        grid = husimi_grid(chi, re_axis, im_axis).values
         np.testing.assert_allclose(grid, ref, rtol=0, atol=1e-14)
         np.testing.assert_allclose(ref, quad, rtol=0, atol=1e-14)
 
@@ -67,15 +65,15 @@ class TestHusimiGrid:
         chi = np.zeros((3, n_max + 3))
         chi[:, 1300:1600] = rng.normal(size=(3, 300))
         chi /= math.sqrt(np.sum(chi ** 2))
-        return FieldDensity(factors=chi)
+        return chi
 
     def test_matches_single_point_beyond_double_range(self):
         # |alpha|^2 > 1400: the unscaled Horner sums e^{|alpha|^2/2} overflow
-        rho = self.far_state()
+        chi = self.far_state()
         re_axis = np.linspace(36.0, 38.0, 3)
         im_axis = np.linspace(-1.5, 1.5, 3)
-        grid = husimi_grid(rho, re_axis, im_axis).values
-        ref = np.array([[husimi_q(rho, complex(re, im)) for re in re_axis]
+        grid = husimi_grid(chi, re_axis, im_axis).values
+        ref = np.array([[husimi_q(chi, complex(re, im)) for re in re_axis]
                         for im in im_axis])
         assert np.all(ref > 1e-6)
         np.testing.assert_allclose(grid, ref, rtol=1e-9, atol=0)
@@ -83,18 +81,18 @@ class TestHusimiGrid:
     def test_full_rank_matrix_in_point_chunks(self, monkeypatch):
         rng = np.random.default_rng(11)
         chi = rng.normal(size=(15, 15)) + 1j * rng.normal(size=(15, 15))
-        rho = FieldDensity(factors=chi / math.sqrt(np.sum(np.abs(chi) ** 2)))
-        assert np.linalg.matrix_rank(rho.matrix) == 15
+        chi /= math.sqrt(np.sum(np.abs(chi) ** 2))
+        assert np.linalg.matrix_rank(chi.T @ chi.conj()) == 15
         monkeypatch.setattr(dynamics, "_CHUNK", 64)  # <= 4 points a chunk
         ax = np.linspace(-1.7, 1.7, 5)
-        ref = np.array([[husimi_q(rho, complex(re, im)) for re in ax] for im in ax])
-        np.testing.assert_allclose(husimi_grid(rho, ax, ax).values, ref,
+        ref = np.array([[husimi_q(chi, complex(re, im)) for re in ax] for im in ax])
+        np.testing.assert_allclose(husimi_grid(chi, ax, ax).values, ref,
                                    rtol=0, atol=1e-14)
 
     def test_same_bits_for_any_worker_count_and_chunk_size(self, monkeypatch):
         # |alpha|^2 runs from 0 to 1446: the partial sums of the points past
         # about 2 ln(1e150) = 691 are rescaled, the others are not
-        rho = self.far_state()
+        chi = self.far_state()
         re_axis = np.linspace(0.0, 38.0, 39)
         im_axis = np.linspace(-1.5, 1.5, 5)
         alpha_sq = re_axis[None, :] ** 2 + im_axis[:, None] ** 2
@@ -105,29 +103,29 @@ class TestHusimiGrid:
             monkeypatch.setattr(dynamics, "_CHUNK", chunk)
             for workers in (1, 2, 3, 8):
                 monkeypatch.setattr(dynamics, "_WORKERS", workers)
-                grids[chunk, workers] = husimi_grid(rho, re_axis, im_axis).values
+                grids[chunk, workers] = husimi_grid(chi, re_axis, im_axis).values
         assert len(dynamics._chunks(alpha_sq.size, 3)) == alpha_sq.size  # 1 point each
         ref = next(iter(grids.values()))
         for key, grid in grids.items():
             assert np.array_equal(grid, ref), key
-        single = np.array([[husimi_q(rho, complex(re, im)) for re in re_axis]
+        single = np.array([[husimi_q(chi, complex(re, im)) for re in re_axis]
                            for im in im_axis])
         np.testing.assert_allclose(ref, single, rtol=1e-9, atol=0)
 
     def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
         rng = np.random.default_rng(3)
         chi = rng.normal(size=(3, 43)) + 1j * rng.normal(size=(3, 43))
-        rho = FieldDensity(factors=chi / math.sqrt(np.sum(np.abs(chi) ** 2)))
+        chi /= math.sqrt(np.sum(np.abs(chi) ** 2))
         ax = np.linspace(-3.0, 3.0, 31)
         monkeypatch.setattr(dynamics, "_CHUNK", 3 * 8 * 5)  # <= 5 points a chunk
         monkeypatch.setattr(dynamics, "_WORKERS", 1)
-        ref = husimi_grid(rho, ax, ax).values
+        ref = husimi_grid(chi, ax, ax).values
         monkeypatch.setattr(dynamics, "_WORKERS", 8)
         assert len(dynamics._chunks(ax.size ** 2, 3)) == 200
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            grid = husimi_grid(rho, ax, ax).values
+            grid = husimi_grid(chi, ax, ax).values
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(grid, ref)
@@ -137,13 +135,13 @@ class TestHusimiGrid:
         def no_thread(*args, **kwargs):
             raise AssertionError("a thread was started")
 
-        rho = self.far_state()
+        chi = self.far_state()
         re_axis = np.linspace(34.0, 38.0, 5)
         im_axis = np.linspace(-1.5, 1.5, 5)
         monkeypatch.setattr(dynamics, "_WORKERS", 4)
         monkeypatch.setattr(threading, "Thread", no_thread)
-        grid = husimi_grid(rho, re_axis, im_axis).values
-        ref = np.array([[husimi_q(rho, complex(re, im)) for re in re_axis]
+        grid = husimi_grid(chi, re_axis, im_axis).values
+        ref = np.array([[husimi_q(chi, complex(re, im)) for re in re_axis]
                         for im in im_axis])
         np.testing.assert_allclose(grid, ref, rtol=1e-9, atol=0)
 
@@ -160,9 +158,9 @@ class TestHusimiGrid:
         monkeypatch.setattr(dynamics, "_CHUNK", 3 * 2 * 8)  # <= 8 points a chunk
         monkeypatch.setattr(dynamics, "_bargmann_amplitudes", fail_off_caller)
         ax = np.linspace(-1.0, 1.0, 7)
-        rho = FieldDensity(factors=np.eye(3, 12, dtype=complex) / math.sqrt(3.0))
+        chi = np.eye(3, 12, dtype=complex) / math.sqrt(3.0)
         with pytest.raises(NumericalGuardError, match="worker chunk"):
-            husimi_grid(rho, ax, ax)
+            husimi_grid(chi, ax, ax)
 
 
 class TestBatchedSeries:
@@ -182,8 +180,7 @@ class TestBatchedSeries:
         _, field, spectra = symmetric_system
         taus = np.linspace(0.0, 6.0, 50)
         series = observable_series(field, spectra, taus, ["entropy"])["entropy"]
-        ref = [jacobi_entropy(reduced_atom_density(field, spectra, t))
-               for t in taus]
+        ref = [jacobi_entropy(rho) for rho in reduced_atom_density(field, spectra, taus)]
         np.testing.assert_allclose(series, ref, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
@@ -192,6 +189,15 @@ class TestBatchedSeries:
         stacked = concurrence(rho)
         assert stacked.shape == (30,)
         np.testing.assert_array_equal(stacked, [concurrence(r) for r in rho])
+
+    def test_one_matrix_gives_numpys_own_scalar(self):
+        # no conversion: one 3x3 gives np.float64, the stack's entry bit for bit
+        rho = random_densities(np.random.default_rng(9), 4, 3)
+        for observable in (purity, field_entropy, concurrence):
+            values = observable(rho)
+            for i, r in enumerate(rho):
+                assert type(observable(r)) is np.float64
+                assert observable(r) == values[i], observable.__name__
 
     def test_concurrence_rejects_other_shapes(self):
         # 4x4 included: only the symmetric-sector 3x3 frame is accepted
