@@ -279,13 +279,12 @@ def _write_q_csv(path, header_lines, re_axis, im_axis, q):
                       (_text(re_axis)[None], _text(im_axis)[:, None]))
 
 
-def _series_units(name):
-    return {
-        "inversion": "mean of (sigma_z1 + sigma_z2)/2, dimensionless",
-        "purity": "Tr(rho_A^2), dimensionless",
-        "concurrence": "two-qubit concurrence, dimensionless",
-        "entropy": "von Neumann entropy, nats",
-    }[name]
+_SERIES_UNITS = {
+    "inversion": "mean of (sigma_z1 + sigma_z2)/2, dimensionless",
+    "purity": "Tr(rho_A^2), dimensionless",
+    "concurrence": "two-qubit concurrence, dimensionless",
+    "entropy": "von Neumann entropy, nats",
+}
 
 
 def _derived_columns(spectra, g):
@@ -335,7 +334,7 @@ def _curve_outputs(cfg: RunConfig, curve: CurveSpec, staged: list, tau_text):
         for name in series_wanted:
             emit(name, _write_csv,
                  ["tau column: dimensionless time g*t",
-                  f"{name} column: {_series_units(name)}"],
+                  f"{name} column: {_SERIES_UNITS[name]}"],
                  ["tau", name], series[name][:, None], (tau_text()[:, None],))
 
     if "qfunction" in cfg.observables:

@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import AtomInit, auto_n_max, corner_alpha_sq, window_n_max
+from .dynamics import (SERIES_OBSERVABLES, AtomInit, auto_n_max, corner_alpha_sq,
+                       window_n_max)
 from .errors import ConfigError, TwojcError
 from .model import (FKind, HKind, ModelParams, NonlinearitySelector)
 
-OBSERVABLES = ("inversion", "purity", "concurrence", "entropy",
-               "qfunction", "spectrum-dump")
+OBSERVABLES = SERIES_OBSERVABLES + ("qfunction", "spectrum-dump")
 
 _H_KINDS = {"standard": HKind.STANDARD, "kerr": HKind.KERR, "custom": HKind.CUSTOM}
 _F_KINDS = {"linear": FKind.LINEAR, "buck_sukumar": FKind.BUCK_SUKUMAR,

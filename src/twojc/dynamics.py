@@ -63,8 +63,8 @@ class FieldInit:
         tail = float(np.sum(np.abs(amps[self.n_max - 1:]) ** 2))
         if tail >= TAIL_TOL:
             raise TruncationError(
-                f"tail mass {tail:.3e} above the top two Fock slots; increase n_max",
-                suggested_n_max=auto_n_max(self.mean_n))
+                f"tail mass {tail:.3e} above the top two Fock slots; increase "
+                f"n_max (auto_n_max gives {auto_n_max(self.mean_n)})")
         norm = float(np.sum(np.abs(amps) ** 2))
         if abs(norm - 1.0) > NORM_TOL:
             raise TwojcError(f"field amplitudes not normalized: sum P_n = {norm!r}")
@@ -411,7 +411,7 @@ def concurrence(rho):
     m = np.asarray(rho)
     if m.ndim not in (2, 3) or m.shape[-2:] != (3, 3):
         raise TwojcError("concurrence expects 3x3 symmetric-sector density matrices")
-    defect = np.abs(m - m.conj().swapaxes(-1, -2)).max()
+    defect = np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0)
     if defect > 1e-8:
         raise NumericalGuardError(f"concurrence input is not Hermitian: defect {defect:.2e}")
     w, V = np.linalg.eigh(m)

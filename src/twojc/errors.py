@@ -17,10 +17,6 @@ class NumericalGuardError(TwojcError):
 class TruncationError(NumericalGuardError):
     """Fock-space truncation too small for the requested state."""
 
-    def __init__(self, msg, suggested_n_max=None):
-        super().__init__(msg)
-        self.suggested_n_max = suggested_n_max
-
 
 class FixtureIntegrityError(TwojcError):
     """A frozen test fixture failed its checksum."""

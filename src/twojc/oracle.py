@@ -4,16 +4,17 @@ The joint Hamiltonian is assembled directly from kron products of the
 atomic and field operators (never from the 3x3 blocks), on the basis
 {|a> x |m>} with atoms ordered (|g,g>, |g,e>, |e,g>, |e,e>) and Fock
 levels m in [0, n_max + 2].  Two structurally different propagators are
-provided: exact per-sector evolution (total excitation is conserved, so
-the matrix splits into sectors of dimension 1, 3 or 4; the sectors of one
+provided, and both work on the connected blocks of H's own nonzero
+pattern, found from H alone: exact per-block evolution (the blocks of one
 size are held as one stack, diagonalized once by the cyclic Jacobi, the
 package's one hand-written eigensolver, which takes a matrix or a stack
 and uses no LAPACK), and a fixed-step 4th-order Runge-Kutta integrator
-over the full matrix.  RK4 assumes no sector structure: it evaluates the
-full-matrix step on the connected blocks of H's own nonzero pattern, so a
-coupling across sectors merges them into one block and a dense H is a
-single block.  The analytic layer is deliberately not imported for any
-numerics here, so agreement between the two code paths is meaningful.
+of the full matrix.  For the model's H, which conserves total
+excitation, the blocks are the excitation sectors, of dimension 1, 3 or
+4; a coupling across sectors merges them into one block and a dense H is
+a single block, so neither propagator assumes the conservation law.  The
+analytic layer is deliberately not imported for any numerics here, so
+agreement between the two code paths is meaningful.
 
 A joint state is a complex array of shape (4, M): amplitudes over the
 atomic basis times the Fock levels.  Both propagators take an array of
@@ -81,27 +82,31 @@ def joint_initial_state(field: FieldInit) -> np.ndarray:
     return psi
 
 
-def excitation_sectors(M: int):
-    """Index lists (flat a*M + m) of constant total excitation."""
-    sectors = []
-    for s in range(-1, M + 1):
-        idx = []
-        for a in range(4):
-            m = s - int(_ATOM_WEIGHT[a])
-            if 0 <= m < M:
-                idx.append(a * M + m)
-        if idx:
-            sectors.append(np.array(sorted(idx), dtype=np.int64))
-    return sectors
-
-
-def _size_stacks(index_sets):
-    """Index sets grouped by size: one (S, d) array per size d, ascending in
-    d, the sets of one size in their given order."""
-    by_size = {}
-    for idx in index_sets:
-        by_size.setdefault(len(idx), []).append(idx)
-    return [np.array(by_size[d]) for d in sorted(by_size)]
+def _block_stacks(H):
+    """The connected blocks of H's nonzero pattern, taken as an undirected
+    graph, grouped by size: one (idx (S, d), H[idx, idx] (S, d, d)) pair
+    per size d, ascending in d.  Each index set is ascending, and the sets
+    of one size are ordered by their least index."""
+    rows, cols = np.nonzero(H)
+    src, dst = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    # every node ends labelled by the least node of its block: take the
+    # least label among the neighbours, then jump to the label's own label
+    label = np.arange(H.shape[0])
+    while True:
+        new = label.copy()
+        np.minimum.at(new, src, label[dst])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    size = np.bincount(label)[label]
+    order = np.lexsort((label, size))  # stable: nodes ascend within a block
+    sizes, counts = np.unique(size, return_counts=True)
+    stacks = []
+    for d, nodes in zip(sizes, np.split(order, np.cumsum(counts)[:-1])):
+        idx = nodes.reshape(-1, d)
+        stacks.append((idx, H[idx[:, :, None], idx[:, None, :]]))
+    return stacks
 
 
 def jacobi_eigh_cyclic(mat):
@@ -144,8 +149,9 @@ def jacobi_eigh_cyclic(mat):
 
 
 class SectorPropagator:
-    """Exact evolution by eigendecomposition of the joint H per excitation
-    sector, with the sectors of one size held as one (S, d, d) stack."""
+    """Exact evolution by eigendecomposition of the joint H per connected
+    block (per excitation sector for the model's H), with the blocks of one
+    size held as one (S, d, d) stack."""
 
     def __init__(self, H: np.ndarray, n_max: int):
         M = n_max + 3
@@ -153,10 +159,9 @@ class SectorPropagator:
             raise ValueError("Hamiltonian shape does not match n_max")
         self.n_max = n_max
         self.M = M
-        self._stacks = []  # (idx (S, d), w (S, d), V (S, d, d)) per size d
-        for idx in _size_stacks(excitation_sectors(M)):
-            w, V = jacobi_eigh_cyclic(H[idx[:, :, None], idx[:, None, :]])
-            self._stacks.append((idx, w, V))
+        # (idx (S, d), w (S, d), V (S, d, d)) per block size d
+        self._stacks = [(idx, *jacobi_eigh_cyclic(Hs))
+                        for idx, Hs in _block_stacks(H)]
 
     def evolve(self, psi0: np.ndarray, t):
         """psi0 (4, M) a time t later: (4, M) for a scalar t, t.shape + (4, M)
@@ -175,32 +180,13 @@ class SectorPropagator:
 # fixed-step RK4 on the full matrix
 #
 # One RK4 step of size h multiplies the state by the Taylor polynomial
-# P(h) = sum_{j<=4} (-i h H)^j / j!, so n steps are P(h)^n.  Intervals of
-# one length share a single P^n, formed by repeated squaring, and each
-# sample is then one matrix-vector product.  A polynomial in a
+# P(h) = sum_{j<=4} (-i h H)^j / j!, so n steps are P(h)^n.  Consecutive
+# intervals of one length share a single P^n, formed by repeated squaring,
+# and each sample is then one matrix-vector product.  A polynomial in a
 # block-diagonal matrix is block-diagonal with the same blocks, so P^n is
-# formed on the connected blocks of H's nonzero pattern, the blocks of one
-# size held as one (S, d, d) stack; the step size and step count still
-# come from the whole of H.
-
-def _connected_blocks(H):
-    """Index sets of the connected components of H's nonzero pattern, taken
-    as an undirected graph: each ascending, ordered by their least index."""
-    rows, cols = np.nonzero(H)
-    src, dst = np.concatenate([rows, cols]), np.concatenate([cols, rows])
-    # every node ends labelled by the least node of its component: take the
-    # least label among the neighbours, then jump to the label's own label
-    label = np.arange(H.shape[0])
-    while True:
-        new = label.copy()
-        np.minimum.at(new, src, label[dst])
-        new = new[new]
-        if np.array_equal(new, label):
-            break
-        label = new
-    order = np.argsort(label, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
-
+# formed on the same connected blocks of H that the sector propagator
+# diagonalizes, the blocks of one size held as one (S, d, d) stack; the
+# step size and step count still come from the whole of H.
 
 def _auto_dt(H):
     bound = float(np.abs(H).sum(axis=1).max())  # Gershgorin bound on |E|
@@ -238,21 +224,13 @@ def _rk4_power(H, span, dt):
 
 
 def _shared_spans(spans, tol):
-    """Spans that differ by at most `tol` from a neighbour in sorted order
-    form one cluster.  Returns each span replaced by its cluster's mean and,
-    for each interval, how many intervals of its cluster remain from it on."""
+    """Each span replaced by the mean of its cluster: spans that differ by at
+    most `tol` from a neighbour in sorted order form one cluster."""
     order = np.argsort(spans, kind="stable")
     starts = np.diff(spans[order], prepend=-np.inf) > tol
     label = np.empty(len(spans), dtype=np.int64)
     label[order] = np.cumsum(starts) - 1
-    counts = np.bincount(label)
-    means = np.bincount(label, weights=spans) / counts
-    left = np.empty_like(label)
-    seen = np.zeros_like(counts)
-    for i in range(len(label) - 1, -1, -1):
-        seen[label[i]] += 1
-        left[i] = seen[label[i]]
-    return means[label], left
+    return (np.bincount(label, weights=spans) / np.bincount(label))[label]
 
 
 def _check_norm(psi_flat, n0):
@@ -268,13 +246,13 @@ def evolve_numeric_sampled(H: np.ndarray, psi0: np.ndarray, times) -> np.ndarray
     of the whole H; norm drift beyond 1e-8 raises.
 
     The step polynomial and its powers are evaluated on the connected
-    blocks of H's nonzero pattern, found from H itself and never from the
-    excitation sectors, so the samples are those of the full-matrix RK4
-    for any H, dense or coupling any sectors.
+    blocks of H's nonzero pattern, so the samples are those of the
+    full-matrix RK4 for any H, dense or coupling any sectors.
 
     Sample times carry rounding, so intervals that agree to a few ulps of
     the latest time (evenly spaced samples) are integrated with one common
-    length, their mean.
+    length, their mean.  One P^n is held at a time, and it is formed
+    again only where the span changes.
     """
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError("Hamiltonian must be a square matrix")
@@ -294,17 +272,13 @@ def evolve_numeric_sampled(H: np.ndarray, psi0: np.ndarray, times) -> np.ndarray
     if not len(times):
         return out
     tol = 4.0 * np.finfo(float).eps * float(np.abs(times).max())
-    shared, uses_left = _shared_spans(spans, tol)
-    stacks = [(idx, H[idx[:, :, None], idx[:, None, :]])
-              for idx in _size_stacks(_connected_blocks(H))]
-    powers = {}  # span -> P^n per stack, kept while more intervals of that span follow
-    for k, (span, left) in enumerate(zip(shared, uses_left)):
+    stacks = _block_stacks(H)
+    held = None  # the span whose P^n per stack is `power`
+    for k, span in enumerate(_shared_spans(spans, tol)):
         if span:
-            power = powers.pop(span, None)
-            if power is None:
+            if span != held:
+                held = span
                 power = [_rk4_power(Hs, float(span), dt) for _, Hs in stacks]
-            if left > 1:
-                powers[span] = power
             nxt = np.empty_like(psi)
             for (idx, _), P in zip(stacks, power):
                 nxt[idx] = (P @ psi[idx][..., None])[..., 0]

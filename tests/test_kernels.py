@@ -15,9 +15,9 @@ from twojc import (F_BUCK_SUKUMAR, ModelParams, NumericalGuardError, coherent_fi
                    concurrence, field_entropy, husimi_grid, husimi_q, observable_series,
                    purity, reduced_atom_density)
 from twojc.dynamics import coherent_vector, entropy_of_eigvals, hermitian_eigvals
-from twojc.oracle import (build_joint_hamiltonian, evolve_numeric_sampled,
-                          excitation_sectors,
-                          jacobi_eigh_cyclic, joint_initial_state)
+from twojc.oracle import (SectorPropagator, build_joint_hamiltonian,
+                          evolve_numeric_sampled, jacobi_eigh_cyclic,
+                          joint_initial_state)
 
 
 def random_densities(rng, count, dim, rank=None):
@@ -235,9 +235,24 @@ class TestRk4Powers:
         psi0 = joint_initial_state(field)
         return H, psi0, 0.02 / float(np.abs(H).sum(axis=1).max())
 
+    @staticmethod
+    def patterned(H, pattern):
+        """H with another nonzero pattern, and its number of connected blocks."""
+        M = len(H) // 4
+        if pattern == "cross_sector":
+            H = H.copy()
+            # |e,e,4> (excitation 5) to |g,g,9> (excitation 8): M + 2 sectors, two merged
+            H[3 * M + 4, 9] = H[9, 3 * M + 4] = 0.05
+            return H, M + 1
+        if pattern == "dense":
+            a = np.random.default_rng(4).normal(size=H.shape)
+            return (a + a.T) / math.sqrt(2.0 * len(a)), 1
+        return np.zeros_like(H), 4 * M
+
     @pytest.mark.parametrize("times", [
         np.linspace(0.0, 2.0, 41),                 # evenly spaced: one shared P^n
         np.array([0.3, 0.31, 0.9, 0.9, 1.45, 2.0]),  # uneven, with a repeat
+        np.array([0.3, 0.8, 1.1, 1.6, 1.9]),       # alternating spans: P^n formed again
     ])
     def test_sampled_matches_sequential_loop(self, times):
         H, psi0, dt = self.system()
@@ -254,33 +269,29 @@ class TestRk4Powers:
         np.testing.assert_allclose(out.reshape(-1), ref, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("pattern", ["cross_sector", "dense", "zero"])
-    def test_any_block_pattern_matches_sequential_loop(self, pattern, monkeypatch):
+    def test_any_block_pattern_matches_sequential_loop(self, pattern):
         H, psi0, _ = self.system()
-        M = psi0.shape[1]
-        n_blocks = {"cross_sector": len(excitation_sectors(M)) - 1,
-                    "dense": 1, "zero": 4 * M}[pattern]
-        if pattern == "cross_sector":
-            H = H.copy()
-            # |e,e,4> (excitation 5) to |g,g,9> (excitation 8)
-            H[3 * M + 4, 9] = H[9, 3 * M + 4] = 0.05
-        elif pattern == "dense":
-            a = np.random.default_rng(4).normal(size=H.shape)
-            H = (a + a.T) / math.sqrt(2.0 * len(a))
-        else:
-            H = np.zeros_like(H)
-        assert len(oracle._connected_blocks(H)) == n_blocks
+        H, n_blocks = self.patterned(H, pattern)
+        assert sum(len(idx) for idx, _ in oracle._block_stacks(H)) == n_blocks
         bound = float(np.abs(H).sum(axis=1).max())
         dt = 0.02 / bound if bound else math.inf
-
-        def no_sectors(M):
-            raise AssertionError("RK4 read the excitation sectors")
-
-        monkeypatch.setattr(oracle, "excitation_sectors", no_sectors)
         times = np.linspace(0.0, 2.0, 21)
         states = evolve_numeric_sampled(H, psi0, times)
         ref = reference_rk4(H, psi0.reshape(-1).astype(complex), times, dt)
         np.testing.assert_allclose(states.reshape(len(times), -1), ref,
                                    rtol=0, atol=1e-12)
+
+    def test_sector_propagator_exact_across_sectors(self):
+        # the exact propagator reads its blocks from H, so a coupling across
+        # sectors is evolved rather than dropped
+        H, psi0, _ = self.system()
+        H, _ = self.patterned(H, "cross_sector")
+        times = np.linspace(0.0, 2.0, 21)
+        states = SectorPropagator(H, 20).evolve(psi0, times)
+        w, U = np.linalg.eigh(H)
+        phases = np.exp(-1j * np.multiply.outer(times, w))
+        expect = (phases * (U.conj().T @ psi0.reshape(-1))) @ U.T
+        assert np.abs(states.reshape(len(times), -1) - expect).max() < 1e-12
 
     def test_descending_times_rejected(self):
         H, psi0, _ = self.system()

@@ -8,10 +8,10 @@ from twojc import (F_BUCK_SUKUMAR, F_LINEAR, H_KERR, ModelParams,
                    coherent_field, reduced_atom_density, spectrum_table)
 from twojc import oracle
 from twojc.dynamics import AtomInit, embed_atom_density
-from twojc.oracle import (SectorPropagator, _connected_blocks,
+from twojc.oracle import (SectorPropagator, _block_stacks,
                           antisymmetric_leakage, buffer_population,
                           build_joint_hamiltonian, evolve_numeric_sampled,
-                          excitation_sectors, inversion_of,
+                          inversion_of,
                           jacobi_eigh_cyclic, joint_initial_state,
                           partial_trace_atoms, partial_trace_field,
                           require_buffer_empty)
@@ -77,17 +77,13 @@ class TestJointHamiltonian:
         off_sector = H[exc[:, None] != exc[None, :]]
         assert np.abs(off_sector).max() == 0.0
 
-    def test_sector_lists_partition_the_space(self):
-        M = 9
-        all_idx = np.sort(np.concatenate(excitation_sectors(M)))
-        np.testing.assert_array_equal(all_idx, np.arange(4 * M))
-
     def test_connected_blocks_are_the_excitation_sectors(self):
         # found from the nonzero pattern alone, checked against the sectors
         n_max = 20
         M = n_max + 3
         H = build_joint_hamiltonian(bs_params(kmj=0.3, chi=0.05, delta=0.2), n_max)
-        blocks = _connected_blocks(H)
+        stacks = _block_stacks(H)
+        blocks = [idx for stack, _ in stacks for idx in stack]
         np.testing.assert_array_equal(np.sort(np.concatenate(blocks)),
                                       np.arange(4 * M))
         label = np.empty(4 * M, dtype=np.int64)
@@ -95,9 +91,17 @@ class TestJointHamiltonian:
             label[idx] = k
         rows, cols = np.nonzero(H)
         np.testing.assert_array_equal(label[rows], label[cols])
-        np.testing.assert_array_equal(
-            np.bincount([len(idx) for idx in blocks]),
-            np.bincount([len(idx) for idx in excitation_sectors(M)]))
+        # one block per excitation s in [-1, M]: sizes 1, 3 and 4
+        assert len(blocks) == M + 2
+        for idx in blocks:
+            assert len({excitation_of(i // M, i % M) for i in idx}) == 1
+        assert [len(stack[0]) for stack, _ in stacks] == [1, 3, 4]
+        assert [len(stack) for stack, _ in stacks] == [2, 2, M - 2]
+        for stack, Hs in stacks:
+            np.testing.assert_array_equal(Hs, [H[np.ix_(idx, idx)] for idx in stack])
+            # each set ascending, the sets of one size by their least index
+            assert np.all(np.diff(stack, axis=1) > 0)
+            assert np.all(np.diff(stack[:, 0]) > 0)
 
 
 class TestInitialStates:
