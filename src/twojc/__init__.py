@@ -21,7 +21,6 @@ from .dynamics import (AtomInit, FieldInit, QGrid, auto_n_max, coherent_field,
 from .approx import (ApproxRegime, RegimeKind, Timescales, kerr_approx_inversion,
                      kerr_regime, standard_approx_inversion, standard_regime,
                      timescales)
-from .errors import (ConfigError, FixtureIntegrityError, NumericalGuardError,
-                     TruncationError, TwojcError)
+from .errors import ConfigError, NumericalGuardError, TruncationError, TwojcError
 
 __version__ = "0.1.0"

@@ -362,13 +362,14 @@ def _curve_outputs(cfg: RunConfig, curve: CurveSpec, staged: list, tau_text):
 
 
 def run_config(cfg: RunConfig) -> dict:
-    """Write every table of a config, then its manifest; return the manifest.
+    """Write every table of a config and its manifest; return the manifest.
 
-    Tables take their names only once every curve is computed, so a run
-    that fails leaves no table of its own in the output directory, and
-    the files of an earlier run there as they were.  A failed run also
-    removes the directories it created, if they are still empty."""
-    staged = []  # (temporary, final) path of each table written so far
+    Tables and manifest take their names only once every curve is computed,
+    the manifest last, so a run that fails leaves no file of its own in the
+    output directory, and the files of an earlier run there as they were.
+    A failed run also removes the directories it created, if they are
+    still empty."""
+    staged = []  # (temporary, final) path of each file written so far
     created = []  # the output directory and its ancestors that were missing, deepest first
     missing = cfg.out_dir
     while missing and not os.path.lexists(missing):
@@ -380,6 +381,16 @@ def run_config(cfg: RunConfig) -> dict:
         tau_text = functools.cache(lambda: _text(cfg.times_tau))
         for curve in cfg.curves:
             files.extend(_curve_outputs(cfg, curve, staged, tau_text))
+        manifest = {
+            "tool": {"name": "twojc", "version": __version__},
+            "config": cfg.raw,
+            "files": files,
+        }
+        manifest_path = os.path.join(cfg.out_dir, f"{cfg.prefix}_manifest.json")
+        staged.append((manifest_path + ".partial", manifest_path))
+        with open(manifest_path + ".partial", "w", newline="\n") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
         # a rename onto a directory fails, so look for one before renaming any
         taken = [final for _, final in staged if os.path.isdir(final)]
         if taken:
@@ -387,15 +398,6 @@ def run_config(cfg: RunConfig) -> dict:
         for temporary, final in staged:
             os.replace(temporary, final)
         staged.clear()
-        manifest = {
-            "tool": {"name": "twojc", "version": __version__},
-            "config": cfg.raw,
-            "files": files,
-        }
-        manifest_path = os.path.join(cfg.out_dir, f"{cfg.prefix}_manifest.json")
-        with open(manifest_path, "w", newline="\n") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
     except BaseException as exc:
         for temporary, _ in staged:
             with contextlib.suppress(OSError):  # not yet written, or already renamed

@@ -16,7 +16,3 @@ class NumericalGuardError(TwojcError):
 
 class TruncationError(NumericalGuardError):
     """Fock-space truncation too small for the requested state."""
-
-
-class FixtureIntegrityError(TwojcError):
-    """A frozen test fixture failed its checksum."""

@@ -118,8 +118,11 @@ def jacobi_eigh_cyclic(mat):
     rows and columns across the whole stack; a matrix that has converged,
     or whose (p, q) element is below the skip threshold, rotates with
     c = 1, s = 0, so every matrix follows its own single-matrix sequence.
+    A complex input must have a zero imaginary part, and is taken as real.
     """
-    A = np.array(mat, dtype=np.float64)
+    if np.iscomplexobj(mat) and np.imag(mat).any():
+        raise ValueError("expected real symmetric matrices, got a nonzero imaginary part")
+    A = np.array(np.real(mat), dtype=np.float64)
     shape = A.shape
     if A.ndim < 2 or shape[-1] != shape[-2]:
         raise ValueError(f"expected square matrices, got shape {shape}")

@@ -1,19 +1,8 @@
-import os
-
 import pytest
 
 from twojc import (F_BUCK_SUKUMAR, F_LINEAR, ModelParams, coherent_field,
                    spectrum_table)
 from twojc.dynamics import AtomInit
-from twojc.validation import load_fixture_file
-
-FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
-
-
-@pytest.fixture(scope="session")
-def derived():
-    """Frozen scalar anchors computed by tools/make_fixtures.py."""
-    return load_fixture_file(os.path.join(FIXTURE_DIR, "derived_values.json"))
 
 
 @pytest.fixture(scope="session")

@@ -14,12 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import twojc.validation
-from twojc import ConfigError, FixtureIntegrityError, build_block
+from twojc import ConfigError, TwojcError, build_block
 from twojc.cli import main, run_config
 from twojc.config import MAX_COUNT, RunConfig, load_config, parse_config
 from twojc.validation import (check_spectral_identities, check_t0_anchors,
-                              check_unitarity, fixture_document,
-                              load_fixture, load_fixture_file)
+                              check_unitarity)
 
 BASE = {
     "model": {"omega0": 1.0, "g": 0.001, "kappa": 0.0, "J": 0.0,
@@ -325,6 +324,14 @@ class TestCliEntry:
         assert main(["run", write_cfg(tmp_path, doc)]) == 2
         assert "x_base_purity.csv': Is a directory" in capsys.readouterr().err
         assert os.listdir(out) == ["x_base_purity.csv"]
+
+    def test_taken_manifest_path_renames_no_table(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "x_manifest.json").mkdir(parents=True)
+        doc = deep(BASE, output={"dir": str(out), "prefix": "x"})
+        assert main(["run", write_cfg(tmp_path, doc)]) == 2
+        assert "x_manifest.json': Is a directory" in capsys.readouterr().err
+        assert os.listdir(out) == ["x_manifest.json"]
 
     def test_numerical_guard_exit_code(self, tmp_path):
         doc = deep(BASE, observables=["qfunction"],
@@ -756,21 +763,6 @@ class TestValidationSuites:
         assert check_unitarity(n_times=10)["passed"]
         assert check_t0_anchors()["passed"]
 
-    def test_fixture_roundtrip_and_tamper_detection(self, tmp_path):
-        doc = fixture_document({"a": 1.0})
-        path = tmp_path / "f.json"
-        path.write_text(json.dumps(doc))
-        assert load_fixture_file(str(path)) == {"a": 1.0}
-        doc["payload"]["a"] = 2.0
-        path.write_text(json.dumps(doc))
-        with pytest.raises(FixtureIntegrityError):
-            load_fixture_file(str(path))
-
-    def test_packaged_fixture_loads(self):
-        payload = load_fixture("approx_window.json")
-        assert 0.0 < payload["tolerance"] < 1.0
-        assert payload["measured_far_max"] > payload["tolerance"]
-
     def test_unwritable_report_path_is_config_error(self, tmp_path, capsys):
         report = str(tmp_path / "missing" / "report.json")
         assert main(["validate", "--report", report]) == 2
@@ -784,11 +776,11 @@ class TestValidationSuites:
         report.write_text("earlier\n")
 
         def broken(level):
-            raise FixtureIntegrityError("fixture approx_window.json failed its checksum")
+            raise TwojcError("a check could not run")
 
         monkeypatch.setattr(twojc.validation, "run_level", broken)
         assert main(["validate", "--report", str(report)]) == 2
-        assert "failed its checksum" in capsys.readouterr().err
+        assert "a check could not run" in capsys.readouterr().err
         assert report.read_text() == "earlier\n"
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
@@ -801,14 +793,14 @@ class TestValidationSuites:
         assert capsys.readouterr().err.startswith("config error: --report")
         assert list(tmp_path.iterdir()) == []
 
-    def test_fixture_generator_reproduces_the_committed_payloads(self, derived):
-        pytest.importorskip("scipy")
-        path = os.path.join(os.path.dirname(__file__), "..", "tools", "make_fixtures.py")
-        spec = importlib.util.spec_from_file_location("make_fixtures", path)
-        make_fixtures = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(make_fixtures)
-        assert make_fixtures.approx_window_fixture() == load_fixture("approx_window.json")
-        assert make_fixtures.derived_values_fixture() == derived
+    def test_approx_tolerance_tool_measures_the_pinned_tolerance(self):
+        path = os.path.join(os.path.dirname(__file__), "..", "tools", "approx_tolerance.py")
+        spec = importlib.util.spec_from_file_location("approx_tolerance", path)
+        approx_tolerance = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(approx_tolerance)
+        near_max, far_max, tolerance = approx_tolerance.measure()
+        assert tolerance == twojc.validation.APPROX_TOLERANCE
+        assert near_max <= tolerance < far_max
 
     def test_validate_cli_writes_report(self, tmp_path):
         report = str(tmp_path / "report.json")

@@ -163,6 +163,19 @@ class TestSectorPropagator:
         np.testing.assert_array_equal(prop.evolve(psi0, times[0]), states[0])
         assert prop.evolve(psi0, []).shape == (0, 4, 23)
 
+    def test_complex_hamiltonian_is_rejected_unless_real(self):
+        H = build_joint_hamiltonian(ModelParams(omega0=1.0, g=1.0, kappa=0.25), 20)
+        psi0 = joint_initial_state(coherent_field(1.0, n_max=20))
+        i, j = 0 * 23 + 3, 1 * 23 + 2  # |g,g,3> and |g,e,2>, one excitation sector
+        Hc = H.astype(np.complex128)
+        Hc[i, j] += 0.3j
+        Hc[j, i] -= 0.3j
+        with pytest.raises(ValueError, match="imaginary"):
+            SectorPropagator(Hc, 20)
+        np.testing.assert_array_equal(
+            SectorPropagator(H.astype(np.complex128), 20).evolve(psi0, 1.0),
+            SectorPropagator(H, 20).evolve(psi0, 1.0))
+
 
 class TestRk4:
     def test_zero_time_identity(self):
