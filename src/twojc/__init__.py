@@ -18,9 +18,7 @@ from .dynamics import (AtomInit, FieldInit, QGrid, auto_n_max, coherent_field,
                        evolve_coeffs, field_entropy, husimi_grid, husimi_q,
                        inversion_series, observable_series, purity,
                        reduced_atom_density, reduced_field_density)
-from .approx import (ApproxRegime, RegimeKind, Timescales, kerr_approx_inversion,
-                     kerr_regime, standard_approx_inversion, standard_regime,
-                     timescales)
+from .approx import Timescales, approx_inversion, timescales
 from .errors import ConfigError, NumericalGuardError, TruncationError, TwojcError
 
 __version__ = "0.1.0"

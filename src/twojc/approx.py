@@ -1,4 +1,4 @@
-"""Closed-form approximations to the inversion in two regimes.
+"""Closed-form approximations to the inversion, one entry for two regimes.
 
 Both hold for the intensity-dependent sqrt coupling at resonance and
 moderately large mean photon number, where the Poisson sum over blocks
@@ -8,6 +8,11 @@ fast phase 3 tau + <n> sin 2 tau are common to both regimes; they differ
 in how the anharmonicity or the atom-atom detuning splits the pair of
 frequencies.
 
+The regime is read from the parameters.  chi = 0 is the standard cavity,
+with x = (kappa - J)/g in [0, 1).  chi > 0 is the locked Kerr cavity: it
+needs chi = 2(kappa - J), and x = chi/g.  The two overlap only at
+chi = kappa - J = 0, where the Kerr form reduces to the standard one.
+
 Validity is limited to tau = g t well below ~4 <n>^2, where the dropped
 quadratic dephasing is negligible; evaluating further out sets off a
 warning, not an error.
@@ -16,7 +21,6 @@ warning, not an error.
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -27,75 +31,32 @@ from .model import FKind, ModelParams
 _X_WARN_KERR = 0.1
 
 
-class RegimeKind(Enum):
-    KERR_LOCKED = "kerr_locked"          # chi = 2(kappa - J), x = chi/g
-    STANDARD_CAVITY = "standard_cavity"  # chi = 0, x = (kappa - J)/g
-
-
-@dataclass(frozen=True)
-class ApproxRegime:
-    kind: RegimeKind
-    x: float
-    mean_n: float
-    phi: float = None  # mean-photon phase-shift coefficient (locked Kerr only)
-
-    def __post_init__(self):
-        if self.mean_n < 1.0:
-            raise TwojcError("approximations need mean_n >= 1")
-        if self.mean_n < 10.0:
-            warnings.warn("approximation accuracy degrades below mean_n ~ 10",
-                          stacklevel=3)
-
-    @property
-    def tau_validity(self) -> float:
-        """Upper end of the trusted window in tau = g t."""
-        return 4.0 * self.mean_n ** 2
-
-
-def _require_sqrt_coupling(params):
+def _regime(params: ModelParams, mean_n: float):
+    """(locked Kerr?, x) of the parameters; raises where neither regime
+    applies, and warns (at the caller's caller) where accuracy degrades."""
     if params.f_kind.kind is not FKind.BUCK_SUKUMAR:
         raise TwojcError("approximations assume the sqrt(n) coupling")
-
-
-def kerr_regime(params: ModelParams, mean_n: float) -> ApproxRegime:
-    """Locked-Kerr regime: requires chi = 2(kappa - J) and delta = 0."""
-    _require_sqrt_coupling(params)
+    if params.delta != 0.0:
+        raise TwojcError("approximations assume resonance (delta = 0)")
+    if mean_n < 1.0:
+        raise TwojcError("approximations need mean_n >= 1")
+    if mean_n < 10.0:
+        warnings.warn("approximation accuracy degrades below mean_n ~ 10",
+                      stacklevel=3)
+    if params.chi == 0.0:
+        x = params.kappa_minus_j / params.g
+        if not 0.0 <= x < 1.0:
+            raise TwojcError(f"(kappa - J)/g = {x:.3g} outside [0, 1)")
+        return False, x
     lock = params.chi - 2.0 * params.kappa_minus_j
     if abs(lock) > 1e-12 * max(params.chi, abs(params.kappa_minus_j), params.g):
         raise TwojcError(
-            f"locked-Kerr regime needs chi = 2(kappa - J); off by {lock!r}")
-    if params.delta != 0.0:
-        raise TwojcError("locked-Kerr regime assumes resonance (delta = 0)")
+            f"chi > 0 needs the locked Kerr cavity chi = 2(kappa - J); off by {lock!r}")
     x = params.chi / params.g
     if x > _X_WARN_KERR:
         warnings.warn(f"chi/g = {x:.3g} is large for the locked-Kerr expansion",
-                      stacklevel=2)
-    # exact sqrt-coupling ladder sums at n = <n>
-    delta_plus = (mean_n + 2.0) ** 2 + (mean_n + 1.0) ** 2
-    phi = math.sqrt(2.0) * (mean_n + 1.0) ** 2 / math.sqrt(delta_plus)
-    return ApproxRegime(kind=RegimeKind.KERR_LOCKED, x=x, mean_n=float(mean_n),
-                        phi=phi)
-
-
-def standard_regime(params: ModelParams, mean_n: float) -> ApproxRegime:
-    """Standard-cavity regime: chi = 0, 0 < (kappa - J)/g < 1, delta = 0."""
-    _require_sqrt_coupling(params)
-    if params.chi != 0.0:
-        raise TwojcError("standard-cavity regime needs chi = 0")
-    if params.delta != 0.0:
-        raise TwojcError("standard-cavity regime assumes resonance (delta = 0)")
-    x = params.kappa_minus_j / params.g
-    if not 0.0 <= x < 1.0:
-        raise TwojcError(f"(kappa - J)/g = {x:.3g} outside [0, 1)")
-    return ApproxRegime(kind=RegimeKind.STANDARD_CAVITY, x=x, mean_n=float(mean_n))
-
-
-def _warn_outside_window(regime, tau):
-    tmax = float(np.max(np.abs(tau)))
-    if tmax > regime.tau_validity:
-        warnings.warn(
-            f"tau up to {tmax:.3g} exceeds the trusted window ~{regime.tau_validity:.3g}",
-            stacklevel=3)
+                      stacklevel=3)
+    return True, x
 
 
 def kerr_weight_amplitudes(x: float) -> dict:
@@ -113,39 +74,34 @@ def kerr_weight_amplitudes(x: float) -> dict:
     }
 
 
-def kerr_approx_inversion(regime: ApproxRegime, tau):
-    """Locked-Kerr inversion estimate at tau = g t (scalar or array).
+def approx_inversion(params: ModelParams, mean_n: float, tau):
+    """Large-n inversion estimate at tau = g t (scalar or array), in the
+    regime the parameters set; env = exp(-2<n> sin^2 tau).
 
-    offset + envelope * [L31 cos(3(1+x)tau + phi x^2 tau + <n> sin 2tau)
-                         + L23 cos(3(1-x)tau + phi x^2 tau + <n> sin 2tau)]
+    standard: env cos(x tau) cos(3 tau + <n> sin 2tau), inside env.
+    locked Kerr: L11 + L22 + 2 env [L31 cos(3(1+x)tau + c) + L23 cos(3(1-x)tau + c)]
+    with c = phi x^2 tau + <n> sin 2tau.  Each off-diagonal amplitude counts
+    twice, as in the completeness sum, so both forms read 1 at tau = 0.
     """
-    if regime.kind is not RegimeKind.KERR_LOCKED:
-        raise TwojcError("regime is not locked-Kerr")
-    _warn_outside_window(regime, tau)
+    kerr, x = _regime(params, mean_n)
     tau = np.asarray(tau, dtype=float)
-    lam = kerr_weight_amplitudes(regime.x)
-    nb, x, phi = regime.mean_n, regime.x, regime.phi
-    env = np.exp(-2.0 * nb * np.sin(tau) ** 2)
-    common = phi * x * x * tau + nb * np.sin(2.0 * tau)
-    val = (lam["lam_11"] + lam["lam_22"]
-           + env * (lam["lam_31"] * np.cos(3.0 * (1.0 + x) * tau + common)
-                    + lam["lam_23"] * np.cos(3.0 * (1.0 - x) * tau + common)))
-    return val if val.ndim else float(val)
-
-
-def standard_approx_inversion(regime: ApproxRegime, tau):
-    """Standard-cavity inversion estimate at tau = g t (scalar or array).
-
-    exp(-2<n> sin^2 tau) cos(x tau) cos(3 tau + <n> sin 2 tau); bounded
-    by the exponential envelope by construction.
-    """
-    if regime.kind is not RegimeKind.STANDARD_CAVITY:
-        raise TwojcError("regime is not standard-cavity")
-    _warn_outside_window(regime, tau)
-    tau = np.asarray(tau, dtype=float)
-    val = (np.exp(-2.0 * regime.mean_n * np.sin(tau) ** 2)
-           * np.cos(regime.x * tau)
-           * np.cos(3.0 * tau + regime.mean_n * np.sin(2.0 * tau)))
+    tmax = float(np.max(np.abs(tau), initial=0.0))
+    window = 4.0 * mean_n ** 2
+    if tmax > window:
+        warnings.warn(f"tau up to {tmax:.3g} exceeds the trusted window ~{window:.3g}",
+                      stacklevel=2)
+    env = np.exp(-2.0 * mean_n * np.sin(tau) ** 2)
+    if kerr:
+        lam = kerr_weight_amplitudes(x)
+        # mean-photon phase shift from the exact sqrt-coupling ladder sums at <n>
+        delta_plus = (mean_n + 2.0) ** 2 + (mean_n + 1.0) ** 2
+        phi = math.sqrt(2.0) * (mean_n + 1.0) ** 2 / math.sqrt(delta_plus)
+        common = phi * x * x * tau + mean_n * np.sin(2.0 * tau)
+        val = (lam["lam_11"] + lam["lam_22"]
+               + 2.0 * env * (lam["lam_31"] * np.cos(3.0 * (1.0 + x) * tau + common)
+                              + lam["lam_23"] * np.cos(3.0 * (1.0 - x) * tau + common)))
+    else:
+        val = env * np.cos(x * tau) * np.cos(3.0 * tau + mean_n * np.sin(2.0 * tau))
     return val if val.ndim else float(val)
 
 
@@ -159,10 +115,8 @@ class Timescales:
     beat_period: float
 
 
-def timescales(regime: ApproxRegime) -> Timescales:
-    tau_c = 1.0 / math.sqrt(2.0 * regime.mean_n)
-    if regime.kind is RegimeKind.KERR_LOCKED:
-        beat = math.pi / (3.0 * regime.x) if regime.x else math.inf
-    else:
-        beat = math.pi / regime.x if regime.x else math.inf
-    return Timescales(tau_collapse=tau_c, tau_revival=math.pi, beat_period=beat)
+def timescales(params: ModelParams, mean_n: float) -> Timescales:
+    """Timescales in the regime the parameters set (see `approx_inversion`)."""
+    kerr, x = _regime(params, mean_n)
+    beat = math.pi / ((3.0 if kerr else 1.0) * x) if x else math.inf
+    return Timescales(1.0 / math.sqrt(2.0 * mean_n), math.pi, beat)

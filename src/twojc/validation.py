@@ -157,14 +157,13 @@ def check_approx_window():
     """Approximation error stays inside APPROX_TOLERANCE in the trusted
     window and breaks out of it far outside."""
     params, field, spectra = beat_reference_setup()
-    regime = approx.standard_regime(params, field.mean_n)
     near = np.linspace(*NEAR_WINDOW, APPROX_GRID_POINTS)
     far = np.linspace(*FAR_WINDOW, APPROX_GRID_POINTS)
-    err_near = float(np.abs(approx.standard_approx_inversion(regime, near)
+    err_near = float(np.abs(approx.approx_inversion(params, field.mean_n, near)
                             - dynamics.inversion_series(field, spectra, near)).max())
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # far window is outside validity on purpose
-        err_far = float(np.abs(approx.standard_approx_inversion(regime, far)
+        err_far = float(np.abs(approx.approx_inversion(params, field.mean_n, far)
                                - dynamics.inversion_series(field, spectra, far)).max())
     return {"name": "approx_window",
             "passed": bool(err_near <= APPROX_TOLERANCE < err_far),

@@ -1,3 +1,4 @@
+import glob
 import hashlib
 import importlib.util
 import json
@@ -748,13 +749,26 @@ def test_parse_config_returns_config_or_config_error(edits):
 
 
 def test_shipped_configs_parse():
-    import glob
     root = os.path.join(os.path.dirname(__file__), "..", "configs")
     paths = sorted(glob.glob(os.path.join(root, "*.json")))
     assert len(paths) >= 5
     for path in paths:
         cfg = load_config(path)
         assert cfg.curves
+
+
+def test_shipped_configs_write_to_their_own_directories():
+    # a loop over every config from one directory leaves each run's tables
+    # and manifest in place only if no two configs share an output.dir
+    root = os.path.join(os.path.dirname(__file__), "..")
+    paths = sorted(glob.glob(os.path.join(root, "configs", "*.json"))
+                   + glob.glob(os.path.join(root, "perfbench", "configs", "*.json")))
+    assert len(paths) >= 8
+    dirs = []
+    for path in paths:
+        with open(path) as fh:
+            dirs.append(json.load(fh)["output"]["dir"])
+    assert len(set(dirs)) == len(dirs), sorted(dirs)
 
 
 class TestValidationSuites:

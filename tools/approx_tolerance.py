@@ -31,13 +31,12 @@ def measure():
     H = oracle.build_joint_hamiltonian(params, field.n_max)
     prop = oracle.SectorPropagator(H, field.n_max)
     psi0 = oracle.joint_initial_state(field)
-    regime = approx.standard_regime(params, field.mean_n)
     errors = []
     for window in (validation.NEAR_WINDOW, validation.FAR_WINDOW):
         times = np.linspace(*window, validation.APPROX_GRID_POINTS)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the far window is outside validity on purpose
-            errors.append(float(np.abs(approx.standard_approx_inversion(regime, times)
+            errors.append(float(np.abs(approx.approx_inversion(params, field.mean_n, times)
                                        - oracle.inversion_of(prop.evolve(psi0, times))).max()))
     near_max, far_max = errors
     return near_max, far_max, round(near_max * 1.02, 6)
