@@ -304,14 +304,10 @@ def _derived_columns(spectra, g):
     return columns
 
 
-def _curve_outputs(cfg: RunConfig, curve: CurveSpec, staged: list, tau_text):
-    """Compute and write every requested file for one curve; return their
-    manifest entries.
-
-    Each table goes under a temporary name in the output directory, and
-    its (temporary, final) path pair is added to `staged` before it is
-    written.  `tau_text()` is the config's tau column, formatted when
-    first written and then reused."""
+def _curve_outputs(cfg: RunConfig, curve: CurveSpec, stage, tau_text):
+    """Compute and write every requested file for one curve, each under the
+    name `stage` gives it; return their manifest entries.  `tau_text` is the
+    config's tau column as `_text` rows, or None when no series is asked for."""
     params = curve.params
     field = dynamics.coherent_field(curve.mean_n, phase=curve.phase,
                                     n_max=curve.n_max,
@@ -323,9 +319,7 @@ def _curve_outputs(cfg: RunConfig, curve: CurveSpec, staged: list, tau_text):
 
     def emit(suffix, write, notes, *table):
         name = f"{cfg.prefix}_{curve.label}_{suffix}.csv"
-        final = os.path.join(cfg.out_dir, name)
-        temporary = final + ".partial"
-        staged.append((temporary, final))
+        temporary = stage(os.path.join(cfg.out_dir, name))
         files.append({"path": name, "sha256": write(temporary, header + notes, *table)})
 
     series_wanted = [o for o in cfg.observables if o in dynamics.SERIES_OBSERVABLES]
@@ -335,7 +329,7 @@ def _curve_outputs(cfg: RunConfig, curve: CurveSpec, staged: list, tau_text):
             emit(name, _write_csv,
                  ["tau column: dimensionless time g*t",
                   f"{name} column: {_SERIES_UNITS[name]}"],
-                 ["tau", name], series[name][:, None], (tau_text()[:, None],))
+                 ["tau", name], series[name][:, None], (tau_text[:, None],))
 
     if "qfunction" in cfg.observables:
         re_axis, im_axis = cfg.q_grid.axes()
@@ -361,54 +355,72 @@ def _curve_outputs(cfg: RunConfig, curve: CurveSpec, staged: list, tau_text):
     return files
 
 
+@contextlib.contextmanager
+def _staged(what, made=()):
+    """Yield `stage(final)`, which names the temporary file to write in place
+    of `final`.  Every staged file takes its final name, in the order staged,
+    only once the block has ended normally; if it raises, no staged file is
+    left, nor any directory of `made` (deepest first) that is still empty.
+    A final name held by a directory is refused when staged and again before
+    any rename.  An OSError leaves as a ConfigError naming `what` and the
+    final name."""
+    finals = {}  # temporary name -> final name, in the order staged
+
+    def refuse_directory(final):
+        if os.path.isdir(final):  # a rename onto it would fail
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), final)
+
+    def stage(final):
+        refuse_directory(final)
+        finals[final + ".partial"] = final
+        return final + ".partial"
+
+    try:
+        yield stage
+        for final in finals.values():
+            refuse_directory(final)
+        for temporary, final in finals.items():
+            os.replace(temporary, final)
+    except BaseException as exc:
+        for temporary in finals:
+            with contextlib.suppress(OSError):  # not yet written, or already renamed
+                os.remove(temporary)
+        for directory in made:
+            with contextlib.suppress(OSError):  # not empty, or never made
+                os.rmdir(directory)
+        if isinstance(exc, OSError):  # the only OS calls in a block are its writes
+            path = exc.filename2 or exc.filename  # a rename names its target second
+            raise ConfigError(f"{what}: {finals.get(path, path)!r}: {exc.strerror}") from exc
+        raise
+
+
 def run_config(cfg: RunConfig) -> dict:
     """Write every table of a config and its manifest; return the manifest.
 
-    Tables and manifest take their names only once every curve is computed,
-    the manifest last, so a run that fails leaves no file of its own in the
-    output directory, and the files of an earlier run there as they were.
-    A failed run also removes the directories it created, if they are
-    still empty."""
-    staged = []  # (temporary, final) path of each file written so far
+    Tables and manifest are staged (`_staged`), the manifest last, so a run
+    that fails leaves no file of its own in the output directory, the files
+    of an earlier run there as they were, and no directory it created."""
     created = []  # the output directory and its ancestors that were missing, deepest first
     missing = cfg.out_dir
     while missing and not os.path.lexists(missing):
         created.append(missing)
         missing = os.path.dirname(missing)
-    try:
+    with _staged("config.output.dir", created) as stage:
         os.makedirs(cfg.out_dir, exist_ok=True)
+        series = any(o in dynamics.SERIES_OBSERVABLES for o in cfg.observables)
+        tau_text = _text(cfg.times_tau) if series else None  # one tau column for all series
         files = []
-        tau_text = functools.cache(lambda: _text(cfg.times_tau))
         for curve in cfg.curves:
-            files.extend(_curve_outputs(cfg, curve, staged, tau_text))
+            files.extend(_curve_outputs(cfg, curve, stage, tau_text))
         manifest = {
             "tool": {"name": "twojc", "version": __version__},
             "config": cfg.raw,
             "files": files,
         }
         manifest_path = os.path.join(cfg.out_dir, f"{cfg.prefix}_manifest.json")
-        staged.append((manifest_path + ".partial", manifest_path))
-        with open(manifest_path + ".partial", "w", newline="\n") as fh:
+        with open(stage(manifest_path), "w", newline="\n") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        # a rename onto a directory fails, so look for one before renaming any
-        taken = [final for _, final in staged if os.path.isdir(final)]
-        if taken:
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), taken[0])
-        for temporary, final in staged:
-            os.replace(temporary, final)
-        staged.clear()
-    except BaseException as exc:
-        for temporary, _ in staged:
-            with contextlib.suppress(OSError):  # not yet written, or already renamed
-                os.remove(temporary)
-        for directory in created:
-            with contextlib.suppress(OSError):  # not empty, or never made
-                os.rmdir(directory)
-        if isinstance(exc, OSError):  # the only OS calls here are the output writes
-            path = exc.filename2 or exc.filename  # a rename names its target second
-            raise ConfigError(f"config.output.dir: {path!r}: {exc.strerror}") from exc
-        raise
     return manifest
 
 
@@ -420,29 +432,15 @@ def _cmd_run(args):
 
 
 def _cmd_validate(args):
-    """The report goes under a temporary name, opened before the checks run
-    so that a bad path costs no run; it takes its name once complete, so a
-    failed run leaves an earlier report at the path as it was."""
-    temporary = args.report and args.report + ".partial"
-    try:
-        if args.report and os.path.isdir(args.report):  # a rename onto it would fail
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        report_file = open(temporary, "w") if args.report else None
-    except OSError as exc:
-        raise ConfigError(f"--report {args.report!r}: {exc.strerror}") from exc
-    try:
+    """The report is staged (`_staged`) and opened before the checks run, so
+    a bad path costs no run and a failed run leaves an earlier report at the
+    path as it was."""
+    with _staged("--report") as stage, \
+            (open(stage(args.report), "w") if args.report else contextlib.nullcontext()) as fh:
         report = validation.run_level(args.level)
         text = json.dumps(report, indent=2, sort_keys=True)
-        if report_file:
-            with report_file:
-                report_file.write(text + "\n")
-            os.replace(temporary, args.report)
-    except BaseException:
-        if report_file:
-            report_file.close()
-            with contextlib.suppress(OSError):
-                os.remove(temporary)
-        raise
+        if fh:
+            fh.write(text + "\n")
     print(text)
     return 0 if report["passed"] else 1
 

@@ -71,13 +71,6 @@ def _number(obj, key, path, default=None, required=False):
     return _finite(obj[key], f"{path}.{key}")
 
 
-def _mean_n(obj, path, default=None):
-    val = _number(obj, "mean_n", path, default=default, required=default is None)
-    if val < 0.0:
-        raise ConfigError(f"{path}.mean_n: must be nonnegative, got {val!r}")
-    return val
-
-
 def _numbers(obj, key, path):
     """A list of finite numbers as a tuple, or None when the key is absent."""
     if key not in obj:
@@ -155,8 +148,8 @@ def _parse_selector(obj, name, kind_map, path, default):
     """The <name>_kind selector of a model, with the <name>_table of values
     that only the custom kind takes."""
     table = _numbers(obj, f"{name}_table", path)
-    spec = obj.get(f"{name}_kind")
-    kind = None if spec is None else _choice(spec, kind_map, f"{path}.{name}_kind")
+    key = f"{name}_kind"
+    kind = _choice(obj[key], kind_map, f"{path}.{key}") if key in obj else None
     custom = kind in (HKind.CUSTOM, FKind.CUSTOM)
     if table is not None and not custom:
         raise ConfigError(f"{path}.{name}_table: only {name}_kind \"custom\" "
@@ -186,12 +179,23 @@ def _parse_model(obj, path):
     return kwargs
 
 
-def _merge_model(base_raw, override_raw, path):
-    """Raw-dict merge: override keys replace base keys, then parse once."""
-    _check_keys(override_raw, _MODEL_KEYS, path)
-    merged = dict(base_raw)
-    merged.update(override_raw)
-    return _parse_model(merged, path)
+def _parse_field(obj, path, observables, q_grid):
+    """(mean_n, phase, n_max) of a field block; an absent n_max is "auto"."""
+    _check_keys(obj, _FIELD_KEYS, path)
+    mean_n = _number(obj, "mean_n", path, required=True)
+    if mean_n < 0.0:
+        raise ConfigError(f"{path}.mean_n: must be nonnegative, got {mean_n!r}")
+    phase = _number(obj, "phase", path, default=0.0)
+    n_max = _resolve_n_max(obj.get("n_max", "auto"), mean_n, observables, q_grid,
+                           f"{path}.n_max")
+    return mean_n, phase, n_max
+
+
+def _merged(base_raw, override_raw, keys, path):
+    """Raw-dict merge of a curve's block over the top-level one: override
+    keys replace base keys, and the result is parsed once."""
+    _check_keys(override_raw, keys, path)
+    return {**base_raw, **override_raw}
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -238,11 +242,7 @@ def parse_config(doc: dict) -> RunConfig:
     if "qfunction" in obs and not q_grid.times_tau:
         raise ConfigError("config.q_grid.times: required when qfunction is requested")
 
-    fld = doc["field"]
-    _check_keys(fld, _FIELD_KEYS, "config.field")
-    mean_n = _mean_n(fld, "config.field")
-    phase = _number(fld, "phase", "config.field", default=0.0)
-    n_max_raw = fld.get("n_max", "auto")
+    base_field = _parse_field(doc["field"], "config.field", obs, q_grid)
 
     atom_init_name = doc.get("atom_init", "both_excited")
     _choice(atom_init_name, _ATOM_INITS, "config.atom_init")
@@ -256,9 +256,9 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(f"config.output.dir: expected a non-empty string, got {out_dir!r}")
     prefix = _file_name_part(out.get("prefix", "run"), "config.output.prefix")
 
-    curve_docs = doc.get("curves") or [{"label": "base"}]
-    if not isinstance(curve_docs, list):
-        raise ConfigError("config.curves: expected a list")
+    curve_docs = doc.get("curves", [{"label": "base"}])
+    if not isinstance(curve_docs, list) or not curve_docs:
+        raise ConfigError("config.curves: must be a non-empty list")
     # every tau is divided by each curve's g before the dynamics sees it
     taus = [("time_grid.start", start), ("time_grid.stop", stop)] + [
         (f"q_grid.times[{j}]", tau) for j, tau in enumerate(q_grid.times_tau)]
@@ -269,8 +269,8 @@ def parse_config(doc: dict) -> RunConfig:
         label = _file_name_part(cd.get("label", f"curve{i}"), f"{path}.label")
         model_kwargs = base_model
         if "model" in cd:
-            model_kwargs = _merge_model(doc["model"], cd["model"],
-                                        f"{path}.model")
+            model_kwargs = _parse_model(
+                _merged(doc["model"], cd["model"], _MODEL_KEYS, f"{path}.model"), f"{path}.model")
         try:
             params = ModelParams(**model_kwargs)
         except TwojcError as exc:
@@ -279,15 +279,13 @@ def parse_config(doc: dict) -> RunConfig:
             if not math.isfinite(tau / params.g):
                 raise ConfigError(f"config.{key}: tau / g = {tau!r} / {params.g!r} "
                                   f"is not a finite time for {path}")
-        c_mean, c_phase, c_nmax_raw = mean_n, phase, n_max_raw
+        c_mean, c_phase, n_max = base_field
         if "field" in cd:
-            _check_keys(cd["field"], _FIELD_KEYS, f"{path}.field")
-            c_mean = _mean_n(cd["field"], f"{path}.field", default=mean_n)
-            c_phase = _number(cd["field"], "phase", f"{path}.field", default=phase)
-            c_nmax_raw = cd["field"].get("n_max", n_max_raw)
+            c_mean, c_phase, n_max = _parse_field(
+                _merged(doc["field"], cd["field"], _FIELD_KEYS, f"{path}.field"),
+                f"{path}.field", obs, q_grid)
         c_init = _choice(cd.get("atom_init", atom_init_name), _ATOM_INITS,
                          f"{path}.atom_init")
-        n_max = _resolve_n_max(c_nmax_raw, c_mean, obs, q_grid, path)
         curves.append(CurveSpec(label=label, params=params, mean_n=c_mean,
                                 phase=c_phase, n_max=n_max,
                                 atom_init=c_init))
@@ -301,7 +299,7 @@ def parse_config(doc: dict) -> RunConfig:
 
 
 def _resolve_n_max(raw, mean_n, observables, q_grid, path):
-    if raw == "auto" or raw is None:
+    if raw == "auto":
         n_max = auto_n_max(mean_n)
         if n_max > MAX_COUNT:
             raise ConfigError(f"{path}: \"auto\" n_max for mean_n = {mean_n!r} "
@@ -316,7 +314,7 @@ def _resolve_n_max(raw, mean_n, observables, q_grid, path):
         return n_max
     if isinstance(raw, bool) or not isinstance(raw, int) or not 2 <= raw <= MAX_COUNT:
         raise ConfigError(f"{path}: n_max must be an integer in [2, {MAX_COUNT}] "
-                          f"or \"auto\"")
+                          f"or \"auto\", got {raw!r}")
     return raw
 
 

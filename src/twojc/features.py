@@ -29,38 +29,36 @@ def _interior_maxima(y):
     return np.where((y[1:-1] > y[:-2]) & (y[1:-1] >= y[2:]))[0] + 1
 
 
-def _interior_minima(y):
-    return np.where((y[1:-1] < y[:-2]) & (y[1:-1] <= y[2:]))[0] + 1
+def _apart(order, at, min_separation):
+    """The candidates of `order`, tallest first, each kept if it lies farther
+    than min_separation from every taller one kept."""
+    kept = []
+    for i in order:
+        if all(abs(at[i] - at[k]) > min_separation for k in kept):
+            kept.append(i)
+    return kept
 
 
-def find_peaks(times, values, min_height=0.0, min_separation=0.0):
-    """Local maxima of values, tallest first within each separation slot.
+def find_peaks(times, values, min_height=-math.inf, min_separation=0.0):
+    """Interior local maxima of values above min_height, tallest first within
+    each separation slot; find_peaks(times, -values) gives the minima.
 
     Returns (peak_times, peak_values) sorted by time.
     """
     idx = _interior_maxima(values)
     idx = idx[values[idx] > min_height]
     if min_separation > 0:
-        chosen_t, chosen_i = [], []
-        for i in idx[np.argsort(values[idx])[::-1]]:
-            t = times[i]
-            if all(abs(t - s) > min_separation for s in chosen_t):
-                chosen_t.append(t)
-                chosen_i.append(i)
-        idx = np.array(sorted(chosen_i), dtype=int)
+        tallest_first = idx[np.argsort(values[idx])[::-1]]
+        idx = np.array(sorted(_apart(tallest_first, times, min_separation)), dtype=int)
     return times[idx], values[idx]
 
 
-def revival_peaks(times, signal, min_height=0.05):
-    """Revival locations from the smoothed magnitude of the inversion."""
+def revival_spacing(times, signal, min_height=0.05):
+    """Median spacing between successive revival peaks, found on the
+    lightly smoothed |signal|."""
     dt = times[1] - times[0]
     sm = _moving_average(np.abs(signal), round(REVIVAL_SMOOTH_WIDTH / dt))
-    return find_peaks(times, sm, min_height=min_height, min_separation=0.5)
-
-
-def revival_spacing(times, signal, min_height=0.05):
-    """Median spacing between successive revival peaks."""
-    pt, _ = revival_peaks(times, signal, min_height=min_height)
+    pt, _ = find_peaks(times, sm, min_height=min_height, min_separation=0.5)
     pt = pt[pt > 0.5]  # skip the t=0 transient
     if len(pt) < 2:
         return math.nan
@@ -116,21 +114,6 @@ def beat_nodes(times, signal, period=math.pi):
     return np.array(nodes)
 
 
-def local_minima(times, values, max_value=None):
-    """Times and values of interior local minima (optionally capped)."""
-    idx = _interior_minima(values)
-    if max_value is not None:
-        idx = idx[values[idx] < max_value]
-    return times[idx], values[idx]
-
-
-def local_maxima(times, values, min_value=None):
-    idx = _interior_maxima(values)
-    if min_value is not None:
-        idx = idx[values[idx] > min_value]
-    return times[idx], values[idx]
-
-
 def nearest_extremum(target, extremum_times):
     """Distance from target to the closest detected extremum."""
     if len(extremum_times) == 0:
@@ -155,13 +138,7 @@ def grid_lobes(qgrid, rel_threshold=0.1, min_separation=1.0):
                       & (c > v[:-2, :-2]) & (c >= v[2:, 2:])
                       & (c > v[:-2, 2:]) & (c >= v[2:, :-2]))
     mx &= v > rel_threshold * v.max()
-    points = []
-    for i, j in np.argwhere(mx):
-        alpha = qgrid.re_axis[j] + 1j * qgrid.im_axis[i]
-        points.append((alpha, float(v[i, j])))
-    points.sort(key=lambda p: -p[1])
-    lobes = []
-    for alpha, val in points:
-        if all(abs(alpha - a0) > min_separation for a0, _ in lobes):
-            lobes.append((alpha, val))
-    return lobes
+    i, j = np.nonzero(mx)
+    alpha = qgrid.re_axis[j] + 1j * qgrid.im_axis[i]
+    order = np.argsort(-v[i, j], kind="stable")  # ties in row-major order
+    return [(alpha[k], float(v[i[k], j[k]])) for k in _apart(order, alpha, min_separation)]

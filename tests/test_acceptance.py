@@ -19,9 +19,8 @@ from twojc import (F_BUCK_SUKUMAR, H_KERR, ModelParams, coherent_field,
                    husimi_grid, inversion_series, observable_series,
                    reduced_field_density, spectrum_table)
 from twojc.dynamics import AtomInit
-from twojc.features import (beat_nodes, collapse_width, grid_lobes,
-                            local_maxima, local_minima, nearest_extremum,
-                            revival_spacing)
+from twojc.features import (beat_nodes, collapse_width, find_peaks, grid_lobes,
+                            nearest_extremum, revival_spacing)
 from twojc.validation import (beat_reference_setup, check_approx_window,
                               check_araki_lieb, check_oracle_equivalence,
                               check_spectral_identities, check_t0_anchors)
@@ -142,7 +141,7 @@ def test_c09_entropy_structure():
     entropy = observable_series(field, spectra, taus, ["entropy"])["entropy"]
     ok_range = bool(np.all(entropy >= -1e-12)
                     and np.all(entropy <= math.log(3.0) + 1e-10))
-    min_t, _ = local_minima(taus, entropy)
+    min_t, _ = find_peaks(taus, -entropy)
     ok_minima = all(nearest_extremum(m * math.pi / 4.0, min_t) < 0.1
                     for m in range(1, 9))
     worst_al = check_araki_lieb(n_times=100, seed=14)["metrics"]["worst"]
@@ -158,7 +157,7 @@ def test_c10_concurrence_maxima():
     spectra = spectrum_table(params, field.n_max)
     taus = np.linspace(0.0, 2.0 * math.pi + 0.3, 950)
     conc = observable_series(field, spectra, taus, ["concurrence"])["concurrence"]
-    peak_t, peak_v = local_maxima(taus, conc, min_value=0.5)
+    peak_t, peak_v = find_peaks(taus, conc, min_height=0.5)
     misses = {m: nearest_extremum(m * math.pi / 2.0, peak_t)
               for m in range(1, 5)}
     ok = all(v < 0.15 for v in misses.values()) and np.all(conc <= 1.0 + 1e-10)

@@ -216,6 +216,42 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line 1"):
             load_config(str(path))
 
+    def test_top_level_must_be_an_object(self, tmp_path):
+        with pytest.raises(ConfigError, match="top level must be an object$"):
+            load_config(write_cfg(tmp_path, [BASE]))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["model"].pop("g"), "config.model.g: required"),
+        (lambda doc: doc.pop("time_grid"), "config.time_grid: required"),
+        (lambda doc: doc["model"].update(f_kind="custom", f_table=[]),
+         "config.model.f_kind: custom kind needs a non-empty value table"),
+    ], ids=["model.g", "time_grid", "empty_f_table"])
+    def test_missing_or_empty_required_value(self, edit, message):
+        doc = deep(BASE)
+        edit(doc)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("curves", [None, {}, False, 0, "", [], "abc", 3], ids=[
+        "null", "object", "false", "zero", "empty_text", "empty_list", "text", "number"])
+    def test_curves_must_be_a_non_empty_list(self, curves):
+        with pytest.raises(ConfigError, match=r"^config\.curves: must be a non-empty list$"):
+            parse_config(deep(BASE, curves=curves))
+
+    @pytest.mark.parametrize("curve, key", [
+        ({"model": {"h_kind": None}}, "model.h_kind"),
+        ({"model": {"f_kind": None}}, "model.f_kind"),
+        ({"field": {"n_max": None}}, "field.n_max"),
+        ({"field": {"n_max": "x"}}, "field.n_max"),
+    ], ids=["h_kind_null", "f_kind_null", "n_max_null", "n_max_text"])
+    def test_a_curve_key_is_parsed_at_its_own_path(self, curve, key):
+        # a null is no default: neither the top level's Kerr cavity and integer
+        # n_max, nor the defaults of an absent key
+        doc = deep(BASE, curves=[{"label": "a"}, {"label": "b", **curve}])
+        doc["model"].update(h_kind="kerr", chi=1e-4)
+        with pytest.raises(ConfigError, match=rf"^config\.curves\[1\]\.{re.escape(key)}: "):
+            parse_config(doc)
+
 
 class TestRun:
     def test_multi_curve_inversion_files(self, tmp_path):
@@ -325,6 +361,16 @@ class TestCliEntry:
         assert main(["run", write_cfg(tmp_path, doc)]) == 2
         assert "x_base_purity.csv': Is a directory" in capsys.readouterr().err
         assert os.listdir(out) == ["x_base_purity.csv"]
+
+    def test_write_error_names_the_final_table_path(self, tmp_path, capsys):
+        label = "a" * 250  # the table's file name is longer than a file system takes
+        doc = deep(BASE, curves=[{"label": label}],
+                   output={"dir": str(tmp_path / "out"), "prefix": "x"})
+        assert main(["run", write_cfg(tmp_path, doc)]) == 2
+        final = str(tmp_path / "out" / f"x_{label}_inversion.csv")
+        assert capsys.readouterr().err == (
+            f"config error: config.output.dir: {final!r}: File name too long\n")
+        assert not (tmp_path / "out").exists()
 
     def test_taken_manifest_path_renames_no_table(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -660,6 +706,9 @@ INPUT_EDGE_PROBES = [
     ("time_grid.count", "1" + "0" * 30, 2), ("field.mean_n", "-1", 2),
     ("output.dir", "null", 2), ("output.dir", '""', 2), ("output.dir", "5", 2),
     ("field.phase", "1e308", 3), ("time_grid.stop", "1e308", 2),
+    # a null is never a default, and a bad field.n_max is named at its own path
+    ("model.f_kind", "null", 2), ("model.h_kind", "null", 2),
+    ("field.n_max", "null", 2), ("field.n_max", '"x"', 2),
 ]
 # stderr of the probes that trip a numerical guard; a config error names its key
 GUARD_MESSAGES = {
@@ -815,6 +864,23 @@ class TestValidationSuites:
         near_max, far_max, tolerance = approx_tolerance.measure()
         assert tolerance == twojc.validation.APPROX_TOLERANCE
         assert near_max <= tolerance < far_max
+
+    def test_full_report(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        assert main(["validate", "--level", "full", "--report", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        assert json.loads(capsys.readouterr().out) == doc
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+        assert doc["level"] == "full" and doc["passed"] is True
+        assert [c["name"] for c in doc["checks"]] == [
+            "spectral_identities", "per_block_unitarity", "t0_anchors",
+            "oracle_equivalence", "approx_window", "araki_lieb"]
+
+    def test_report_error_names_the_given_path(self, tmp_path, capsys):
+        report = str(tmp_path / "missing" / "report.json")
+        assert main(["validate", "--report", report]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: --report: {report!r}: No such file or directory\n")
 
     def test_validate_cli_writes_report(self, tmp_path):
         report = str(tmp_path / "report.json")

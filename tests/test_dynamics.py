@@ -13,7 +13,7 @@ import scipy.stats
 
 from twojc import dynamics
 from twojc import (F_BUCK_SUKUMAR, F_LINEAR, H_KERR, ModelParams, NumericalGuardError,
-                   TruncationError, build_block,
+                   TruncationError, TwojcError, build_block,
                    coherent_field, concurrence, embed_atom_density,
                    evolve_coeffs, field_entropy, husimi_grid, husimi_q,
                    inversion_series, observable_series, purity,
@@ -24,7 +24,7 @@ from twojc.config import parse_config
 from twojc.dynamics import (SERIES_OBSERVABLES, AtomInit,
                             _chunks, auto_n_max, coherent_vector,
                             entropy_of_eigvals, hermitian_eigvals)
-from twojc.features import local_maxima, nearest_extremum
+from twojc.features import find_peaks, nearest_extremum
 
 SQRT2 = math.sqrt(2.0)
 
@@ -88,6 +88,20 @@ class TestCoherentField:
 
     def test_auto_n_max_for_mean_ten(self):
         assert auto_n_max(10.0) == 68
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: dynamics.FieldInit(amplitudes=np.ones(3), n_max=5, mean_n=1.0),
+     r"amplitudes must have n_max \+ 1 entries"),
+    (lambda: coherent_field(-1.0), "mean photon number must be nonnegative"),
+    (lambda: observable_series(coherent_field(1.0, n_max=20),
+                               spectrum_table(ModelParams(omega0=1.0, g=1.0), 20),
+                               [0.0], ["inversion", "bogus"]),
+     r"unknown observables: \['bogus'\]"),
+], ids=["field_length", "negative_mean_n", "unknown_observable"])
+def test_bad_arguments_are_twojc_errors(call, message):
+    with pytest.raises(TwojcError, match=message):
+        call()
 
 
 class TestEvolveCoeffs:
@@ -247,7 +261,7 @@ class TestPurity:
         spectra = spectrum_table(params, field.n_max)
         taus = np.linspace(0.0, 1.3 * math.pi, 700)
         series = observable_series(field, spectra, taus, ["purity"])["purity"]
-        peak_t, _ = local_maxima(taus, series, min_value=0.5)
+        peak_t, _ = find_peaks(taus, series, min_height=0.5)
         for m in (1, 2, 3, 4):
             assert nearest_extremum(m * math.pi / 4.0, peak_t) < 0.15
 

@@ -5,8 +5,7 @@ import pytest
 
 from twojc.dynamics import QGrid
 from twojc.features import (beat_nodes, collapse_width, find_peaks, grid_lobes,
-                            local_maxima, local_minima, nearest_extremum,
-                            revival_spacing)
+                            nearest_extremum, revival_spacing)
 
 
 def synthetic_inversion(tau, mean_n=20.0, x=0.125):
@@ -66,8 +65,8 @@ def test_beat_node_spacing_kerr_style():
 def test_local_extrema_roundtrip():
     t = np.linspace(0.0, 4 * math.pi, 1500)
     y = np.sin(t)
-    mins_t, _ = local_minima(t, y)
-    maxs_t, _ = local_maxima(t, y)
+    mins_t, _ = find_peaks(t, -y)
+    maxs_t, _ = find_peaks(t, y)
     assert nearest_extremum(3 * math.pi / 2, mins_t) < 0.02
     assert nearest_extremum(math.pi / 2, maxs_t) < 0.02
     assert nearest_extremum(1.0, np.array([])) == math.inf

@@ -369,6 +369,20 @@ class TestGuards:
         require_buffer_empty(psi)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: jacobi_eigh_cyclic(np.ones(3)), "expected square matrices"),
+    (lambda: jacobi_eigh_cyclic(np.ones((2, 3))), "expected square matrices"),
+    (lambda: SectorPropagator(np.zeros((8, 8)), 20), "does not match n_max"),
+    (lambda: evolve_numeric_sampled(np.zeros((4, 5)), np.zeros(4), [1.0]),
+     "must be a square matrix"),
+    (lambda: evolve_numeric_sampled(np.eye(8), np.zeros(7), [1.0]),
+     "state dimension 7 does not match the 8-dimensional"),
+], ids=["jacobi_vector", "jacobi_oblong", "sector_size", "rk4_oblong", "rk4_state"])
+def test_shape_mismatches_are_value_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_cyclic_jacobi_matches_numpy():
     rng = np.random.default_rng(9)
     for k in (2, 3, 4, 6):  # 6: the real embedding of a complex 3x3 density
