@@ -223,35 +223,44 @@ def _finite(path, *arrays):
     return arrays
 
 
-def _write_csv(path, header_lines, columns, values, lead=()):
-    """Write a table and return the sha256 of the bytes written.
+class _Table:
+    """A CSV table written to an open binary file: the header when made, then
+    lines block by block (`rows`); `sha256` is the digest of every byte
+    written."""
 
-    `values` is (rows, k) or (rows, cols, k): a line per row, or per entry
-    (i, j) with j running fastest, ends with the k values along the last
-    axis.  Each array of `lead`, `_text` rows broadcast against
-    (rows, cols), gives a leading field of each line.  A NaN or Inf in
-    `values` trips the guard and nothing is written."""
-    values, = _finite(path, values)
-    k = values.shape[-1]
-    values = values.reshape(len(values), -1, k)
-    rows, cols = values.shape[:2]
-    lead = [np.broadcast_to(f, (rows, cols, f.shape[-1])) for f in lead]
-    per_block = max(_CHUNK_ROWS // k, 1)
-    # whole rows of `values` per block, or pieces of one row wider than a block
-    step_r, step_c = max(per_block // cols, 1), min(cols, per_block)
-    width = sum(f.shape[-1] + 1 for f in lead) + k * (_FIELD + 1)
-    buf = bytearray(step_r * step_c * width)
-    lines = np.frombuffer(buf, dtype=np.uint8).reshape(-1, width)
-    ends = np.cumsum([f.shape[-1] + 1 for f in lead] + [_FIELD + 1] * k) - 1
-    lines[:, ends] = ord(",")
-    lines[:, -1] = ord("\n")
-    digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        def put(data):
-            fh.write(data)
-            digest.update(data)
+    def __init__(self, fh, header_lines, columns):
+        self._fh = fh
+        self._digest = hashlib.sha256()
+        self._put(("".join(f"# {line}\n" for line in header_lines)
+                   + ",".join(columns) + "\n").encode())
 
-        put(("".join(f"# {line}\n" for line in header_lines) + ",".join(columns) + "\n").encode())
+    def _put(self, data):
+        self._fh.write(data)
+        self._digest.update(data)
+
+    @property
+    def sha256(self):
+        return self._digest.hexdigest()
+
+    def rows(self, values, lead=()):
+        """Append the lines of the finite `values`, (rows, k) or
+        (rows, cols, k): a line per row, or per entry (i, j) with j running
+        fastest, ends with the k values along the last axis.  Each array of
+        `lead`, `_text` rows broadcast against (rows, cols), gives a leading
+        field of each line."""
+        k = values.shape[-1]
+        values = values.reshape(len(values), -1, k)
+        rows, cols = values.shape[:2]
+        lead = [np.broadcast_to(f, (rows, cols, f.shape[-1])) for f in lead]
+        per_block = max(_CHUNK_ROWS // k, 1)
+        # whole rows of `values` per block, or pieces of one row wider than a block
+        step_r, step_c = max(per_block // cols, 1), min(cols, per_block)
+        width = sum(f.shape[-1] + 1 for f in lead) + k * (_FIELD + 1)
+        buf = bytearray(step_r * step_c * width)
+        lines = np.frombuffer(buf, dtype=np.uint8).reshape(-1, width)
+        ends = np.cumsum([f.shape[-1] + 1 for f in lead] + [_FIELD + 1] * k) - 1
+        lines[:, ends] = ord(",")
+        lines[:, -1] = ord("\n")
         for i in range(0, rows, step_r):
             for j in range(0, cols, step_c):
                 block = values[i:i + step_r, j:j + step_c]
@@ -264,8 +273,18 @@ def _write_csv(path, header_lines, columns, values, lead=()):
                     at += w + 1
                 cells = lines[:size, at:].reshape(size, k, _FIELD + 1)
                 cells[:, :, :_FIELD] = _fields(block.ravel()).reshape(size, k, _FIELD)
-                put((buf if size == len(lines) else buf[:size * width]).translate(None, b"\0"))
-    return digest.hexdigest()
+                self._put((buf if size == len(lines) else buf[:size * width]).translate(None, b"\0"))
+
+
+def _write_csv(path, header_lines, columns, values, lead=()):
+    """Write a table, laid out as `_Table.rows` lays it, and return the
+    sha256 of the bytes written.  A NaN or Inf in `values` trips the guard
+    and nothing is written."""
+    values, = _finite(path, values)
+    with open(path, "wb") as fh:
+        table = _Table(fh, header_lines, columns)
+        table.rows(values, lead)
+    return table.sha256
 
 
 def _write_q_csv(path, header_lines, re_axis, im_axis, q):
@@ -304,16 +323,14 @@ def _derived_columns(spectra, g):
     return columns
 
 
-def _curve_outputs(cfg: RunConfig, curve: CurveSpec, stage, tau_text):
+def _curve_outputs(cfg: RunConfig, curve: CurveSpec, stage):
     """Compute and write every requested file for one curve, each under the
-    name `stage` gives it; return their manifest entries.  `tau_text` is the
-    config's tau column as `_text` rows, or None when no series is asked for."""
+    name `stage` gives it; return their manifest entries."""
     params = curve.params
     field = dynamics.coherent_field(curve.mean_n, phase=curve.phase,
                                     n_max=curve.n_max,
                                     atom_init=curve.atom_init)
     spectra = spectral.spectrum_table(params, curve.n_max)
-    times = cfg.times_tau / params.g  # tau = g t
     header = resolved_lines(cfg, curve)
     files = []
 
@@ -324,12 +341,24 @@ def _curve_outputs(cfg: RunConfig, curve: CurveSpec, stage, tau_text):
 
     series_wanted = [o for o in cfg.observables if o in dynamics.SERIES_OBSERVABLES]
     if series_wanted:
-        series = dynamics.observable_series(field, spectra, times, series_wanted)
-        for name in series_wanted:
-            emit(name, _write_csv,
-                 ["tau column: dimensionless time g*t",
-                  f"{name} column: {_SERIES_UNITS[name]}"],
-                 ["tau", name], series[name][:, None], (tau_text[:, None],))
+        # the series tables are open together and take each window of the
+        # series as it comes, with its tau column (tau = g t)
+        names = {o: f"{cfg.prefix}_{curve.label}_{o}.csv" for o in series_wanted}
+        tables = {}
+        with contextlib.ExitStack() as open_files:
+            for o in series_wanted:
+                fh = open_files.enter_context(
+                    open(stage(os.path.join(cfg.out_dir, names[o])), "wb"))
+                tables[o] = _Table(fh, header + ["tau column: dimensionless time g*t",
+                                                 f"{o} column: {_SERIES_UNITS[o]}"],
+                                   ["tau", o])
+            for part, values in dynamics.series_windows(
+                    field, spectra, cfg.times_tau, series_wanted, params.g):
+                tau_text = _text(cfg.times_tau[part])[:, None]
+                for o, table in tables.items():
+                    column, = _finite(names[o], values[o])
+                    table.rows(column[:, None], (tau_text,))
+        files.extend({"path": names[o], "sha256": tables[o].sha256} for o in series_wanted)
 
     if "qfunction" in cfg.observables:
         re_axis, im_axis = cfg.q_grid.axes()
@@ -407,11 +436,9 @@ def run_config(cfg: RunConfig) -> dict:
         missing = os.path.dirname(missing)
     with _staged("config.output.dir", created) as stage:
         os.makedirs(cfg.out_dir, exist_ok=True)
-        series = any(o in dynamics.SERIES_OBSERVABLES for o in cfg.observables)
-        tau_text = _text(cfg.times_tau) if series else None  # one tau column for all series
         files = []
         for curve in cfg.curves:
-            files.extend(_curve_outputs(cfg, curve, stage, tau_text))
+            files.extend(_curve_outputs(cfg, curve, stage))
         manifest = {
             "tool": {"name": "twojc", "version": __version__},
             "config": cfg.raw,

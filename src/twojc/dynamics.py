@@ -291,27 +291,73 @@ def _support_weights(field: FieldInit, spectra, times):
     return lo, support, _fold_weights(support, field.atom_init, field.amplitudes[lo:hi])
 
 
+# samples of a time array handed on at once (_density_windows): a series
+# holds one window of them, whatever its length
+_WINDOW = 1 << 14
+
+
+def _density_windows(field: FieldInit, spectra, taus, g=1.0):
+    """Yield (part, rho, threads) over consecutive windows of a time array,
+    in time order: rho (len, 3, 3) holds rho_A at the times t = tau / g of
+    taus[part], built on `threads` threads.
+
+    The chunks of one plan (_chunks) run on _WORKERS threads (_run_chunks),
+    up to about _WINDOW samples at a time.  Each thread builds its chunks'
+    rho_A as the Gram of the branch rows (_BranchRows) of the field's support
+    (_support_weights) in one set of row buffers, kept for every window but
+    the last: they are let go before the last window is yielded, so a caller
+    working on it holds no more than one rho_A window.  rho is a view that the
+    next window overwrites, and every entry is the same bits for any thread
+    count.
+    """
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    if not len(taus):
+        return
+    # the end times reach every |t| that the phase guard reads
+    _, support, weights = _support_weights(field, spectra,
+                                           np.array([taus.min(), taus.max()]) / g)
+    chunks = _chunks(len(taus), 3 * len(support))
+    size = chunks[0].stop
+    per_window = _WORKERS * max(1, _WINDOW // (size * _WORKERS))
+    buffers = [None] * min(_WORKERS, len(chunks))  # each share's, kept between windows
+    rho = np.empty((min(len(taus), size * per_window), 3, 3), dtype=np.complex128)
+    for first in range(0, len(chunks), per_window):
+        window = chunks[first:first + per_window]
+        lo = window[0].start
+        times = taus[lo:window[-1].stop] / g  # so that a worker allocates only its buffers
+        last = first + per_window >= len(chunks)
+        free = list(range(len(buffers)))  # one set for each share of the window
+
+        def share_task():
+            # made and, after the last window, let go by the thread that uses
+            # them, which reuses the same memory for the next series
+            i = free.pop()
+            rows = buffers[i] or _BranchRows(weights, support.energies, size)
+            buffers[i] = None if last else rows
+
+            def task(part):
+                at = slice(part.start - lo, part.stop - lo)
+                rows.gram(times[at], out=rho[at])
+            return task
+
+        _run_chunks(share_task, window)
+        yield (slice(lo, window[-1].stop), rho[:window[-1].stop - lo],
+               min(_WORKERS, len(window)))
+
+
 def reduced_atom_density(field: FieldInit, spectra, times) -> np.ndarray:
     """rho_A(t) = X X^dagger over a time array; (T, 3, 3) in the basis
     (|e,e>, sym, |g,g>).
 
     Entry (k, j) sums A_{n+j-k} A_n^* D_k^{(n+j-k)} D_j^{(n)*} over n: the
-    Gram matrix of the branch rows (_BranchRows) of the field's support
-    (_support_weights).  Each time chunk writes only its own slice of the
-    stack, so the chunks run on _WORKERS threads (_run_chunks), each thread
-    with its own row buffers, and every entry is the same bits for any
-    thread count.
+    Gram matrix of the branch rows of the field's support, built window by
+    window on _WORKERS threads (_density_windows); every entry is the same
+    bits for any thread count.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    _, support, weights = _support_weights(field, spectra, times)
     rho = np.empty((len(times), 3, 3), dtype=np.complex128)
-    chunks = _chunks(len(times), 3 * len(support))
-
-    def share_task():
-        rows = _BranchRows(weights, support.energies, chunks[0].stop)
-        return lambda part: rows.gram(times[part], out=rho[part])
-
-    _run_chunks(share_task, chunks)
+    for part, window, _ in _density_windows(field, spectra, times):
+        rho[part] = window
     return rho
 
 
@@ -403,18 +449,28 @@ def concurrence(rho):
 
     Accepts a 3x3 density in the basis (|e,e>, sym, |g,g>), or a (T, 3, 3)
     stack, for which it returns an array (an np.float64 for one 3x3).
-    With rho = A A^dagger (A = V sqrt(w) from eigh), the lambda_i are the
-    singular values of A^T (YY) A, YY being the spin flip in the same
-    3-state frame: no square roots of near-zero eigenvalues of
-    rho (YY) rho* (YY).  Input that is not Hermitian to 1e-8 aborts.
+    Input that is not Hermitian to 1e-8 aborts; see _concurrence_of for
+    the rest.
     """
     m = np.asarray(rho)
     if m.ndim not in (2, 3) or m.shape[-2:] != (3, 3):
         raise TwojcError("concurrence expects 3x3 symmetric-sector density matrices")
+    _check_hermitian(m)
+    return _concurrence_of(*np.linalg.eigh(m))
+
+
+def _check_hermitian(m):
+    """Abort when a density (or a stack of them) is not Hermitian to 1e-8."""
     defect = np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0)
     if defect > 1e-8:
         raise NumericalGuardError(f"concurrence input is not Hermitian: defect {defect:.2e}")
-    w, V = np.linalg.eigh(m)
+
+
+def _concurrence_of(w, V):
+    """Concurrence from eigh's (w, V) of rho.  With rho = A A^dagger
+    (A = V sqrt(w)), the lambda_i are the singular values of A^T (YY) A, YY
+    being the spin flip in the same 3-state frame: no square roots of
+    near-zero eigenvalues of rho (YY) rho* (YY)."""
     A = V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
     lam = np.linalg.svd(A.swapaxes(-1, -2) @ _SPIN_FLIP @ A, compute_uv=False)
     return np.maximum(0.0, lam[..., 0] - lam[..., 1:].sum(axis=-1))
@@ -551,19 +607,73 @@ def husimi_grid(factors, re_axis, im_axis) -> QGrid:
 
 SERIES_OBSERVABLES = ("inversion", "purity", "concurrence", "entropy")
 
+# samples of one call of a series' eigensolve (series_windows): its
+# temporaries take about 620 bytes a sample
+_EIGEN_PART = 1 << 11
 
-def observable_series(field: FieldInit, spectra, times, observables) -> dict:
-    """Evaluate the requested scalar observables on a shared time grid.
 
-    Returns {name: array}.  rho_A is built once, as a (T, 3, 3) stack, and
-    every observable is one function of that stack.  Times are in absolute
-    units (multiply tau = g t by 1/g upstream).
+def series_windows(field: FieldInit, spectra, taus, observables, g=1.0):
+    """Yield (part, values) over consecutive windows of a series, in time
+    order: values[name] holds observable `name` at the times t = tau / g of
+    taus[part].
+
+    Each window of rho_A (_density_windows) has its observables read from it,
+    entropy and concurrence from one eigh.  An eigensolve runs on the
+    threads that built the window, in parts of up to _EIGEN_PART samples
+    dealt round-robin (_run_chunks): a few large LAPACK calls that release
+    the interpreter lock, where the window's time chunks would make many
+    small numpy calls that hold it.  Inversion and purity alone are a few
+    sums per sample, cheaper than a thread, and run on the calling thread.
+    Nothing is held beyond one window, and every value is the same bits for
+    any thread count.
     """
     bad = [o for o in observables if o not in SERIES_OBSERVABLES]
     if bad:
         raise TwojcError(f"unknown observables: {bad}")
-    # looked up at call time, so a wrapped module attribute is the one called
-    of_rho = {"inversion": _inversion_of, "purity": purity,
-              "concurrence": concurrence, "entropy": field_entropy}
-    rho = reduced_atom_density(field, spectra, times)
-    return {name: of_rho[name](rho) for name in observables}
+    eigensolve = "entropy" in observables or "concurrence" in observables
+    for part, rho, threads in _density_windows(field, spectra, taus, g):
+        values = {name: np.empty(len(rho)) for name in observables}
+
+        def task(at):
+            for name, value in _of_densities(rho[at], observables).items():
+                values[name][at] = value
+
+        n = len(rho)
+        k = threads * -(-n // (threads * _EIGEN_PART)) if eigensolve else 1
+        _run_chunks(lambda: task, [slice(i * n // k, (i + 1) * n // k) for i in range(k)])
+        yield part, values
+
+
+def _of_densities(rho, observables):
+    """{name: values} of the requested observables of a (T, 3, 3) stack;
+    entropy and concurrence read one eigh."""
+    out = {}
+    if "inversion" in observables:
+        out["inversion"] = _inversion_of(rho)
+    if "purity" in observables:
+        out["purity"] = purity(rho)
+    if "concurrence" in observables:
+        _check_hermitian(rho)
+    if "entropy" in observables or "concurrence" in observables:
+        w, V = np.linalg.eigh(rho)
+        if "concurrence" in observables:
+            out["concurrence"] = _concurrence_of(w, V)
+        if "entropy" in observables:
+            out["entropy"] = entropy_of_eigvals(w)
+    return out
+
+
+def observable_series(field: FieldInit, spectra, times, observables) -> dict:
+    """Evaluate the requested scalar observables on a shared time grid.
+
+    Returns {name: array}, collected from the windows of series_windows,
+    the one series kernel, which `twojc run` streams into its tables
+    instead.  Times are in absolute units (multiply tau = g t by 1/g
+    upstream).
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    out = {name: np.empty(len(times)) for name in observables}
+    for part, values in series_windows(field, spectra, times, observables):
+        for name, value in values.items():
+            out[name][part] = value
+    return out

@@ -1,5 +1,6 @@
 import pytest
 
+from twojc import dynamics
 from twojc import (F_BUCK_SUKUMAR, F_LINEAR, ModelParams, coherent_field,
                    spectrum_table)
 from twojc.dynamics import AtomInit
@@ -31,3 +32,17 @@ def symmetric_system(params_bs_quarter):
     spectra = spectrum_table(params_bs_quarter, 30)
     return params_bs_quarter, field, spectra
 
+
+@pytest.fixture
+def windows(monkeypatch):
+    """The sample slice of each rho_A window the dynamics hands on, in order."""
+    seen = []
+    density_windows = dynamics._density_windows
+
+    def recorded(*args):
+        for window in density_windows(*args):
+            seen.append(window[0])
+            yield window
+
+    monkeypatch.setattr(dynamics, "_density_windows", recorded)
+    return seen

@@ -44,9 +44,15 @@ def test_traced_calls_are_recorded_and_the_originals_restored():
     params = ModelParams(omega0=1.0, g=1.0, kappa=0.25, f_kind=F_BUCK_SUKUMAR)
     field = coherent_field(2.0, n_max=30)
     spectra = spectrum_table(params, field.n_max)
+    times = np.linspace(0.0, 1.0, 5)
     with spans.Tracer(MODULES) as tracer:
-        dyn.observable_series(field, spectra, np.linspace(0.0, 1.0, 5),
-                              dyn.SERIES_OBSERVABLES)
+        dyn.observable_series(field, spectra, times, dyn.SERIES_OBSERVABLES)
+        # the series' worker threads call no wrapped name (the span stack is
+        # not thread-safe), so the single-call entries are traced on their own
+        assert [span[0] for span in tracer.spans] == ["dynamics.observable_series"]
+        rho = dyn.reduced_atom_density(field, spectra, times)
+        dyn.concurrence(rho)
+        dyn.field_entropy(rho)
         ax = np.linspace(-1.0, 1.0, 4)
         dyn.husimi_grid(dyn.reduced_field_density(field, spectra, 0.5), ax, ax)
     assert {name: getattr(dyn, name) for name in before} == before

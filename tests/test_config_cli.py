@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import twojc.validation
-from twojc import ConfigError, TwojcError, build_block
+from twojc import ConfigError, TwojcError, build_block, dynamics
 from twojc.cli import main, run_config
 from twojc.config import MAX_COUNT, RunConfig, load_config, parse_config
 from twojc.validation import (check_spectral_identities, check_t0_anchors,
@@ -458,6 +458,31 @@ class TestCliEntry:
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert "non-finite" in captured.err and "block n = 0" in captured.err
         assert not out.exists()
+
+    def test_late_non_finite_series_value_leaves_nothing(self, tmp_path, capsys,
+                                                          monkeypatch, windows):
+        # the series tables take the windows as they come; a NaN first seen
+        # in the last window still trips the guard before any table exists
+        # (a NaN rho_A never reaches eigh: its phases are guarded finite)
+        made = tmp_path / "made"
+        doc = deep(BASE, observables=["inversion", "purity"],
+                   time_grid={"start": 0.0, "stop": 3.0, "count": 3000},
+                   output={"dir": str(made / "out"), "prefix": "x"})
+        last = 3.0 / doc["model"]["g"]
+        gram = dynamics._BranchRows.gram
+
+        def nan_at_the_end(rows, times, out):
+            gram(rows, times, out)
+            out[times == last, 0, 0] = math.nan
+
+        monkeypatch.setattr(dynamics._BranchRows, "gram", nan_at_the_end)
+        monkeypatch.setattr(dynamics, "_WINDOW", 256)
+        assert main(["run", write_cfg(tmp_path, doc)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "x_base_inversion.csv: non-finite" in captured.err
+        assert len(windows) > 2 and windows[-1].stop == 3000
+        assert not made.exists()
 
     def test_overflowing_coupling_is_one_line_guard(self, tmp_path, capsys):
         # sqrt(2) g f_{n+1} passes double range while g itself is finite

@@ -185,12 +185,12 @@ class TestInversion:
         _, field, spectra = request.getfixturevalue(system)
         times = np.linspace(0.0, 6.0, 80)
         ref = inversion_series(field, spectra, times)
-        calls = []
-        build = dynamics.reduced_atom_density
-        monkeypatch.setattr(dynamics, "reduced_atom_density",
-                            lambda *args: calls.append(1) or build(*args))
+        built = []  # the times of every rho_A built, as the branch rows' Gram
+        gram = dynamics._BranchRows.gram
+        monkeypatch.setattr(dynamics._BranchRows, "gram",
+                            lambda rows, t, out: built.extend(t) or gram(rows, t, out))
         out = observable_series(field, spectra, times, ["inversion", "purity"])
-        assert len(calls) == 1
+        assert np.array_equal(np.sort(built), times)  # each sample once
         np.testing.assert_array_equal(out["inversion"], ref)
 
     def test_every_series_of_no_times_is_empty(self, small_system):
@@ -694,6 +694,47 @@ class TestTimeChunks:
         assert out["purity"].shape == (4000,)
         assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
 
+    def test_window_bounds_change_no_bit(self, small_system, monkeypatch, windows):
+        _, field, spectra = small_system
+        times = np.linspace(0.0, 40.0, 3001)
+        monkeypatch.setattr(dynamics, "_CHUNK", rho_width(field) * 64)
+        ref = (observable_series(field, spectra, times, SERIES_OBSERVABLES),
+               reduced_atom_density(field, spectra, times))
+        assert len(windows) == 2  # one each
+        monkeypatch.setattr(dynamics, "_WINDOW", 100)
+        out = observable_series(field, spectra, times, SERIES_OBSERVABLES)
+        assert len(windows) > 12 and windows[-1].stop == len(times)
+        for name in SERIES_OBSERVABLES:
+            assert np.array_equal(out[name], ref[0][name]), name
+        assert np.array_equal(reduced_atom_density(field, spectra, times), ref[1])
+
+    def test_run_memory_does_not_grow_with_the_sample_count(self, tmp_path, monkeypatch):
+        # every series observable at two sample counts 4x apart, each cut into
+        # chunks of a worker's full cap and spanning several windows: a run
+        # holds its row buffers, one window and one block of text per table,
+        # and none of them grows with the count (whole columns grew it about 4x)
+        monkeypatch.setattr(dynamics, "_WORKERS", 2)
+        monkeypatch.setattr(dynamics, "_WINDOW", 1024)
+        field = coherent_field(3.0, n_max=30)
+        cap = dynamics._CHUNK // 2 // rho_width(field)
+        doc = {"model": {"omega0": 1.0, "g": 0.001, "kappa": 0.25,
+                         "f_kind": "buck_sukumar"},
+               "field": {"mean_n": 3.0, "n_max": 30},
+               "observables": list(SERIES_OBSERVABLES)}
+        peaks = []
+        for count in (3 * 2 * cap, 12 * 2 * cap):
+            assert {c.stop - c.start for c in _chunks(count, rho_width(field))} == {cap}
+            doc["time_grid"] = {"start": 0.0, "stop": 8000.0, "count": count}
+            doc["output"] = {"dir": str(tmp_path / str(count)), "prefix": "m"}
+            cfg = parse_config(doc)
+            tracemalloc.start()
+            try:
+                run_config(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.05 * peaks[0], [f"{p / 1e6:.2f} MB" for p in peaks]
+
 
 class TestChunkPlan:
     """_chunks cuts both threaded kernels' work: one slice when it fits in one
@@ -770,17 +811,22 @@ class TestWorkers:
         _, field, spectra = small_system
         times = np.linspace(0.0, 12.0, 997)
         monkeypatch.setattr(dynamics, "_CHUNK", rho_width(field) * 64)
+        monkeypatch.setattr(dynamics, "_WINDOW", 256)  # four windows
         monkeypatch.setattr(dynamics, "_WORKERS", 1)
-        ref = reduced_atom_density(field, spectra, times)
+        ref = (reduced_atom_density(field, spectra, times),
+               observable_series(field, spectra, times, SERIES_OBSERVABLES))
         monkeypatch.setattr(dynamics, "_WORKERS", 8)
         assert len(_chunks(len(times), rho_width(field))) == 128
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             rho = reduced_atom_density(field, spectra, times)
+            series = observable_series(field, spectra, times, SERIES_OBSERVABLES)
         finally:
             sys.setswitchinterval(interval)
-        assert np.array_equal(rho, ref)
+        assert np.array_equal(rho, ref[0])
+        for name in SERIES_OBSERVABLES:
+            assert np.array_equal(series[name], ref[1][name]), name
 
     def test_worker_exception_reaches_caller(self, monkeypatch):
         monkeypatch.setattr(dynamics, "_WORKERS", 3)
