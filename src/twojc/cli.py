@@ -213,23 +213,14 @@ def _text(values):
     return text[:, text.any(axis=0)]
 
 
-def _finite(path, *arrays):
-    """The arrays as floats; a NaN or Inf in any of them trips the guard,
-    before anything is written."""
-    arrays = [np.asarray(a, dtype=float) for a in arrays]
-    if not all(np.all(np.isfinite(a)) for a in arrays):
-        raise NumericalGuardError(
-            f"{os.path.basename(path)}: non-finite values computed; not written")
-    return arrays
-
-
 class _Table:
     """A CSV table written to an open binary file: the header when made, then
     lines block by block (`rows`); `sha256` is the digest of every byte
-    written."""
+    written, and `name` the file name that a guard trip reports."""
 
-    def __init__(self, fh, header_lines, columns):
+    def __init__(self, fh, name, header_lines, columns):
         self._fh = fh
+        self.name = name
         self._digest = hashlib.sha256()
         self._put(("".join(f"# {line}\n" for line in header_lines)
                    + ",".join(columns) + "\n").encode())
@@ -243,11 +234,15 @@ class _Table:
         return self._digest.hexdigest()
 
     def rows(self, values, lead=()):
-        """Append the lines of the finite `values`, (rows, k) or
-        (rows, cols, k): a line per row, or per entry (i, j) with j running
-        fastest, ends with the k values along the last axis.  Each array of
-        `lead`, `_text` rows broadcast against (rows, cols), gives a leading
-        field of each line."""
+        """Append the lines of `values`, (rows, k) or (rows, cols, k): a line
+        per row, or per entry (i, j) with j running fastest, ends with the k
+        values along the last axis.  Each array of `lead`, `_text` rows
+        broadcast against (rows, cols), gives a leading field of each line.
+        A NaN or Inf in `values` trips the guard before any of them is
+        written."""
+        values = np.asarray(values, dtype=float)
+        if not np.isfinite(values).all():
+            raise NumericalGuardError(f"{self.name}: non-finite values computed; not written")
         k = values.shape[-1]
         values = values.reshape(len(values), -1, k)
         rows, cols = values.shape[:2]
@@ -274,28 +269,6 @@ class _Table:
                 cells = lines[:size, at:].reshape(size, k, _FIELD + 1)
                 cells[:, :, :_FIELD] = _fields(block.ravel()).reshape(size, k, _FIELD)
                 self._put((buf if size == len(lines) else buf[:size * width]).translate(None, b"\0"))
-
-
-def _write_csv(path, header_lines, columns, values, lead=()):
-    """Write a table, laid out as `_Table.rows` lays it, and return the
-    sha256 of the bytes written.  A NaN or Inf in `values` trips the guard
-    and nothing is written."""
-    values, = _finite(path, values)
-    with open(path, "wb") as fh:
-        table = _Table(fh, header_lines, columns)
-        table.rows(values, lead)
-    return table.sha256
-
-
-def _write_q_csv(path, header_lines, re_axis, im_axis, q):
-    """Write the rows (re, im, q) of a grid q[i, j] at (im_axis[i], re_axis[j]),
-    re running fastest; return the sha256 of the bytes written.
-
-    Each axis value is formatted once.  A NaN or Inf anywhere trips the
-    guard and nothing is written."""
-    re_axis, im_axis, q = _finite(path, re_axis, im_axis, q)
-    return _write_csv(path, header_lines, ["re", "im", "q"], q[:, :, None],
-                      (_text(re_axis)[None], _text(im_axis)[:, None]))
 
 
 _SERIES_UNITS = {
@@ -325,63 +298,63 @@ def _derived_columns(spectra, g):
 
 def _curve_outputs(cfg: RunConfig, curve: CurveSpec, stage):
     """Compute and write every requested file for one curve, each under the
-    name `stage` gives it; return their manifest entries."""
+    name `stage` gives it; return their manifest entries, in the order the
+    tables were opened."""
     params = curve.params
     field = dynamics.coherent_field(curve.mean_n, phase=curve.phase,
                                     n_max=curve.n_max,
                                     atom_init=curve.atom_init)
     spectra = spectral.spectrum_table(params, curve.n_max)
     header = resolved_lines(cfg, curve)
-    files = []
+    tables = []
 
-    def emit(suffix, write, notes, *table):
+    @contextlib.contextmanager
+    def table(suffix, notes, columns):
         name = f"{cfg.prefix}_{curve.label}_{suffix}.csv"
-        temporary = stage(os.path.join(cfg.out_dir, name))
-        files.append({"path": name, "sha256": write(temporary, header + notes, *table)})
+        with open(stage(os.path.join(cfg.out_dir, name)), "wb") as fh:
+            tables.append(_Table(fh, name, header + notes, columns))
+            yield tables[-1]
 
     series_wanted = [o for o in cfg.observables if o in dynamics.SERIES_OBSERVABLES]
     if series_wanted:
         # the series tables are open together and take each window of the
         # series as it comes, with its tau column (tau = g t)
-        names = {o: f"{cfg.prefix}_{curve.label}_{o}.csv" for o in series_wanted}
-        tables = {}
-        with contextlib.ExitStack() as open_files:
-            for o in series_wanted:
-                fh = open_files.enter_context(
-                    open(stage(os.path.join(cfg.out_dir, names[o])), "wb"))
-                tables[o] = _Table(fh, header + ["tau column: dimensionless time g*t",
-                                                 f"{o} column: {_SERIES_UNITS[o]}"],
-                                   ["tau", o])
+        with contextlib.ExitStack() as open_tables:
+            series = {o: open_tables.enter_context(table(
+                o, ["tau column: dimensionless time g*t", f"{o} column: {_SERIES_UNITS[o]}"],
+                ["tau", o])) for o in series_wanted}
             for part, values in dynamics.series_windows(
                     field, spectra, cfg.times_tau, series_wanted, params.g):
                 tau_text = _text(cfg.times_tau[part])[:, None]
-                for o, table in tables.items():
-                    column, = _finite(names[o], values[o])
-                    table.rows(column[:, None], (tau_text,))
-        files.extend({"path": names[o], "sha256": tables[o].sha256} for o in series_wanted)
+                for o, written in series.items():
+                    written.rows(values[o][:, None], (tau_text,))
 
     if "qfunction" in cfg.observables:
         re_axis, im_axis = cfg.q_grid.axes()
+        axes = None  # their text, once the first grid's window guard has read them
         for idx, tau in enumerate(cfg.q_grid.times_tau):
             rho_f = dynamics.reduced_field_density(field, spectra, tau / params.g)
             grid = dynamics.husimi_grid(rho_f, re_axis, im_axis)
-            emit(f"qfunction_{idx}", _write_q_csv,
-                 [f"tau = {tau!r} (dimensionless g*t)",
-                  "re, im: coherent amplitude alpha = re + i*im (dimensionless)",
-                  "q: Husimi density, 1/area in phase space"],
-                 re_axis, im_axis, grid.values)
+            axes = axes or (_text(re_axis)[None], _text(im_axis)[:, None])
+            with table(f"qfunction_{idx}",
+                       [f"tau = {tau!r} (dimensionless g*t)",
+                        "re, im: coherent amplitude alpha = re + i*im (dimensionless)",
+                        "q: Husimi density, 1/area in phase space"],
+                       ["re", "im", "q"]) as written:
+                written.rows(grid.values[:, :, None], axes)
 
     if "spectrum-dump" in cfg.observables:
-        emit("spectrum", _write_csv,
-             ["E*: block eigenvalues, rad/time; *_over_g: same in units of g",
-              "omega*: eigenvalue differences (21, 31, 23), rad/time",
-              "lam*: inversion weighting amplitudes, dimensionless"],
-             ["n", "E1", "E2", "E3", "E1_over_g", "E2_over_g", "E3_over_g",
-              "omega21", "omega31", "omega23",
-              "lam11", "lam22", "lam33", "lam21", "lam31", "lam23"],
-             np.column_stack([spectra.n, spectra.energies,
-                              *_derived_columns(spectra, params.g)]))
-    return files
+        columns = np.column_stack([spectra.n, spectra.energies,
+                                   *_derived_columns(spectra, params.g)])
+        with table("spectrum",
+                   ["E*: block eigenvalues, rad/time; *_over_g: same in units of g",
+                    "omega*: eigenvalue differences (21, 31, 23), rad/time",
+                    "lam*: inversion weighting amplitudes, dimensionless"],
+                   ["n", "E1", "E2", "E3", "E1_over_g", "E2_over_g", "E3_over_g",
+                    "omega21", "omega31", "omega23",
+                    "lam11", "lam22", "lam33", "lam21", "lam31", "lam23"]) as written:
+            written.rows(columns)
+    return [{"path": t.name, "sha256": t.sha256} for t in tables]
 
 
 @contextlib.contextmanager

@@ -209,7 +209,7 @@ class _BranchRows:
     the branch-k amplitudes on their Fock levels, and entries outside
     k .. k + N are zero; so rho_A = X X^dagger and rho_F = X^T X^*.  A call
     takes up to `capacity` times and returns a view of buffers that the
-    next call overwrites, so the chunks of one series reuse the same memory.
+    next call overwrites, so the chunks of one share reuse the same memory.
     The caller checks the phases first (_check_phases).
     """
 
@@ -304,11 +304,10 @@ def _density_windows(field: FieldInit, spectra, taus, g=1.0):
     The chunks of one plan (_chunks) run on _WORKERS threads (_run_chunks),
     up to about _WINDOW samples at a time.  Each thread builds its chunks'
     rho_A as the Gram of the branch rows (_BranchRows) of the field's support
-    (_support_weights) in one set of row buffers, kept for every window but
-    the last: they are let go before the last window is yielded, so a caller
-    working on it holds no more than one rho_A window.  rho is a view that the
-    next window overwrites, and every entry is the same bits for any thread
-    count.
+    (_support_weights) in row buffers of its own, made for the window and let
+    go before it is yielded, so a caller working on a window holds no more
+    than its rho_A.  rho is a view that the next window overwrites, and every
+    entry is the same bits for any thread count.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     if not len(taus):
@@ -319,21 +318,14 @@ def _density_windows(field: FieldInit, spectra, taus, g=1.0):
     chunks = _chunks(len(taus), 3 * len(support))
     size = chunks[0].stop
     per_window = _WORKERS * max(1, _WINDOW // (size * _WORKERS))
-    buffers = [None] * min(_WORKERS, len(chunks))  # each share's, kept between windows
     rho = np.empty((min(len(taus), size * per_window), 3, 3), dtype=np.complex128)
     for first in range(0, len(chunks), per_window):
         window = chunks[first:first + per_window]
         lo = window[0].start
         times = taus[lo:window[-1].stop] / g  # so that a worker allocates only its buffers
-        last = first + per_window >= len(chunks)
-        free = list(range(len(buffers)))  # one set for each share of the window
 
         def share_task():
-            # made and, after the last window, let go by the thread that uses
-            # them, which reuses the same memory for the next series
-            i = free.pop()
-            rows = buffers[i] or _BranchRows(weights, support.energies, size)
-            buffers[i] = None if last else rows
+            rows = _BranchRows(weights, support.energies, size)
 
             def task(part):
                 at = slice(part.start - lo, part.stop - lo)
@@ -406,9 +398,12 @@ def field_entropy(rho):
 
     For a joint pure state the field and atom entropies coincide, so the
     3x3 atomic density (or a stack of them) is enough; see
-    entropy_of_eigvals for the clipping.
+    entropy_of_eigvals for the clipping.  Input that is not finite and
+    Hermitian to 1e-8 aborts.
     """
-    return entropy_of_eigvals(hermitian_eigvals(rho))
+    m = np.asarray(rho)
+    _check_hermitian(m)
+    return entropy_of_eigvals(hermitian_eigvals(m))
 
 
 def entropy_of_eigvals(w):
@@ -416,9 +411,12 @@ def entropy_of_eigvals(w):
 
     Eigenvalues are clipped to [0, 1] and anything at or below 1e-14
     contributes nothing (x ln x -> 0).  A 1-D input gives an np.float64,
-    a stack of spectra an array.
+    a stack of spectra an array.  A NaN or Inf aborts.
     """
-    w = np.clip(np.asarray(w, dtype=float), 0.0, 1.0)
+    w = np.asarray(w, dtype=float)
+    if not np.isfinite(w).all():
+        raise NumericalGuardError("entropy input holds non-finite eigenvalues")
+    w = np.clip(w, 0.0, 1.0)
     keep = w > 1e-14
     terms = np.zeros_like(w)
     terms[keep] = w[keep] * np.log(w[keep])
@@ -449,8 +447,8 @@ def concurrence(rho):
 
     Accepts a 3x3 density in the basis (|e,e>, sym, |g,g>), or a (T, 3, 3)
     stack, for which it returns an array (an np.float64 for one 3x3).
-    Input that is not Hermitian to 1e-8 aborts; see _concurrence_of for
-    the rest.
+    Input that is not finite and Hermitian to 1e-8 aborts; see
+    _concurrence_of for the rest.
     """
     m = np.asarray(rho)
     if m.ndim not in (2, 3) or m.shape[-2:] != (3, 3):
@@ -460,10 +458,12 @@ def concurrence(rho):
 
 
 def _check_hermitian(m):
-    """Abort when a density (or a stack of them) is not Hermitian to 1e-8."""
-    defect = np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0)
-    if defect > 1e-8:
-        raise NumericalGuardError(f"concurrence input is not Hermitian: defect {defect:.2e}")
+    """Abort when a density (or a stack of them) is not Hermitian to 1e-8;
+    a NaN or Inf entry leaves a NaN or Inf defect, which aborts too."""
+    with np.errstate(invalid="ignore"):  # inf - inf
+        defect = np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0)
+    if not defect <= 1e-8:
+        raise NumericalGuardError(f"density is not finite and Hermitian: defect {defect:.2e}")
 
 
 def _concurrence_of(w, V):
@@ -652,9 +652,8 @@ def _of_densities(rho, observables):
         out["inversion"] = _inversion_of(rho)
     if "purity" in observables:
         out["purity"] = purity(rho)
-    if "concurrence" in observables:
-        _check_hermitian(rho)
     if "entropy" in observables or "concurrence" in observables:
+        _check_hermitian(rho)
         w, V = np.linalg.eigh(rho)
         if "concurrence" in observables:
             out["concurrence"] = _concurrence_of(w, V)

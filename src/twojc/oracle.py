@@ -318,7 +318,7 @@ def buffer_population(psi):
 def require_buffer_empty(psi):
     """Raise TruncationError if any state of the stack populates the buffer."""
     pop = float(np.max(buffer_population(psi)))
-    if pop > BUFFER_TOL:
+    if not pop <= BUFFER_TOL:  # a NaN population trips it too
         raise TruncationError(
             f"truncation buffer population {pop:.2e} exceeds {BUFFER_TOL:g}")
 

@@ -1,6 +1,7 @@
 import glob
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -484,6 +485,29 @@ class TestCliEntry:
         assert len(windows) > 2 and windows[-1].stop == 3000
         assert not made.exists()
 
+    @pytest.mark.parametrize("where", [(0, 1), (1, 1)])
+    def test_non_finite_density_is_one_line_guard(self, tmp_path, capsys, monkeypatch,
+                                                  where):
+        # a NaN in rho_A stops before the eigensolve of entropy and
+        # concurrence, which would read it as a number (off the diagonal) or
+        # raise numpy's LinAlgError (on it)
+        made = tmp_path / "made"
+        doc = deep(BASE, observables=["entropy", "concurrence"],
+                   output={"dir": str(made / "out"), "prefix": "x"})
+        gram = dynamics._BranchRows.gram
+
+        def nan_in_rho(rows, times, out):
+            gram(rows, times, out)
+            out[-1][where] = math.nan
+
+        monkeypatch.setattr(dynamics._BranchRows, "gram", nan_in_rho)
+        assert main(["run", write_cfg(tmp_path, doc)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert "not finite and Hermitian" in captured.err
+        assert not made.exists()
+
     def test_overflowing_coupling_is_one_line_guard(self, tmp_path, capsys):
         # sqrt(2) g f_{n+1} passes double range while g itself is finite
         out = tmp_path / "out"
@@ -513,29 +537,31 @@ class TestCliEntry:
         assert f"block n = {block}: energies over g, frequencies" in captured.err
         assert not out.exists() or os.listdir(out) == []
 
-    def test_csv_guard(self, tmp_path):
-        from twojc.cli import _write_csv
+    def test_csv_guard(self):
+        from twojc.cli import _Table
         from twojc.errors import NumericalGuardError
-        path = tmp_path / "t.csv"
-        with pytest.raises(NumericalGuardError):
-            _write_csv(str(path), [], ["a", "b"], [[0.0, 1.0], [math.inf, 2.0]])
-        assert not path.exists()
+        fh = io.BytesIO()
+        table = _Table(fh, "t.csv", [], ["a", "b"])
+        with pytest.raises(NumericalGuardError, match="t.csv: non-finite"):
+            table.rows([[0.0, 1.0], [math.inf, 2.0]])
+        assert fh.getvalue() == b"a,b\n"  # no line of the block written
 
-    def test_csv_bytes_and_digest(self, tmp_path):
-        from twojc.cli import _CHUNK_ROWS, _write_csv
+    def test_csv_bytes_and_digest(self):
+        from twojc.cli import _CHUNK_ROWS, _Table
         rng = np.random.default_rng(11)
         rows = (rng.standard_normal((10_000, 3))
                 * 10.0 ** rng.integers(-300, 300, size=(10_000, 3)))
         rows[0] = [-0.0, 1e-300, 1e300]
         rows[-1] = [1e300, -0.0, -1e-300]
         assert len(rows) > 2 * _CHUNK_ROWS
-        path = tmp_path / "t.csv"
-        digest = _write_csv(str(path), ["note"], ["a", "b", "c"], rows)
+        fh = io.BytesIO()
+        table = _Table(fh, "t.csv", ["note"], ["a", "b", "c"])
+        table.rows(rows)
         ref = "# note\na,b,c\n" + "".join(
             ",".join("%.17g" % (v + 0.0) for v in row) + "\n" for row in rows.tolist())
-        data = path.read_bytes()
+        data = fh.getvalue()
         assert data == ref.encode()
-        assert digest == hashlib.sha256(data).hexdigest()
+        assert table.sha256 == hashlib.sha256(data).hexdigest()
 
     @pytest.mark.parametrize("re_count, im_count", [
         (97, 91),     # more than 2 * _CHUNK_ROWS rows, blocks of whole grid rows
@@ -544,8 +570,10 @@ class TestCliEntry:
         (9000, 1),    # one grid row wider than _CHUNK_ROWS, cut into pieces
         (4500, 3),    # pieces of rows, blocks straddling two grid rows
     ])
-    def test_q_csv_bytes_and_digest(self, tmp_path, re_count, im_count):
-        from twojc.cli import _CHUNK_ROWS, _write_q_csv
+    def test_q_csv_bytes_and_digest(self, re_count, im_count):
+        # the layout of a Husimi table: q[i, j] at (im_axis[i], re_axis[j]),
+        # re running fastest, each axis value formatted once
+        from twojc.cli import _CHUNK_ROWS, _Table, _text
         rng = np.random.default_rng(re_count * im_count)
         re_axis = rng.standard_normal(re_count) * 10.0 ** rng.integers(-300, 300, re_count)
         im_axis = rng.standard_normal(im_count) * 10.0 ** rng.integers(-300, 300, im_count)
@@ -554,24 +582,49 @@ class TestCliEntry:
         q = rng.standard_normal((im_count, re_count))
         q.flat[:2] = [-0.0, 1e-300][:q.size]
         assert re_count * im_count > 2 * _CHUNK_ROWS or re_count * im_count < _CHUNK_ROWS
-        path = tmp_path / "q.csv"
-        digest = _write_q_csv(str(path), ["note"], re_axis, im_axis, q)
+        fh = io.BytesIO()
+        table = _Table(fh, "q.csv", ["note"], ["re", "im", "q"])
+        table.rows(q[:, :, None], (_text(re_axis)[None], _text(im_axis)[:, None]))
         ref = "# note\nre,im,q\n" + "".join(
             ",".join("%.17g" % (v + 0.0) for v in (re, im, q[i, j])) + "\n"
             for i, im in enumerate(im_axis.tolist()) for j, re in enumerate(re_axis.tolist()))
-        data = path.read_bytes()
+        data = fh.getvalue()
         assert data == ref.encode()
-        assert digest == hashlib.sha256(data).hexdigest()
+        assert table.sha256 == hashlib.sha256(data).hexdigest()
 
-    def test_q_csv_guard(self, tmp_path):
-        from twojc.cli import _write_q_csv
+    def test_q_csv_guard(self):
+        from twojc.cli import _Table, _text
         from twojc.errors import NumericalGuardError
-        path = tmp_path / "q.csv"
+        fh = io.BytesIO()
+        table = _Table(fh, "q.csv", [], ["re", "im", "q"])
         q = np.zeros((3, 4))
         q[2, 1] = math.inf
         with pytest.raises(NumericalGuardError, match="non-finite"):
-            _write_q_csv(str(path), [], np.arange(4.0), np.arange(3.0), q)
-        assert not path.exists()
+            table.rows(q[:, :, None], (_text(np.arange(4.0))[None], _text(np.arange(3.0))[:, None]))
+        assert fh.getvalue() == b"re,im,q\n"  # no line of the grid written
+
+    def test_non_finite_husimi_grid_leaves_nothing(self, tmp_path, capsys, monkeypatch):
+        # the guard of the table writer names the snapshot's table, and the
+        # run leaves no table, no staged file and no directory it made
+        made = tmp_path / "made"
+        doc = deep(BASE, observables=["inversion", "qfunction", "spectrum-dump"],
+                   q_grid={"times": [0.5, 1.0], "re_count": 5, "im_count": 5,
+                           "re_min": -2.0, "re_max": 2.0, "im_min": -2.0, "im_max": 2.0},
+                   output={"dir": str(made / "out"), "prefix": "x"})
+        husimi_grid = dynamics.husimi_grid
+
+        def nan_grid(*args):
+            grid = husimi_grid(*args)
+            grid.values[1, 2] = math.nan
+            return grid
+
+        monkeypatch.setattr(dynamics, "husimi_grid", nan_grid)
+        assert main(["run", write_cfg(tmp_path, doc)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert "x_base_qfunction_0.csv: non-finite" in captured.err
+        assert not made.exists()
 
     @pytest.mark.parametrize("previous", [False, True])
     def test_failed_run_adds_no_file(self, tmp_path, capsys, previous):
@@ -675,48 +728,48 @@ class TestTextKernel:
     """The writer formats values as arrays; its text must be "%.17g" % v."""
 
     @staticmethod
-    def assert_text(tmp_path, values):
-        from twojc.cli import _write_csv
+    def assert_text(values):
+        from twojc.cli import _Table
         values = np.asarray(values, dtype=float)
-        path = tmp_path / "v.csv"
-        _write_csv(str(path), [], ["v"], values[:, None])
+        fh = io.BytesIO()
+        _Table(fh, "v.csv", [], ["v"]).rows(values[:, None])
         want = ("%.17g\n" * values.size) % tuple((values + 0.0).tolist())
-        got = path.read_bytes().decode()
+        got = fh.getvalue().decode()
         if got != "v\n" + want:
             bad = [(v, g, w) for v, g, w in
                    zip(values.tolist(), got.split("\n")[1:], want.split("\n")) if g != w]
             pytest.fail(f"{len(bad)} values differ from %.17g, first (value, got, want): {bad[:5]}")
 
     @pytest.mark.parametrize("seed", [17, 18, 19, 20])  # 10**6 draws in all
-    def test_random_bit_patterns(self, tmp_path, seed):
+    def test_random_bit_patterns(self, seed):
         bits = np.random.default_rng(seed).integers(0, 2 ** 64, size=10 ** 6 // 4, dtype=np.uint64)
         values = bits.view(np.float64)
         values = values[np.isfinite(values)]
         assert (values < 0).any() and (values > 0).any()
-        self.assert_text(tmp_path, values)
+        self.assert_text(values)
 
-    def test_powers_of_ten_and_their_neighbours(self, tmp_path):
+    def test_powers_of_ten_and_their_neighbours(self):
         powers = np.array([float(f"1e{k}") for k in range(-308, 309)])
-        self.assert_text(tmp_path, np.concatenate(
+        self.assert_text(np.concatenate(
             [powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)]))
 
-    def test_exact_ties_take_the_fallback(self, tmp_path):
+    def test_exact_ties_take_the_fallback(self):
         from twojc.cli import _significand
         ties = exact_ties(np.random.default_rng(5), 8)
         assert len(ties) > 100
         assert _significand(ties)[2].all()
-        self.assert_text(tmp_path, np.concatenate([ties, -ties]))
+        self.assert_text(np.concatenate([ties, -ties]))
 
-    def test_integers_and_extremes(self, tmp_path):
+    def test_integers_and_extremes(self):
         integers = np.random.default_rng(9).integers(0, 2 ** 63, size=10 ** 4)
-        self.assert_text(tmp_path, np.concatenate([
+        self.assert_text(np.concatenate([
             integers.astype(float), 2.0 ** np.arange(64),
             [5e-324, -5e-324, np.finfo(float).max, -np.finfo(float).max, 0.0]]))
 
-    def test_fixed_and_scientific_edges(self, tmp_path):
+    def test_fixed_and_scientific_edges(self):
         edges = [1e-4, np.nextafter(1e-4, 0), 1e-5, 1e16, 1e17, np.nextafter(1e17, 0),
                  100.0, 1000.0, 0.5, 123.456, 0.000123]
-        self.assert_text(tmp_path, np.concatenate([edges, np.negative(edges), np.arange(1401.0)]))
+        self.assert_text(np.concatenate([edges, np.negative(edges), np.arange(1401.0)]))
 
 
 # (config path, JSON literal put there, exit code); the literal goes into the

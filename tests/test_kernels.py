@@ -206,6 +206,45 @@ class TestBatchedSeries:
                 concurrence(np.zeros(shape))
 
 
+class TestNonFiniteDensities:
+    """A NaN or Inf handed to an observable of rho_A trips the guard: none
+    reads it as a number, and none reaches LAPACK's LinAlgError."""
+
+    @staticmethod
+    def spoiled(where, value, count=1):
+        rho = random_densities(np.random.default_rng(3), count, 3)
+        rho[-1][where] = value
+        return rho
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("where", [(0, 1), (1, 1)])
+    def test_concurrence(self, where, value):
+        for rho in (self.spoiled(where, value)[0], self.spoiled(where, value, 4)):
+            with pytest.raises(NumericalGuardError, match="not finite and Hermitian"):
+                concurrence(rho)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("where", [(0, 1), (1, 1)])
+    def test_field_entropy(self, where, value):
+        for rho in (self.spoiled(where, value)[0], self.spoiled(where, value, 4)):
+            with pytest.raises(NumericalGuardError, match="not finite and Hermitian"):
+                field_entropy(rho)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_entropy_of_eigvals(self, value):
+        for w in ([value, 0.5, 0.5], [[1.0, 0.0, 0.0], [0.5, value, 0.5]]):
+            with pytest.raises(NumericalGuardError, match="non-finite"):
+                entropy_of_eigvals(w)
+
+    @pytest.mark.parametrize("observables", [["entropy"], ["concurrence"],
+                                             ["inversion", "entropy", "concurrence"]])
+    @pytest.mark.parametrize("where", [(0, 1), (1, 1)])
+    def test_series_densities(self, where, observables):
+        rho = self.spoiled(where, math.nan, 6)
+        with pytest.raises(NumericalGuardError, match="not finite and Hermitian"):
+            dynamics._of_densities(rho, observables)
+
+
 def reference_rk4(H, psi, times, dt, t0=0.0):
     """Plain sequential RK4 with the engine's step rule, dense H."""
     out = []

@@ -360,6 +360,13 @@ class TestGuards:
         with pytest.raises(TruncationError):
             require_buffer_empty(states)
 
+    def test_buffer_guard_trips_on_nan(self):
+        states = np.zeros((3, 4, 10), dtype=complex)
+        states[:, 3, 0] = 1.0
+        states[1, 3, -1] = math.nan  # no comparison with a NaN is true
+        with pytest.raises(TruncationError):
+            require_buffer_empty(states)
+
     def test_buffer_stays_empty_in_normal_runs(self):
         p = bs_params()
         field = coherent_field(3.0, n_max=25)

@@ -27,6 +27,21 @@ COUNTS = (10 ** 4, 10 ** 6)
 BOUND_MB = 20.0
 
 
+def twojc_run(config, cwd):
+    """(seconds, peak RSS in MB) of `twojc run config` in a fresh process
+    working in `cwd`, with this checkout's package; a failed run exits."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "twojc.cli", "run", config],
+                            cwd=cwd, env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    seconds = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode != 0:
+        raise SystemExit(f"{config}: twojc run exited {proc.returncode}")
+    return seconds, usage.ru_maxrss / 1024.0  # kB on Linux
+
+
 def run(count, tmp):
     """(seconds, peak RSS in MB) of one `twojc run` at `count` samples."""
     with open(CONFIG) as fh:
@@ -37,16 +52,7 @@ def run(count, tmp):
     config = os.path.join(tmp, f"series_{count}.json")
     with open(config, "w") as fh:
         json.dump(doc, fh)
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "twojc.cli", "run", config],
-                            env=env, stdout=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)
-    seconds = time.perf_counter() - start
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    if proc.returncode != 0:
-        raise SystemExit(f"count {count}: twojc run exited {proc.returncode}")
-    return seconds, usage.ru_maxrss / 1024.0  # kB on Linux
+    return twojc_run(config, tmp)
 
 
 def main():
