@@ -31,6 +31,10 @@ from .errors import ConfigError, NumericalGuardError, TwojcError
 # one block of _CHUNK_ROWS // k of its lines of k values at a time
 _CHUNK_ROWS = 1 << 12
 
+# Husimi values of the q snapshots computed together, at most (or one grid):
+# the memory a curve's snapshots hold does not grow with their number
+_Q_VALUES = 1 << 20
+
 # The "%.17g" kernel.  A value |v| = d0.d1...d16 * 10**e is scaled to the
 # 17-digit integer N = round(|v| * 10**(16 - e)) in double-double arithmetic,
 # N is cut into ASCII digits through a table of 4-digit words, and the digits
@@ -331,17 +335,22 @@ def _curve_outputs(cfg: RunConfig, curve: CurveSpec, stage):
 
     if "qfunction" in cfg.observables:
         re_axis, im_axis = cfg.q_grid.axes()
+        taus = cfg.q_grid.times_tau
+        # the snapshots of a group share one husimi_grid call
+        group = max(1, _Q_VALUES // (len(re_axis) * len(im_axis)))
         axes = None  # their text, once the first grid's window guard has read them
-        for idx, tau in enumerate(cfg.q_grid.times_tau):
-            rho_f = dynamics.reduced_field_density(field, spectra, tau / params.g)
-            grid = dynamics.husimi_grid(rho_f, re_axis, im_axis)
+        for first in range(0, len(taus), group):
+            grids = dynamics.husimi_grid(
+                np.stack([dynamics.reduced_field_density(field, spectra, tau / params.g)
+                          for tau in taus[first:first + group]]), re_axis, im_axis)
             axes = axes or (_text(re_axis)[None], _text(im_axis)[:, None])
-            with table(f"qfunction_{idx}",
-                       [f"tau = {tau!r} (dimensionless g*t)",
-                        "re, im: coherent amplitude alpha = re + i*im (dimensionless)",
-                        "q: Husimi density, 1/area in phase space"],
-                       ["re", "im", "q"]) as written:
-                written.rows(grid.values[:, :, None], axes)
+            for idx, values in enumerate(grids.values, first):
+                with table(f"qfunction_{idx}",
+                           [f"tau = {taus[idx]!r} (dimensionless g*t)",
+                            "re, im: coherent amplitude alpha = re + i*im (dimensionless)",
+                            "q: Husimi density, 1/area in phase space"],
+                           ["re", "im", "q"]) as written:
+                    written.rows(values[:, :, None], axes)
 
     if "spectrum-dump" in cfg.observables:
         columns = np.column_stack([spectra.n, spectra.energies,

@@ -235,6 +235,9 @@ def parse_config(doc: dict) -> RunConfig:
         im_max=_number(qg, "im_max", "config.q_grid", default=6.0),
         im_count=_count(qg, "im_count", "config.q_grid", default=241),
         times_tau=_numbers(qg, "times", "config.q_grid") or ())
+    for axis in ("re", "im"):
+        if not math.isfinite(getattr(q_grid, f"{axis}_max") - getattr(q_grid, f"{axis}_min")):
+            raise ConfigError(f"config.q_grid: {axis}_max - {axis}_min is not a finite number")
     points = q_grid.re_count * q_grid.im_count
     if points > MAX_COUNT:
         raise ConfigError(f"config.q_grid: re_count * im_count = {points} "

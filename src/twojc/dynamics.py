@@ -15,6 +15,7 @@ carries one quantum more in the field than the bare amplitude index
 suggests.
 """
 
+import copy
 import math
 import os
 import threading
@@ -130,8 +131,9 @@ def _core_count() -> int:
 _WORKERS = min(4, _core_count())
 
 # units of work in flight over all workers: phases (times x levels x 3) for
-# rho_A, Horner partial sums (rows x points) for a Husimi grid; a unit takes
-# about 60-70 bytes with its temporaries, so a kernel holds about 9 MB
+# rho_A, the complex values a Husimi point holds (its powers of z, block sums
+# and partial sums) x points for a Husimi grid; a unit takes about 60-70
+# bytes with its temporaries, so a kernel holds about 9 MB
 _CHUNK = 1 << 17
 
 
@@ -483,21 +485,24 @@ def _concurrence_of(w, V):
 class QGrid:
     """Husimi values on a rectangular grid of alpha = re + i im.
 
-    values[i, j] corresponds to (im_axis[i], re_axis[j]).
+    values[..., i, j] corresponds to (im_axis[i], re_axis[j]); a stack of
+    snapshots has one leading axis.
     """
 
     re_axis: np.ndarray
     im_axis: np.ndarray
     values: np.ndarray
 
-    def integral(self) -> float:
+    def integral(self):
+        """The Riemann sum of Q over the grid; one per snapshot of a stack."""
         dre = self.re_axis[1] - self.re_axis[0]
         dim = self.im_axis[1] - self.im_axis[0]
-        return float(self.values.sum() * dre * dim)
+        return self.values.sum(axis=(-2, -1)) * dre * dim
 
 
-_HORNER_RESCALE_EVERY = 32  # Horner steps between checks of the partial sums
-_HORNER_RESCALE_ABOVE = 1e150  # ... which are rescaled once they pass this
+# Fock levels per block of the Husimi kernel (_bargmann_amplitudes)
+_LEVELS = 24
+_HORNER_RESCALE_ABOVE = 1e150  # partial sums are rescaled once they pass this
 
 
 def corner_alpha_sq(re_axis, im_axis) -> float:
@@ -530,76 +535,157 @@ def coherent_vector(alpha: complex, dim: int) -> np.ndarray:
     return _coherent_amplitudes(abs(alpha) ** 2, np.angle(alpha), dim)
 
 
+def _check_factors(factors):
+    """Abort when rho_F's factors hold a NaN or Inf."""
+    if not np.isfinite(factors).all():
+        raise NumericalGuardError("rho_F factors hold non-finite values")
+
+
 def husimi_q(factors, alpha: complex) -> float:
     """Q(alpha) = sum_k |<alpha|chi_k>|^2 / pi at one point, from rho_F's
     factors: the per-point reference for husimi_grid, also read by the
     benchmark's phase-space check."""
+    _check_factors(factors)
     dim = factors.shape[1]
     _check_window(dim, abs(alpha) ** 2)
     overlaps = factors @ coherent_vector(alpha, dim).conj()
     return float(np.sum(np.abs(overlaps) ** 2) / math.pi)
 
 
-def _bargmann_amplitudes(rows, z):
-    """e^{-|z|^2/2} v_k(z) for each row v_k, by Horner over the points z.
+class _LevelBlocks:
+    """A stack (S, r, D) of factor rows v cut into blocks of L = _LEVELS
+    levels, for _bargmann_amplitudes, with one thread's buffers.
+
+    The levels p = bL + q (q < L) up to the last where any row of the stack
+    is nonzero make B blocks: the levels above it would only carry exact
+    zeros.  rows (B, S, r, L) holds v_p sqrt((bL)! / p!), and
+    ratios[b] = sqrt((bL)! / ((b + 1) L)!).  Each weight is the square root
+    of a running product of 1 / (bL + j), so its relative rounding stays
+    within a few L ulps at every level.
+    """
+
+    def __init__(self, stack):
+        levels = 1 + max(np.flatnonzero(stack.any(axis=(0, 1))), default=0)
+        blocks = -(-levels // _LEVELS)
+        tails = np.sqrt(np.cumprod(
+            1.0 / (np.arange(blocks)[:, None] * _LEVELS + np.arange(1, _LEVELS + 1)), axis=1))
+        weights = np.ones((blocks, _LEVELS))
+        weights[:, 1:] = tails[:, :-1]
+        rows = np.zeros(stack.shape[:2] + (blocks * _LEVELS,), dtype=np.complex128)
+        rows[..., :levels] = stack[..., :levels]
+        rows = rows.reshape(stack.shape[:2] + (blocks, _LEVELS)) * weights
+        self.rows = np.ascontiguousarray(rows.transpose(2, 0, 1, 3))
+        self.ratios = tails[:, -1]
+        self._buffer = np.empty(0, dtype=np.complex128)
+
+    def for_thread(self):
+        """A copy that shares the rows and ratios and has its own buffers."""
+        twin = copy.copy(self)
+        twin._buffer = np.empty(0, dtype=np.complex128)
+        return twin
+
+    def buffers(self, width):
+        """The powers (L + 1, width) and block sums (B S r, width), two
+        C-contiguous arrays in one buffer that grows to the widest chunk, so
+        that a thread's chunks touch no fresh pages."""
+        split = (_LEVELS + 1) * width
+        need = split + self.rows.size // _LEVELS * width
+        if self._buffer.size < need:
+            self._buffer = np.empty(need, dtype=np.complex128)
+        return (self._buffer[:split].reshape(-1, width),
+                self._buffer[split:need].reshape(-1, width))
+
+
+def _bargmann_amplitudes(blocked, z):
+    """e^{-|z|^2/2} v(z) for each row v of a stack of _LevelBlocks, at the
+    points z; (S, r, len(z)), a view of the blocks' buffers.
+
+    With phi_p = z^p / sqrt(p!), v(z) = sum_b phi_{bL} T_b, where the block
+    sum T_b = sum_q rows[b, q] z^q, and phi_{(b+1)L} = phi_{bL} z^L ratios[b].
+    One matrix product of every row of every block against the powers
+    z^0 .. z^{L-1} gives all the T_b, and Horner over the blocks,
+    T_0 + z^L ratios[0] (T_1 + z^L ratios[1] (T_2 + ...)), sums them.  The
+    points are padded with zeros to a multiple of 8, since the product's
+    partial tiles of points round differently from its whole ones; so a
+    point's bits do not depend on the chunk it came in.
 
     The partial sums grow like e^{|z|^2/2}, beyond double range for
-    |z|^2 > 1400.  Every few steps, the points whose partial sums passed
-    1e150 have them divided by their largest modulus, and the Gaussian is
-    applied to the log of each point's accumulated scale at the end.  A
-    point's value thus depends on that point alone, not on the others
-    evaluated with it.  Horner starts at the last level where any row is
-    nonzero: the steps above it would only carry exact zeros.
+    |z|^2 > 1400.  After each block, the points whose partial sums of one
+    snapshot passed 1e150 have them divided by their largest modulus, and
+    the Gaussian is applied to the log of each point's accumulated scale at
+    the end.  A value thus depends on its own point and snapshot alone.
     """
-    rows = rows[:, :1 + max(np.flatnonzero(rows.any(axis=0)), default=0)]
-    dim = rows.shape[1]
-    inv_sqrt = 1.0 / np.sqrt(np.arange(1, dim))
-    acc = np.empty((len(rows), z.size), dtype=np.complex128)
-    acc[:] = rows[:, -1:]
-    log_scale = np.zeros(z.size)   # acc holds the partial sums * e^{-log_scale}
-    inv_scale = None               # e^{-log_scale}, once any point is rescaled
-    step = np.empty_like(z)
-    for p in range(dim - 1, 0, -1):
-        np.multiply(z, inv_sqrt[p - 1], out=step)
-        acc *= step
-        acc += rows[:, p - 1:p] if inv_scale is None else rows[:, p - 1:p] * inv_scale
-        if p % _HORNER_RESCALE_EVERY == 0:
-            big = np.abs(acc).max(axis=0)
-            over = big > _HORNER_RESCALE_ABOVE
-            if over.any():
-                scale = np.where(over, big, 1.0)  # the other points stay as they are
-                acc /= scale
-                inv_scale = 1.0 / scale if inv_scale is None else inv_scale / scale
-                log_scale += np.log(scale)
-    return acc * np.exp(log_scale - 0.5 * np.abs(z) ** 2)
+    rows, ratios = blocked.rows, blocked.ratios
+    blocks, snapshots, n_rows, _ = rows.shape
+    count = z.size
+    powers, sums = blocked.buffers(-(-count // 8) * 8)
+    powers[0] = 1.0
+    powers[1, :count] = z
+    powers[1, count:] = 0.0
+    known = 1  # z^0 .. z^known are in place; each pass takes z^(known+j) = z^j z^known
+    while known < _LEVELS:
+        more = min(known, _LEVELS - known)
+        np.multiply(powers[1:more + 1], powers[known], out=powers[known + 1:known + more + 1])
+        known += more
+    np.matmul(rows.reshape(-1, _LEVELS), powers[:_LEVELS], out=sums)
+    sums = sums.reshape(blocks, snapshots, n_rows, -1)
+    acc = sums[-1]
+    log_scale = np.zeros((snapshots, 1, acc.shape[-1]))  # acc holds the partial sums * e^{-log_scale}
+    inv_scale = None                                     # e^{-log_scale}, once any point is rescaled
+    for b in range(blocks - 2, -1, -1):
+        big = np.abs(acc).max(axis=1, keepdims=True)
+        over = big > _HORNER_RESCALE_ABOVE
+        if over.any():
+            scale = np.where(over, big, 1.0)  # the other points stay as they are
+            acc /= scale
+            inv_scale = 1.0 / scale if inv_scale is None else inv_scale / scale
+            log_scale += np.log(scale)
+        acc *= powers[_LEVELS] * ratios[b]
+        acc += sums[b] if inv_scale is None else sums[b] * inv_scale
+    acc *= np.exp(log_scale - 0.5 * np.abs(powers[1]) ** 2)
+    return acc[..., :count]
 
 
 def husimi_grid(factors, re_axis, im_axis) -> QGrid:
-    """Husimi values over a rectangular grid, from the factors of rho_F.
+    """Husimi values over a rectangular grid, from the factors of rho_F, or
+    of each rho_F of a stack (S, r, D); values (n_im, n_re) or
+    (S, n_im, n_re).
 
     With rho = sum_k |v_k><v_k| and the Bargmann polynomial
     v(z) = sum_p v_p z^p / sqrt(p!), <alpha|v> = e^{-|alpha|^2/2} v(conj alpha)
     (Bargmann 1961), so Q = sum_k |e^{-|alpha|^2/2} v_k(conj alpha)|^2 / pi.
-    Each polynomial is evaluated by Horner over the grid points at once, as
-    v_0 + z/sqrt(1) (v_1 + z/sqrt(2) (v_2 + ...)).  rho_F is given by its
-    rank <= 3 factors, so a grid costs three polynomials rather than a
-    quadratic form in the full Fock space.  The point chunks run on
-    _WORKERS threads (_run_chunks), each writing only its own points, and
-    every value is the same bits for any thread count or chunk size.
+    rho_F is given by its rank <= 3 factors, so a grid costs three
+    polynomials rather than a quadratic form in the full Fock space.  Every
+    polynomial of the stack is evaluated over a chunk of grid points at
+    once by Horner over blocks of levels (_bargmann_amplitudes), whose
+    block sums are one matrix product shared by the whole stack.  A chunk
+    holds per point the powers of z, every block sum and the partial sums.
+    The chunks run on _WORKERS threads (_run_chunks), each writing only its
+    own points, and every value is the same bits for any thread count,
+    chunk size or stack it came in.  Non-finite factors abort.
     """
+    factors = np.asarray(factors)
+    _check_factors(factors)
     re_axis = np.ascontiguousarray(re_axis, dtype=float)
     im_axis = np.ascontiguousarray(im_axis, dtype=float)
-    _check_window(factors.shape[1], corner_alpha_sq(re_axis, im_axis))
+    _check_window(factors.shape[-1], corner_alpha_sq(re_axis, im_axis))
+    stack = factors.reshape((-1,) + factors.shape[-2:])
+    blocks = _LevelBlocks(stack)
     z = (re_axis[None, :] - 1j * im_axis[:, None]).ravel()
-    values = np.empty(z.size)
+    values = np.empty((len(stack), z.size))
 
-    def task(part):
-        amps = _bargmann_amplitudes(factors, z[part])
-        values[part] = np.sum(np.abs(amps) ** 2, axis=0) / math.pi
+    def share_task():
+        own = blocks.for_thread()
 
-    _run_chunks(lambda: task, _chunks(z.size, len(factors)))
+        def task(part):
+            amps = _bargmann_amplitudes(own, z[part])
+            values[:, part] = np.sum(np.abs(amps) ** 2, axis=1) / math.pi
+        return task
+
+    held = _LEVELS + 1 + (len(blocks.rows) + 1) * stack.shape[0] * stack.shape[1]
+    _run_chunks(share_task, _chunks(z.size, held))
     return QGrid(re_axis=re_axis, im_axis=im_axis,
-                 values=values.reshape(len(im_axis), len(re_axis)))
+                 values=values.reshape(factors.shape[:-2] + (len(im_axis), len(re_axis))))
 
 
 # ---------------------------------------------------------------------------

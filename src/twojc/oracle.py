@@ -118,8 +118,11 @@ def jacobi_eigh_cyclic(mat):
     rows and columns across the whole stack; a matrix that has converged,
     or whose (p, q) element is below the skip threshold, rotates with
     c = 1, s = 0, so every matrix follows its own single-matrix sequence.
-    A complex input must have a zero imaginary part, and is taken as real.
+    A complex input must have a zero imaginary part, and is taken as real;
+    a NaN or Inf entry aborts.
     """
+    if not np.isfinite(mat).all():
+        raise NumericalGuardError("matrix holds non-finite entries")
     if np.iscomplexobj(mat) and np.imag(mat).any():
         raise ValueError("expected real symmetric matrices, got a nonzero imaginary part")
     A = np.array(np.real(mat), dtype=np.float64)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalGuardError
 from .model import ModelParams, build_block
 
 # fallback threshold for the adjugate normalization, scaled by ||H||_F^2
@@ -218,8 +219,10 @@ def solve_blocks(H, n) -> SpectrumTable:
     cubic's coefficients stay in double range for any finite block, and
     the energies are scaled back by 2^e.  A power of two moves no bit of
     the result, except that the Newton steps of eigenvalues() then stop at
-    corrections above 1e-6 2^e.
+    corrections above 1e-6 2^e.  A block holding a NaN or Inf aborts.
     """
+    if not np.isfinite(H).all():
+        raise NumericalGuardError("block holds non-finite entries")
     e = np.frexp(np.abs(H).max(axis=(-2, -1)))[1]
     scaled = np.ldexp(H, -e[..., None, None])
     energies, C, fell_back = eigenvector_coeffs(eigenvalues(cardano(scaled), scaled), scaled)

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import twojc.validation
-from twojc import ConfigError, TwojcError, build_block, dynamics
+from twojc import ConfigError, TwojcError, build_block, cli, dynamics
 from twojc.cli import main, run_config
 from twojc.config import MAX_COUNT, RunConfig, load_config, parse_config
 from twojc.validation import (check_spectral_identities, check_t0_anchors,
@@ -306,6 +306,29 @@ class TestRun:
             data = (tmp_path / "out" / f["path"]).read_bytes()
             assert f["sha256"] == hashlib.sha256(data).hexdigest()
 
+    def test_snapshot_groups_write_the_same_tables(self, tmp_path, monkeypatch):
+        # five 5x7 snapshots in one husimi_grid call, then in groups of two
+        calls = []
+        husimi_grid = dynamics.husimi_grid
+
+        def counted(factors, *axes):
+            calls.append(len(factors))
+            return husimi_grid(factors, *axes)
+
+        monkeypatch.setattr(dynamics, "husimi_grid", counted)
+        manifests = []
+        for values in (None, 2 * 35):
+            if values is not None:
+                monkeypatch.setattr(cli, "_Q_VALUES", values)
+            doc = deep(BASE, observables=["inversion", "qfunction"],
+                       q_grid={"times": [0.0, 0.5, 1.0, 1.5, 2.0], "re_min": -2.0,
+                               "re_max": 2.0, "re_count": 5, "im_min": -2.0,
+                               "im_max": 2.0, "im_count": 7},
+                       output={"dir": str(tmp_path / f"out_{values}"), "prefix": "g"})
+            manifests.append(run_config(parse_config(doc))["files"])
+        assert calls == [5, 2, 2, 1]
+        assert manifests[0] == manifests[1]
+
     def test_headers_carry_resolved_config_and_units(self, tmp_path):
         doc = deep(BASE, output={"dir": str(tmp_path / "out"), "prefix": "r"})
         run_config(parse_config(doc))
@@ -390,6 +413,24 @@ class TestCliEntry:
         doc["field"]["n_max"] = 40  # too small for the +-6 window
         cfg = write_cfg(tmp_path, doc)
         assert main(["run", cfg]) == 3
+
+    @pytest.mark.parametrize("axis", ["re", "im"])
+    def test_overflowing_q_grid_span_is_config_error(self, tmp_path, axis):
+        # the span of +-1e308 is beyond double range; with an explicit n_max no
+        # window guard reads the axes before numpy's linspace would
+        out = tmp_path / "out"
+        doc = deep(BASE, observables=["qfunction"],
+                   q_grid={"times": [0.5], "re_count": 5, "im_count": 5,
+                           f"{axis}_min": -1e308, f"{axis}_max": 1e308},
+                   output={"dir": str(out), "prefix": "x"})
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "twojc.cli", "run",
+                               write_cfg(tmp_path, doc)], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr == (f"config error: config.q_grid: {axis}_max - {axis}_min "
+                               "is not a finite number\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [("omega0", math.inf),
                                             ("delta", math.nan),
@@ -615,7 +656,7 @@ class TestCliEntry:
 
         def nan_grid(*args):
             grid = husimi_grid(*args)
-            grid.values[1, 2] = math.nan
+            grid.values[..., 1, 2] = math.nan
             return grid
 
         monkeypatch.setattr(dynamics, "husimi_grid", nan_grid)

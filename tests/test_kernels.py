@@ -105,12 +105,73 @@ class TestHusimiGrid:
                 monkeypatch.setattr(dynamics, "_WORKERS", workers)
                 grids[chunk, workers] = husimi_grid(chi, re_axis, im_axis).values
         assert len(dynamics._chunks(alpha_sq.size, 3)) == alpha_sq.size  # 1 point each
+        # chunks of up to 2, 3, 5 and 17 points, each padded to a multiple of 8
+        widths, sizes, chunks = [], [], dynamics._chunks
+
+        def spy(n_items, width):
+            widths.append(width)
+            out = chunks(n_items, width)
+            sizes.append(max(part.stop - part.start for part in out))
+            return out
+
+        monkeypatch.setattr(dynamics, "_chunks", spy)
+        husimi_grid(chi, re_axis, im_axis)
+        for points in (2, 3, 5, 17):
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(dynamics, "_WORKERS", workers)
+                monkeypatch.setattr(dynamics, "_CHUNK", points * workers * widths[0])
+                grids[f"{points} points", workers] = husimi_grid(chi, re_axis, im_axis).values
+                assert sizes[-1] == points
         ref = next(iter(grids.values()))
         for key, grid in grids.items():
             assert np.array_equal(grid, ref), key
         single = np.array([[husimi_q(chi, complex(re, im)) for re in re_axis]
                            for im in im_axis])
         np.testing.assert_allclose(ref, single, rtol=1e-9, atol=0)
+
+    def test_stack_gives_each_snapshot_its_own_bits(self, monkeypatch):
+        # the far state's partial sums are rescaled past |alpha|^2 = 691, the
+        # others' never; their supports end at different blocks of levels
+        far = self.far_state()
+        rng = np.random.default_rng(5)
+        near = np.zeros(far.shape, dtype=complex)
+        near[:, :70] = rng.normal(size=(3, 70)) + 1j * rng.normal(size=(3, 70))
+        low = np.zeros_like(far)
+        low[:, 3:9] = rng.normal(size=(3, 6))
+        stack = np.stack([near, far, low, near])
+        re_axis = np.linspace(-1.0, 38.0, 27)
+        im_axis = np.linspace(-1.5, 1.5, 7)
+        for workers in (1, 3):
+            monkeypatch.setattr(dynamics, "_WORKERS", workers)
+            grid = husimi_grid(stack, re_axis, im_axis)
+            assert grid.values.shape == (4, 7, 27)
+            for factors, values in zip(stack, grid.values):
+                assert np.array_equal(values, husimi_grid(factors, re_axis, im_axis).values)
+            np.testing.assert_array_equal(grid.integral(),
+                                          [husimi_grid(f, re_axis, im_axis).integral()
+                                           for f in stack])
+
+    def test_same_bytes_for_any_blas_thread_count(self):
+        # the block sums are one BLAS product, which may split its work over
+        # threads of its own; each point's sums must not depend on how
+        script = (
+            "import hashlib, numpy as np\n"
+            "from twojc import husimi_grid\n"
+            "rng = np.random.default_rng(9)\n"
+            "chi = np.zeros((4, 3, 203), dtype=complex)\n"
+            "chi[..., :150] = rng.normal(size=(4, 3, 150)) + 1j * rng.normal(size=(4, 3, 150))\n"
+            "ax = np.linspace(-7.0, 7.0, 101)\n"
+            "print(hashlib.sha256(husimi_grid(chi, ax, ax).values.tobytes()).hexdigest())\n")
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        digests = set()
+        for threads in ("1", "4"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                  text=True, env=env, timeout=120)
+            assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+            digests.add(proc.stdout)
+        assert len(digests) == 1
 
     def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -243,6 +304,27 @@ class TestNonFiniteDensities:
         rho = self.spoiled(where, math.nan, 6)
         with pytest.raises(NumericalGuardError, match="not finite and Hermitian"):
             dynamics._of_densities(rho, observables)
+
+
+class TestNonFiniteFactors:
+    """A NaN or Inf in rho_F's factors trips the guard in both Husimi
+    kernels, in place of a NaN value or a window guard that reads it."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_husimi_grid(self, value):
+        chi = np.eye(3, 12, dtype=complex) / math.sqrt(3.0)
+        chi[1, 4] = value
+        ax = np.linspace(-1.0, 1.0, 3)
+        for factors in (chi, np.stack([np.eye(3, 12, dtype=complex), chi])):
+            with pytest.raises(NumericalGuardError, match="non-finite"):
+                husimi_grid(factors, ax, ax)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_husimi_q(self, value):
+        chi = np.eye(3, 12, dtype=complex) / math.sqrt(3.0)
+        chi[2, 0] = value
+        with pytest.raises(NumericalGuardError, match="non-finite"):
+            husimi_q(chi, 0.5 + 0.5j)
 
 
 def reference_rk4(H, psi, times, dt, t0=0.0):

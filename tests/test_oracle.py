@@ -367,6 +367,15 @@ class TestGuards:
         with pytest.raises(TruncationError):
             require_buffer_empty(states)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_jacobi_trips_on_non_finite_entries(self, value):
+        # a NaN read [1, 1, 1, 1] as the eigenvalues of eye(4)
+        mat = np.eye(4)
+        mat[1, 2] = value
+        for m in (mat, np.stack([np.eye(4), mat])):
+            with pytest.raises(NumericalGuardError, match="non-finite"):
+                jacobi_eigh_cyclic(m)
+
     def test_buffer_stays_empty_in_normal_runs(self):
         p = bs_params()
         field = coherent_field(3.0, n_max=25)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from twojc import (F_BUCK_SUKUMAR, F_LINEAR, H_KERR, ModelParams,
-                   block_spectrum, build_block, cardano, eigenvalues,
+                   NumericalGuardError, block_spectrum, build_block, cardano, eigenvalues,
                    eigenvector_coeffs, ladder_factor, rabi_frequencies,
                    rabi_frequencies_trig, solve_blocks, spectrum_table,
                    weighting_amplitudes)
@@ -428,6 +428,17 @@ class TestLargeEntries:
         inter = cardano(np.ldexp(H, -e[:, None, None]))
         trig = np.ldexp(rabi_frequencies_trig(inter), e[:, None])
         assert (np.abs(trig - rabi) / np.abs(rabi).max(axis=1, keepdims=True)).max() < 1e-9
+
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("where", [(0, 1), (1, 1)])
+    def test_non_finite_block_trips_the_guard(self, where, value):
+        # a NaN off the diagonal gave finite energies, one on it LAPACK's
+        # LinAlgError from the fallback
+        H = build_block(ModelParams(omega0=1.0, g=1.0, f_kind=F_BUCK_SUKUMAR), np.arange(4)).copy()
+        H[(2,) + where] = value
+        with pytest.raises(NumericalGuardError, match="non-finite"):
+            solve_blocks(H, np.arange(4))
 
 
 class TestDegeneracy:

@@ -9,12 +9,20 @@ Wall seconds include starting the interpreter, importing numpy and twojc,
 and compiling twojc unless its bytecode is cached.  Run from anywhere:
 
     python3 tools/bench_configs.py --tag mytag
+    python3 tools/bench_configs.py --tag mytag --against ../parent
 
 BENCH_<tag>.json, at the root of the checkout, holds the machine (core
 count, CPU model), the Python and numpy versions, whether twojc's bytecode
 was cached, and per config its curves, each curve's n_max, the time sample
 count, the Husimi grid size, and the median and quartiles of the wall
 seconds and of the peak resident memory.
+
+With --against DIR, each round also runs every config with the package of
+the checkout at DIR (its `src/`), on the same config files, right before or
+after this checkout's run: the side that goes first alternates from round
+to round, so the RUNS rounds are alternating pairs.  The file then holds
+DIR's wall seconds and peak memory per config as well, under "against",
+and per config the number of pairs in which this checkout ran faster.
 """
 
 import argparse
@@ -76,19 +84,28 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--tag", required=True, help="BENCH_<tag>.json is written")
+    ap.add_argument("--against", metavar="DIR",
+                    help="a second checkout, run in alternating pairs with this one")
     args = ap.parse_args(argv)
     configs = sorted(glob.glob(os.path.join(ROOT, "configs", "*.json"))) + sorted(
         glob.glob(os.path.join(ROOT, "perfbench", "configs", "*.json")))
     names = [os.path.relpath(c, ROOT) for c in configs]
-    seconds = {name: [] for name in names}
-    peaks = {name: [] for name in names}
+    sides = {"this": ROOT}
+    if args.against is not None:
+        if not os.path.isdir(os.path.join(args.against, "src", "twojc")):
+            ap.error(f"--against {args.against}: no src/twojc there")
+        sides["against"] = args.against
+    seconds = {side: {name: [] for name in names} for side in sides}
+    peaks = {side: {name: [] for name in names} for side in sides}
     for round_ in range(RUNS):
+        order = list(sides) if round_ % 2 == 0 else list(sides)[::-1]
         for config, name in zip(configs, names):
-            with tempfile.TemporaryDirectory() as tmp:
-                wall, peak = twojc_run(config, tmp)
-            seconds[name].append(wall)
-            peaks[name].append(peak)
-            print(f"round {round_ + 1}/{RUNS} {name}: {wall:.3f} s, {peak:.1f} MB")
+            for side in order:
+                with tempfile.TemporaryDirectory() as tmp:
+                    wall, peak = twojc_run(config, tmp, sides[side])
+                seconds[side][name].append(wall)
+                peaks[side][name].append(peak)
+                print(f"round {round_ + 1}/{RUNS} {side} {name}: {wall:.3f} s, {peak:.1f} MB")
     cli = os.path.join(ROOT, "src", "twojc", "cli.py")
     bench = {
         "tag": args.tag,
@@ -100,10 +117,20 @@ def main(argv=None):
             "cached": os.path.exists(importlib.util.cache_from_source(cli)),
         },
         "runs_per_config": RUNS,
-        "configs": {name: dict(workload(config), wall_s=spread(seconds[name]),
-                               peak_rss_mb=spread(peaks[name]))
+        "configs": {name: dict(workload(config), wall_s=spread(seconds["this"][name]),
+                               peak_rss_mb=spread(peaks["this"][name]))
                     for config, name in zip(configs, names)},
     }
+    if "against" in sides:
+        bench["against"] = {
+            "checkout": os.path.basename(os.path.normpath(args.against)),
+            "configs": {name: {
+                "wall_s": spread(seconds["against"][name]),
+                "peak_rss_mb": spread(peaks["against"][name]),
+                "this_faster_in": sum(a < b for a, b in zip(seconds["this"][name],
+                                                            seconds["against"][name])),
+            } for name in names},
+        }
     path = os.path.normpath(os.path.join(ROOT, f"BENCH_{args.tag}.json"))
     with open(path, "w") as fh:
         json.dump(bench, fh, indent=2, sort_keys=True)

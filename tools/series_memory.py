@@ -27,10 +27,11 @@ COUNTS = (10 ** 4, 10 ** 6)
 BOUND_MB = 20.0
 
 
-def twojc_run(config, cwd):
+def twojc_run(config, cwd, root=ROOT):
     """(seconds, peak RSS in MB) of `twojc run config` in a fresh process
-    working in `cwd`, with this checkout's package; a failed run exits."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    working in `cwd`, with the package of the checkout at `root` (this one
+    by default); a failed run exits."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-m", "twojc.cli", "run", config],
                             cwd=cwd, env=env, stdout=subprocess.DEVNULL)
