@@ -340,9 +340,9 @@ def _curve_outputs(cfg: RunConfig, curve: CurveSpec, stage):
         group = max(1, _Q_VALUES // (len(re_axis) * len(im_axis)))
         axes = None  # their text, once the first grid's window guard has read them
         for first in range(0, len(taus), group):
-            grids = dynamics.husimi_grid(
-                np.stack([dynamics.reduced_field_density(field, spectra, tau / params.g)
-                          for tau in taus[first:first + group]]), re_axis, im_axis)
+            grids = dynamics.husimi_grid(dynamics.reduced_field_density(
+                field, spectra, np.array(taus[first:first + group]) / params.g),
+                re_axis, im_axis)
             axes = axes or (_text(re_axis)[None], _text(im_axis)[:, None])
             for idx, values in enumerate(grids.values, first):
                 with table(f"qfunction_{idx}",

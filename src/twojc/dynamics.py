@@ -15,7 +15,6 @@ carries one quantum more in the field than the bare amplitude index
 suggests.
 """
 
-import copy
 import math
 import os
 import threading
@@ -217,20 +216,17 @@ class _BranchRows:
 
     def __init__(self, weights, energies, capacity: int):
         self._weights = weights
-        self._minus_energies = -energies.T                            # (3, N+1)
-        self._x = np.empty((capacity,) + self._minus_energies.shape)  # -E t
-        self._phases = np.empty(self._x.shape, dtype=np.complex128)
+        self._minus_i_energies = -1j * energies.T  # (3, N+1)
+        self._phases = np.empty((capacity,) + self._minus_i_energies.shape, dtype=np.complex128)
         self._rows = np.zeros((capacity, 3, energies.shape[0] + 2), dtype=np.complex128)
         self._spare = np.empty_like(self._rows)  # the branch sums, then conj(X)
 
     def __call__(self, times):
         n_times = len(times)
-        n_levels = self._x.shape[2]
-        x, phases = self._x[:n_times], self._phases[:n_times]
+        n_levels = self._phases.shape[2]
+        phases = self._phases[:n_times]
         branch, rows = self._spare[:n_times, :, :n_levels], self._rows[:n_times]
-        np.multiply.outer(times, self._minus_energies, out=x)
-        np.cos(x, out=phases.real)
-        np.sin(x, out=phases.imag)
+        np.exp(np.multiply.outer(times, self._minus_i_energies, out=phases), out=phases)
         np.einsum("tjn,kjn->tkn", phases, self._weights, out=branch)
         for k in range(3):
             rows[:, k, k:k + n_levels] = branch[:, k]
@@ -355,18 +351,23 @@ def reduced_atom_density(field: FieldInit, spectra, times) -> np.ndarray:
     return rho
 
 
-def reduced_field_density(field: FieldInit, spectra, t: float) -> np.ndarray:
-    """The factors chi (3, n_max + 3) of rho_F(t) = sum_k |chi_k><chi_k|,
-    chi_k[n + k] = A_n D_k^(n); read-only.
+def reduced_field_density(field: FieldInit, spectra, t) -> np.ndarray:
+    """The factors chi of rho_F(t) = sum_k |chi_k><chi_k|,
+    chi_k[n + k] = A_n D_k^(n), at each time of t: t.shape + (3, n_max + 3),
+    so (3, n_max + 3) for a scalar t; read-only.
 
-    The rows of the field's support [lo, hi) (_support_weights) fill levels
-    [lo, hi + 2) of zeroed factors, so Horner in husimi_grid starts at
-    level hi + 1 while the window guard still reads the ladder.
+    The rows of the field's support [lo, hi) (_support_weights, once for
+    all the times) fill levels [lo, hi + 2) of zeroed factors, so Horner in
+    husimi_grid starts at level hi + 1 while the window guard still reads
+    the ladder.  Each time's factors are the bits its own call gives.
     """
-    times = np.array([float(t)])
+    t = np.asarray(t, dtype=float)
+    times = t.reshape(-1)
     lo, support, weights = _support_weights(field, spectra, times)
-    chi = np.zeros((3, len(spectra) + 2), dtype=np.complex128)
-    chi[:, lo:lo + len(support) + 2] = _BranchRows(weights, support.energies, 1)(times)[0]
+    chi = np.zeros((len(times), 3, len(spectra) + 2), dtype=np.complex128)
+    chi[:, :, lo:lo + len(support) + 2] = _BranchRows(weights, support.energies,
+                                                       len(times))(times)
+    chi = chi.reshape(t.shape + chi.shape[1:])
     chi.setflags(write=False)
     return chi
 
@@ -552,9 +553,9 @@ def husimi_q(factors, alpha: complex) -> float:
     return float(np.sum(np.abs(overlaps) ** 2) / math.pi)
 
 
-class _LevelBlocks:
-    """A stack (S, r, D) of factor rows v cut into blocks of L = _LEVELS
-    levels, for _bargmann_amplitudes, with one thread's buffers.
+def _level_blocks(stack):
+    """(rows, ratios): a stack (S, r, D) of factor rows v cut into blocks of
+    L = _LEVELS levels, for _bargmann_amplitudes.
 
     The levels p = bL + q (q < L) up to the last where any row of the stack
     is nonzero make B blocks: the levels above it would only carry exact
@@ -563,42 +564,21 @@ class _LevelBlocks:
     of a running product of 1 / (bL + j), so its relative rounding stays
     within a few L ulps at every level.
     """
-
-    def __init__(self, stack):
-        levels = 1 + max(np.flatnonzero(stack.any(axis=(0, 1))), default=0)
-        blocks = -(-levels // _LEVELS)
-        tails = np.sqrt(np.cumprod(
-            1.0 / (np.arange(blocks)[:, None] * _LEVELS + np.arange(1, _LEVELS + 1)), axis=1))
-        weights = np.ones((blocks, _LEVELS))
-        weights[:, 1:] = tails[:, :-1]
-        rows = np.zeros(stack.shape[:2] + (blocks * _LEVELS,), dtype=np.complex128)
-        rows[..., :levels] = stack[..., :levels]
-        rows = rows.reshape(stack.shape[:2] + (blocks, _LEVELS)) * weights
-        self.rows = np.ascontiguousarray(rows.transpose(2, 0, 1, 3))
-        self.ratios = tails[:, -1]
-        self._buffer = np.empty(0, dtype=np.complex128)
-
-    def for_thread(self):
-        """A copy that shares the rows and ratios and has its own buffers."""
-        twin = copy.copy(self)
-        twin._buffer = np.empty(0, dtype=np.complex128)
-        return twin
-
-    def buffers(self, width):
-        """The powers (L + 1, width) and block sums (B S r, width), two
-        C-contiguous arrays in one buffer that grows to the widest chunk, so
-        that a thread's chunks touch no fresh pages."""
-        split = (_LEVELS + 1) * width
-        need = split + self.rows.size // _LEVELS * width
-        if self._buffer.size < need:
-            self._buffer = np.empty(need, dtype=np.complex128)
-        return (self._buffer[:split].reshape(-1, width),
-                self._buffer[split:need].reshape(-1, width))
+    levels = 1 + max(np.flatnonzero(stack.any(axis=(0, 1))), default=0)
+    blocks = -(-levels // _LEVELS)
+    tails = np.sqrt(np.cumprod(
+        1.0 / (np.arange(blocks)[:, None] * _LEVELS + np.arange(1, _LEVELS + 1)), axis=1))
+    weights = np.ones((blocks, _LEVELS))
+    weights[:, 1:] = tails[:, :-1]
+    rows = np.zeros(stack.shape[:2] + (blocks * _LEVELS,), dtype=np.complex128)
+    rows[..., :levels] = stack[..., :levels]
+    rows = rows.reshape(stack.shape[:2] + (blocks, _LEVELS)) * weights
+    return np.ascontiguousarray(rows.transpose(2, 0, 1, 3)), tails[:, -1]
 
 
-def _bargmann_amplitudes(blocked, z):
-    """e^{-|z|^2/2} v(z) for each row v of a stack of _LevelBlocks, at the
-    points z; (S, r, len(z)), a view of the blocks' buffers.
+def _bargmann_amplitudes(rows, ratios, z, scratch):
+    """e^{-|z|^2/2} v(z) for each row v of a stack cut by _level_blocks, at
+    the points z; (S, r, len(z)), a view of `scratch`.
 
     With phi_p = z^p / sqrt(p!), v(z) = sum_b phi_{bL} T_b, where the block
     sum T_b = sum_q rows[b, q] z^q, and phi_{(b+1)L} = phi_{bL} z^L ratios[b].
@@ -614,11 +594,18 @@ def _bargmann_amplitudes(blocked, z):
     snapshot passed 1e150 have them divided by their largest modulus, and
     the Gaussian is applied to the log of each point's accumulated scale at
     the end.  A value thus depends on its own point and snapshot alone.
+
+    The powers (L + 1, width) and block sums (B S r, width), width being
+    len(z) padded, are two C-contiguous arrays at the start of the flat
+    complex `scratch`, which holds at least (L + 1 + B S r) (len(z) + 7)
+    values; so a share's chunks touch no fresh pages.
     """
-    rows, ratios = blocked.rows, blocked.ratios
     blocks, snapshots, n_rows, _ = rows.shape
     count = z.size
-    powers, sums = blocked.buffers(-(-count // 8) * 8)
+    width = -(-count // 8) * 8
+    split = (_LEVELS + 1) * width
+    powers = scratch[:split].reshape(-1, width)
+    sums = scratch[split:split + rows.size // _LEVELS * width].reshape(-1, width)
     powers[0] = 1.0
     powers[1, :count] = z
     powers[1, count:] = 0.0
@@ -661,29 +648,36 @@ def husimi_grid(factors, re_axis, im_axis) -> QGrid:
     block sums are one matrix product shared by the whole stack.  A chunk
     holds per point the powers of z, every block sum and the partial sums.
     The chunks run on _WORKERS threads (_run_chunks), each writing only its
-    own points, and every value is the same bits for any thread count,
-    chunk size or stack it came in.  Non-finite factors abort.
+    own points; each share makes its scratch once, sized by the first
+    (largest) chunk.  Every value is the same bits for any thread count,
+    chunk size or stack it came in.  Non-finite factors or axis values
+    abort.
     """
     factors = np.asarray(factors)
     _check_factors(factors)
     re_axis = np.ascontiguousarray(re_axis, dtype=float)
     im_axis = np.ascontiguousarray(im_axis, dtype=float)
+    if not (np.isfinite(re_axis).all() and np.isfinite(im_axis).all()):
+        raise NumericalGuardError("Husimi grid axes hold non-finite values")
     _check_window(factors.shape[-1], corner_alpha_sq(re_axis, im_axis))
     stack = factors.reshape((-1,) + factors.shape[-2:])
-    blocks = _LevelBlocks(stack)
+    rows, ratios = _level_blocks(stack)
     z = (re_axis[None, :] - 1j * im_axis[:, None]).ravel()
     values = np.empty((len(stack), z.size))
+    held = _LEVELS + 1 + (len(rows) + 1) * stack.shape[0] * stack.shape[1]
+    chunks = _chunks(z.size, held)
+    # room for the first, largest chunk padded (_bargmann_amplitudes)
+    room = (_LEVELS + 1 + rows.size // _LEVELS) * (chunks[0].stop + 7)
 
     def share_task():
-        own = blocks.for_thread()
+        scratch = np.empty(room, dtype=np.complex128)
 
         def task(part):
-            amps = _bargmann_amplitudes(own, z[part])
+            amps = _bargmann_amplitudes(rows, ratios, z[part], scratch)
             values[:, part] = np.sum(np.abs(amps) ** 2, axis=1) / math.pi
         return task
 
-    held = _LEVELS + 1 + (len(blocks.rows) + 1) * stack.shape[0] * stack.shape[1]
-    _run_chunks(share_task, _chunks(z.size, held))
+    _run_chunks(share_task, chunks)
     return QGrid(re_axis=re_axis, im_axis=im_axis,
                  values=values.reshape(factors.shape[:-2] + (len(im_axis), len(re_axis))))
 

@@ -171,9 +171,11 @@ class SectorPropagator:
 
     def evolve(self, psi0: np.ndarray, t):
         """psi0 (4, M) a time t later: (4, M) for a scalar t, t.shape + (4, M)
-        for an array of times."""
+        for an array of times.  A NaN or Inf in psi0 or t aborts."""
         t = np.asarray(t, dtype=float)
         flat = np.asarray(psi0, dtype=np.complex128).reshape(-1)
+        if not (np.isfinite(flat).all() and np.isfinite(t).all()):
+            raise NumericalGuardError("state or times hold non-finite values")
         out = np.zeros(t.shape + flat.shape, dtype=np.complex128)
         for idx, w, V in self._stacks:
             c = np.einsum("sji,sj->si", V, flat[idx])
@@ -258,7 +260,8 @@ def evolve_numeric_sampled(H: np.ndarray, psi0: np.ndarray, times) -> np.ndarray
     Sample times carry rounding, so intervals that agree to a few ulps of
     the latest time (evenly spaced samples) are integrated with one common
     length, their mean.  One P^n is held at a time, and it is formed
-    again only where the span changes.
+    again only where the span changes.  A NaN or Inf in H, psi0 or the
+    times aborts.
     """
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError("Hamiltonian must be a square matrix")
@@ -268,9 +271,11 @@ def evolve_numeric_sampled(H: np.ndarray, psi0: np.ndarray, times) -> np.ndarray
         raise ValueError(
             f"state dimension {psi.shape[0]} does not match the "
             f"{H.shape[0]}-dimensional Hamiltonian")
+    times = np.asarray(times, dtype=float).reshape(-1)
+    if not (np.isfinite(H).all() and np.isfinite(psi).all() and np.isfinite(times).all()):
+        raise NumericalGuardError("Hamiltonian, state or times hold non-finite values")
     dt = _auto_dt(H)
     n0 = np.linalg.norm(psi)
-    times = np.asarray(times, dtype=float).reshape(-1)
     spans = np.diff(times, prepend=0.0)
     if np.any(spans < 0):
         raise ValueError("sample times must be ascending")

@@ -402,6 +402,23 @@ class TestFieldDensity:
         assert chi.shape == (3, 2003) and not chi.flags.writeable
         assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
 
+    @pytest.mark.parametrize("times", [np.array(0.7), np.array([2.9]),
+                                       np.array([0.0, 0.7, 2.9, -1.5, 40.0])])
+    def test_time_axis_matches_per_time_calls(self, small_system, symmetric_system, times):
+        for _, field, spectra in (small_system, symmetric_system):
+            chi = reduced_field_density(field, spectra, times)
+            assert chi.shape == times.shape + (3, field.n_max + 3)
+            assert not chi.flags.writeable
+            for t, own in zip(times.reshape(-1), chi.reshape(-1, 3, field.n_max + 3)):
+                ref = reduced_field_density(field, spectra, float(t))
+                assert ref.shape == (3, field.n_max + 3)
+                assert own.tobytes() == ref.tobytes(), t
+
+    def test_nan_among_the_times_trips_the_phase_guard(self, small_system):
+        _, field, spectra = small_system
+        with pytest.raises(NumericalGuardError, match="double range"):
+            reduced_field_density(field, spectra, np.array([0.5, math.nan, 1.0]))
+
     def test_nonzero_atom_entropy_matches_field_entropy(self, small_system):
         _, field, spectra = small_system
         t = 1.1

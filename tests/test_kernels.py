@@ -1,20 +1,26 @@
 """The batched numpy kernels against per-sample and single-point references."""
 
+import functools
 import math
 import os
 import subprocess
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twojc
 from twojc import dynamics, oracle
-from twojc import (F_BUCK_SUKUMAR, ModelParams, NumericalGuardError, coherent_field,
-                   concurrence, field_entropy, husimi_grid, husimi_q, observable_series,
-                   purity, reduced_atom_density)
-from twojc.dynamics import coherent_vector, entropy_of_eigvals, hermitian_eigvals
+from twojc import (F_BUCK_SUKUMAR, ModelParams, NumericalGuardError, TwojcError,
+                   build_block, coherent_field, concurrence, field_entropy, husimi_grid,
+                   husimi_q, observable_series, purity, reduced_atom_density,
+                   reduced_field_density, solve_blocks, spectrum_table)
+from twojc.dynamics import (SERIES_OBSERVABLES, coherent_vector, entropy_of_eigvals,
+                            hermitian_eigvals)
 from twojc.oracle import (SectorPropagator, build_joint_hamiltonian,
                           evolve_numeric_sampled, jacobi_eigh_cyclic,
                           joint_initial_state)
@@ -210,10 +216,10 @@ class TestHusimiGrid:
         caller = threading.current_thread()
         amplitudes = dynamics._bargmann_amplitudes
 
-        def fail_off_caller(rows, z):
+        def fail_off_caller(*args):
             if threading.current_thread() is not caller:
                 raise NumericalGuardError("worker chunk")
-            return amplitudes(rows, z)
+            return amplitudes(*args)
 
         monkeypatch.setattr(dynamics, "_WORKERS", 2)
         monkeypatch.setattr(dynamics, "_CHUNK", 3 * 2 * 8)  # <= 8 points a chunk
@@ -307,8 +313,9 @@ class TestNonFiniteDensities:
 
 
 class TestNonFiniteFactors:
-    """A NaN or Inf in rho_F's factors trips the guard in both Husimi
-    kernels, in place of a NaN value or a window guard that reads it."""
+    """A NaN or Inf in rho_F's factors or in a grid axis trips the guard in
+    the Husimi kernels, in place of a NaN value or a window guard that
+    reads it."""
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_husimi_grid(self, value):
@@ -325,6 +332,20 @@ class TestNonFiniteFactors:
         chi[2, 0] = value
         with pytest.raises(NumericalGuardError, match="non-finite"):
             husimi_q(chi, 0.5 + 0.5j)
+
+    @pytest.mark.parametrize("where, value", [(-1, math.nan), (2, math.nan), (2, math.inf),
+                                              (-1, -math.inf)])
+    def test_husimi_grid_axes(self, where, value):
+        # the window guard reads only the end points, and max(0.0, nan) is 0.0
+        chi = np.eye(3, 12, dtype=complex) / math.sqrt(3.0)
+        ax = np.linspace(0.0, 1.0, 5)
+        bad = ax.copy()
+        bad[where] = value
+        for re_axis, im_axis in ((bad, ax), (ax, bad)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericalGuardError, match="non-finite"):
+                    husimi_grid(chi, re_axis, im_axis)
 
 
 def reference_rk4(H, psi, times, dt, t0=0.0):
@@ -419,6 +440,93 @@ class TestRk4Powers:
         with pytest.raises(ValueError, match="ascending"):
             evolve_numeric_sampled(H, psi0, [0.5, 0.4])
         assert evolve_numeric_sampled(H, psi0, []).shape == (0, 4, 23)
+
+
+class TestNonFiniteOracleInput:
+    """The oracle's propagators abort on a NaN or Inf, in place of NaN
+    states, numpy warnings or numpy's own errors."""
+
+    @pytest.mark.parametrize("spoil", ["psi0", "nan time", "inf time"])
+    def test_sector_propagator(self, spoil):
+        H, psi0, _ = TestRk4Powers.system()
+        times = np.linspace(0.0, 2.0, 5)
+        if spoil == "psi0":
+            psi0 = psi0.copy()
+            psi0[3, 2] = math.nan
+        else:
+            times[2] = math.nan if spoil == "nan time" else math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalGuardError, match="non-finite"):
+                SectorPropagator(H, 20).evolve(psi0, times)
+
+    def test_sampled_nan_time(self):
+        # np.bincount in _shared_spans raised ValueError here
+        H, psi0, _ = TestRk4Powers.system()
+        with pytest.raises(NumericalGuardError, match="non-finite"):
+            evolve_numeric_sampled(H, psi0, [0.1, math.nan, 0.3])
+
+    def test_sampled_inf_hamiltonian(self):
+        # _auto_dt returned 0 here, and the step count divided by it
+        H, psi0, _ = TestRk4Powers.system()
+        H = H.copy()
+        H[5, 7] = math.inf
+        with pytest.raises(NumericalGuardError, match="non-finite"):
+            evolve_numeric_sampled(H, psi0, [0.1, 0.2])
+
+
+@functools.lru_cache(maxsize=None)
+def fuzz_cases():
+    """{kernel: (arrays, call)}: call(*arrays) is a valid call of the kernel
+    on finite arrays."""
+    params = ModelParams(omega0=1.0, g=1.0, kappa=0.25, f_kind=F_BUCK_SUKUMAR)
+    field = coherent_field(1.0, n_max=18)
+    spectra = spectrum_table(params, 18)
+    H = build_joint_hamiltonian(params, 18)
+    psi0 = joint_initial_state(field)
+    propagator = SectorPropagator(H, 18)
+    rho = random_densities(np.random.default_rng(7), 4, 3)
+    blocks = build_block(params, np.arange(5))
+    chi = reduced_field_density(field, spectra, [0.4, 1.1])
+    ax = np.linspace(-1.0, 1.0, 5)
+    times = np.linspace(0.0, 2.0, 6)
+    return {
+        "concurrence": ([rho], concurrence),
+        "field_entropy": ([rho], field_entropy),
+        "entropy_of_eigvals": ([hermitian_eigvals(rho)], entropy_of_eigvals),
+        "solve_blocks": ([blocks], lambda b: solve_blocks(b, np.arange(5))),
+        "jacobi_eigh_cyclic": ([blocks], jacobi_eigh_cyclic),
+        "husimi_grid": ([chi, ax, ax], husimi_grid),
+        "husimi_q": ([chi[0]], lambda f: husimi_q(f, 0.3 + 0.2j)),
+        "reduced_field_density": ([times], lambda t: reduced_field_density(field, spectra, t)),
+        "observable_series": ([times], lambda t: observable_series(field, spectra, t,
+                                                                   SERIES_OBSERVABLES)),
+        "SectorPropagator.evolve": ([psi0, times], propagator.evolve),
+        "evolve_numeric_sampled": ([H, psi0, times], evolve_numeric_sampled),
+    }
+
+
+class TestNonFiniteFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_non_finite_entry_raises_a_package_error(self, data):
+        """A NaN or +-Inf at any position of any array argument of a public
+        kernel raises a TwojcError, and nothing warns on the way."""
+        cases = fuzz_cases()
+        arrays, call = cases[data.draw(st.sampled_from(sorted(cases)), label="kernel")]
+        arrays = [np.array(a) for a in arrays]
+        flat = arrays[data.draw(st.integers(0, len(arrays) - 1), label="argument")].reshape(-1)
+        at = data.draw(st.integers(0, flat.size - 1), label="position")
+        value = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]), label="value")
+        if np.iscomplexobj(flat) and data.draw(st.booleans(), label="imaginary part"):
+            flat.imag[at] = value
+        else:
+            flat[at] = value
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TwojcError):
+                call(*arrays)
+        assert not caught, [str(w.message) for w in caught]
 
 
 def test_cli_import_loads_no_scipy():
