@@ -153,24 +153,21 @@ def _chunks(n_items: int, width: int):
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _run_chunks(share_task, chunks):
+def _run_chunks(share, chunks):
     """Run every chunk, dealt round-robin to up to _WORKERS threads.
 
-    Each share calls share_task() once, in its own thread, and the task it
-    returns on each of its chunks in turn.  The calling thread takes the
-    first share, and a single chunk starts no thread.  The first share's
-    exception, in share order, is re-raised here once every thread has
-    finished.  Worker threads run under numpy's default error state, not
-    under the caller's np.errstate.
+    Share i, chunks[i::_WORKERS], is one call share(its chunks) in its own
+    thread.  The calling thread takes the first share, and a single chunk
+    starts no thread.  The first share's exception, in share order, is
+    re-raised here once every thread has finished.  Worker threads run
+    under numpy's default error state, not under the caller's np.errstate.
     """
     shares = [chunks[i::_WORKERS] for i in range(min(_WORKERS, len(chunks)))]
     errors = [None] * len(shares)
 
     def work(i):
         try:
-            task = share_task()
-            for chunk in shares[i]:
-                task(chunk)
+            share(shares[i])
         except BaseException as exc:  # handed to the caller below
             errors[i] = exc
 
@@ -187,9 +184,14 @@ def _run_chunks(share_task, chunks):
 
 
 def _check_phases(energies, times):
-    """Abort when a phase E t of the table is beyond double range."""
-    if len(times) and not math.isfinite(float(np.abs(energies).max())
-                                        * float(np.abs(times).max())):
+    """Abort when a time is NaN or a phase E t of the table is beyond
+    double range."""
+    if not len(times):
+        return
+    t_max = float(np.abs(times).max())  # NaN when any time is
+    if math.isnan(t_max):
+        raise NumericalGuardError("times hold NaN")
+    if not math.isfinite(float(np.abs(energies).max()) * t_max):
         raise NumericalGuardError("phases E t beyond double range")
 
 
@@ -295,17 +297,19 @@ _WINDOW = 1 << 14
 
 
 def _density_windows(field: FieldInit, spectra, taus, g=1.0):
-    """Yield (part, rho, threads) over consecutive windows of a time array,
-    in time order: rho (len, 3, 3) holds rho_A at the times t = tau / g of
-    taus[part], built on `threads` threads.
+    """Yield (part, run) over consecutive windows of a time array, in time
+    order: run(read) builds rho_A at the times t = tau / g of taus[part] and
+    calls read(at, rho) on each chunk of it, rho (len, 3, 3) holding rho_A
+    at the times taus[part][at].
 
     The chunks of one plan (_chunks) run on _WORKERS threads (_run_chunks),
-    up to about _WINDOW samples at a time.  Each thread builds its chunks'
-    rho_A as the Gram of the branch rows (_BranchRows) of the field's support
-    (_support_weights) in row buffers of its own, made for the window and let
-    go before it is yielded, so a caller working on a window holds no more
-    than its rho_A.  rho is a view that the next window overwrites, and every
-    entry is the same bits for any thread count.
+    up to about _WINDOW samples at a time, in one pass per window.  Each
+    thread builds its chunks' rho_A as the Gram of the branch rows
+    (_BranchRows) of the field's support (_support_weights) in row buffers
+    of its own, lets those go, and then reads the same chunks; so a window
+    peaks no higher than building its rho_A.  rho is a view that the next
+    window overwrites, and every entry is the same bits for any thread
+    count.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     if not len(taus):
@@ -322,17 +326,19 @@ def _density_windows(field: FieldInit, spectra, taus, g=1.0):
         lo = window[0].start
         times = taus[lo:window[-1].stop] / g  # so that a worker allocates only its buffers
 
-        def share_task():
-            rows = _BranchRows(weights, support.energies, size)
+        def run(read):
+            def share(parts):
+                ats = [slice(part.start - lo, part.stop - lo) for part in parts]
+                rows = _BranchRows(weights, support.energies, size)
+                for at in ats:
+                    rows.gram(times[at], out=rho[at])
+                del rows
+                for at in ats:
+                    read(at, rho[at])
 
-            def task(part):
-                at = slice(part.start - lo, part.stop - lo)
-                rows.gram(times[at], out=rho[at])
-            return task
+            _run_chunks(share, window)
 
-        _run_chunks(share_task, window)
-        yield (slice(lo, window[-1].stop), rho[:window[-1].stop - lo],
-               min(_WORKERS, len(window)))
+        yield slice(lo, window[-1].stop), run
 
 
 def reduced_atom_density(field: FieldInit, spectra, times) -> np.ndarray:
@@ -346,8 +352,8 @@ def reduced_atom_density(field: FieldInit, spectra, times) -> np.ndarray:
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     rho = np.empty((len(times), 3, 3), dtype=np.complex128)
-    for part, window, _ in _density_windows(field, spectra, times):
-        rho[part] = window
+    for part, run in _density_windows(field, spectra, times):
+        run(rho[part].__setitem__)  # each chunk's rho_A into its place
     return rho
 
 
@@ -402,11 +408,14 @@ def field_entropy(rho):
     For a joint pure state the field and atom entropies coincide, so the
     3x3 atomic density (or a stack of them) is enough; see
     entropy_of_eigvals for the clipping.  Input that is not finite and
-    Hermitian to 1e-8 aborts.
+    Hermitian, or whose eigenvalues are not those of a density, to 1e-8
+    aborts.
     """
     m = np.asarray(rho)
     _check_hermitian(m)
-    return entropy_of_eigvals(hermitian_eigvals(m))
+    w = hermitian_eigvals(m)
+    _check_density_eigvals(w)
+    return entropy_of_eigvals(w)
 
 
 def entropy_of_eigvals(w):
@@ -450,14 +459,16 @@ def concurrence(rho):
 
     Accepts a 3x3 density in the basis (|e,e>, sym, |g,g>), or a (T, 3, 3)
     stack, for which it returns an array (an np.float64 for one 3x3).
-    Input that is not finite and Hermitian to 1e-8 aborts; see
-    _concurrence_of for the rest.
+    Input that is not finite and Hermitian, or whose eigenvalues are not
+    those of a density, to 1e-8 aborts; see _concurrence_of for the rest.
     """
     m = np.asarray(rho)
     if m.ndim not in (2, 3) or m.shape[-2:] != (3, 3):
         raise TwojcError("concurrence expects 3x3 symmetric-sector density matrices")
     _check_hermitian(m)
-    return _concurrence_of(*np.linalg.eigh(m))
+    w, V = np.linalg.eigh(m)
+    _check_density_eigvals(w)
+    return _concurrence_of(w, V)
 
 
 def _check_hermitian(m):
@@ -467,6 +478,15 @@ def _check_hermitian(m):
         defect = np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0)
     if not defect <= 1e-8:
         raise NumericalGuardError(f"density is not finite and Hermitian: defect {defect:.2e}")
+
+
+def _check_density_eigvals(w):
+    """Abort when the eigenvalues w (last axis) of a Hermitian matrix, or
+    of a stack of them, are not a density's: each sum 1 and none negative,
+    to 1e-8."""
+    defect = max(np.abs(w.sum(axis=-1) - 1.0).max(initial=0.0), -w.min(initial=0.0))
+    if not defect <= 1e-8:
+        raise NumericalGuardError(f"density is not unit-trace and positive: defect {defect:.2e}")
 
 
 def _concurrence_of(w, V):
@@ -495,7 +515,10 @@ class QGrid:
     values: np.ndarray
 
     def integral(self):
-        """The Riemann sum of Q over the grid; one per snapshot of a stack."""
+        """The Riemann sum of Q over the grid; one per snapshot of a stack.
+        An axis of fewer than two points aborts."""
+        if min(len(self.re_axis), len(self.im_axis)) < 2:
+            raise NumericalGuardError("a Riemann sum needs two points on each grid axis")
         dre = self.re_axis[1] - self.re_axis[0]
         dim = self.im_axis[1] - self.im_axis[0]
         return self.values.sum(axis=(-2, -1)) * dre * dim
@@ -650,13 +673,15 @@ def husimi_grid(factors, re_axis, im_axis) -> QGrid:
     The chunks run on _WORKERS threads (_run_chunks), each writing only its
     own points; each share makes its scratch once, sized by the first
     (largest) chunk.  Every value is the same bits for any thread count,
-    chunk size or stack it came in.  Non-finite factors or axis values
-    abort.
+    chunk size or stack it came in.  Non-finite factors or axis values,
+    or an empty axis, abort.
     """
     factors = np.asarray(factors)
     _check_factors(factors)
     re_axis = np.ascontiguousarray(re_axis, dtype=float)
     im_axis = np.ascontiguousarray(im_axis, dtype=float)
+    if not (len(re_axis) and len(im_axis)):
+        raise NumericalGuardError("Husimi grid axes must not be empty")
     if not (np.isfinite(re_axis).all() and np.isfinite(im_axis).all()):
         raise NumericalGuardError("Husimi grid axes hold non-finite values")
     _check_window(factors.shape[-1], corner_alpha_sq(re_axis, im_axis))
@@ -669,15 +694,13 @@ def husimi_grid(factors, re_axis, im_axis) -> QGrid:
     # room for the first, largest chunk padded (_bargmann_amplitudes)
     room = (_LEVELS + 1 + rows.size // _LEVELS) * (chunks[0].stop + 7)
 
-    def share_task():
+    def share(parts):
         scratch = np.empty(room, dtype=np.complex128)
-
-        def task(part):
+        for part in parts:
             amps = _bargmann_amplitudes(rows, ratios, z[part], scratch)
             values[:, part] = np.sum(np.abs(amps) ** 2, axis=1) / math.pi
-        return task
 
-    _run_chunks(share_task, chunks)
+    _run_chunks(share, chunks)
     return QGrid(re_axis=re_axis, im_axis=im_axis,
                  values=values.reshape(factors.shape[:-2] + (len(im_axis), len(re_axis))))
 
@@ -687,40 +710,28 @@ def husimi_grid(factors, re_axis, im_axis) -> QGrid:
 
 SERIES_OBSERVABLES = ("inversion", "purity", "concurrence", "entropy")
 
-# samples of one call of a series' eigensolve (series_windows): its
-# temporaries take about 620 bytes a sample
-_EIGEN_PART = 1 << 11
-
 
 def series_windows(field: FieldInit, spectra, taus, observables, g=1.0):
     """Yield (part, values) over consecutive windows of a series, in time
     order: values[name] holds observable `name` at the times t = tau / g of
     taus[part].
 
-    Each window of rho_A (_density_windows) has its observables read from it,
-    entropy and concurrence from one eigh.  An eigensolve runs on the
-    threads that built the window, in parts of up to _EIGEN_PART samples
-    dealt round-robin (_run_chunks): a few large LAPACK calls that release
-    the interpreter lock, where the window's time chunks would make many
-    small numpy calls that hold it.  Inversion and purity alone are a few
-    sums per sample, cheaper than a thread, and run on the calling thread.
-    Nothing is held beyond one window, and every value is the same bits for
-    any thread count.
+    Each window of rho_A (_density_windows) has its observables read from
+    it chunk by chunk, on the threads that built it; entropy and
+    concurrence read one eigh.  Nothing is held beyond one window, and
+    every value is the same bits for any thread count.
     """
     bad = [o for o in observables if o not in SERIES_OBSERVABLES]
     if bad:
         raise TwojcError(f"unknown observables: {bad}")
-    eigensolve = "entropy" in observables or "concurrence" in observables
-    for part, rho, threads in _density_windows(field, spectra, taus, g):
-        values = {name: np.empty(len(rho)) for name in observables}
+    for part, run in _density_windows(field, spectra, taus, g):
+        values = {name: np.empty(part.stop - part.start) for name in observables}
 
-        def task(at):
-            for name, value in _of_densities(rho[at], observables).items():
+        def read(at, rho):
+            for name, value in _of_densities(rho, observables).items():
                 values[name][at] = value
 
-        n = len(rho)
-        k = threads * -(-n // (threads * _EIGEN_PART)) if eigensolve else 1
-        _run_chunks(lambda: task, [slice(i * n // k, (i + 1) * n // k) for i in range(k)])
+        run(read)
         yield part, values
 
 
@@ -735,6 +746,7 @@ def _of_densities(rho, observables):
     if "entropy" in observables or "concurrence" in observables:
         _check_hermitian(rho)
         w, V = np.linalg.eigh(rho)
+        _check_density_eigvals(w)
         if "concurrence" in observables:
             out["concurrence"] = _concurrence_of(w, V)
         if "entropy" in observables:

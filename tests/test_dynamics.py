@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -416,7 +418,7 @@ class TestFieldDensity:
 
     def test_nan_among_the_times_trips_the_phase_guard(self, small_system):
         _, field, spectra = small_system
-        with pytest.raises(NumericalGuardError, match="double range"):
+        with pytest.raises(NumericalGuardError, match="times hold NaN"):
             reduced_field_density(field, spectra, np.array([0.5, math.nan, 1.0]))
 
     def test_nonzero_atom_entropy_matches_field_entropy(self, small_system):
@@ -453,6 +455,23 @@ class TestHusimi:
         grid = husimi_grid(rho, ax, ax)
         assert np.all(grid.values >= -1e-12)
         assert grid.integral() == pytest.approx(1.0, abs=1e-3)
+
+    def test_empty_axis_is_a_guard(self, small_system):
+        _, field, spectra = small_system
+        rho = reduced_field_density(field, spectra, 0.0)
+        ax = np.linspace(0.0, 1.0, 2)
+        for re_axis, im_axis in (([], ax), (ax, [])):
+            with pytest.raises(NumericalGuardError, match="must not be empty"):
+                husimi_grid(rho, re_axis, im_axis)
+
+    def test_integral_of_a_one_point_axis_is_a_guard(self, small_system):
+        _, field, spectra = small_system
+        rho = reduced_field_density(field, spectra, 0.0)
+        ax = np.linspace(0.0, 1.0, 2)
+        for re_axis, im_axis in (([0.5], ax), (ax, [0.5])):
+            grid = husimi_grid(rho, re_axis, im_axis)
+            with pytest.raises(NumericalGuardError, match="two points"):
+                grid.integral()
 
     def test_window_guard(self, small_system):
         _, field, spectra = small_system
@@ -849,16 +868,60 @@ class TestWorkers:
         monkeypatch.setattr(dynamics, "_WORKERS", 3)
         done, raised_on = [], []
 
-        def task(chunk):
-            if chunk == 4:  # shares [0, 3], [1, 4], [2, 5]: a worker's share
-                raised_on.append(threading.current_thread())
-                raise NumericalGuardError("chunk 4")
-            done.append(chunk)
+        def share(chunks):
+            for chunk in chunks:
+                if chunk == 4:  # shares [0, 3], [1, 4], [2, 5]: a worker's share
+                    raised_on.append(threading.current_thread())
+                    raise NumericalGuardError("chunk 4")
+                done.append(chunk)
 
         with pytest.raises(NumericalGuardError, match="chunk 4"):
-            dynamics._run_chunks(lambda: task, list(range(6)))
+            dynamics._run_chunks(share, list(range(6)))
         assert sorted(done) == [0, 1, 2, 3, 5]
         assert raised_on[0] is not threading.current_thread()
+
+    def test_each_share_is_one_call(self, monkeypatch):
+        # share i is chunks[i::_WORKERS], handed over whole; the calling
+        # thread runs share 0
+        monkeypatch.setattr(dynamics, "_WORKERS", 3)
+        calls = []
+        dynamics._run_chunks(
+            lambda chunks: calls.append((tuple(chunks), threading.current_thread())),
+            list(range(8)))
+        assert sorted(chunks for chunks, _ in calls) == [(0, 3, 6), (1, 4, 7), (2, 5)]
+        on = dict(calls)
+        assert on[(0, 3, 6)] is threading.current_thread()
+        assert threading.current_thread() not in (on[(1, 4, 7)], on[(2, 5)])
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_a_thread_reads_once_its_row_buffers_are_gone(self, small_system,
+                                                          monkeypatch, workers):
+        # a thread that read its chunks while it held its row buffers would
+        # peak higher by them
+        _, field, spectra = small_system
+        held = collections.defaultdict(weakref.WeakSet)  # live row buffers by thread
+        branch_rows, of_densities = dynamics._BranchRows, dynamics._of_densities
+
+        class Recorded(branch_rows):
+            def __init__(self, *args):
+                super().__init__(*args)
+                held[threading.get_ident()].add(self)
+
+        read = []
+
+        def checked(rho, observables):
+            assert not held[threading.get_ident()], "read while holding row buffers"
+            read.append(len(rho))
+            return of_densities(rho, observables)
+
+        monkeypatch.setattr(dynamics, "_BranchRows", Recorded)
+        monkeypatch.setattr(dynamics, "_of_densities", checked)
+        monkeypatch.setattr(dynamics, "_WORKERS", workers)
+        monkeypatch.setattr(dynamics, "_CHUNK", rho_width(field) * 64)
+        monkeypatch.setattr(dynamics, "_WINDOW", 256)
+        times = np.linspace(0.0, 12.0, 997)
+        observable_series(field, spectra, times, SERIES_OBSERVABLES)
+        assert sum(read) == len(times) and len(read) > 4 * workers
 
     def test_single_chunk_starts_no_thread(self, small_system, monkeypatch):
         def no_thread(*args, **kwargs):
@@ -867,7 +930,7 @@ class TestWorkers:
         monkeypatch.setattr(dynamics, "_WORKERS", 4)
         monkeypatch.setattr(threading, "Thread", no_thread)
         done = []
-        dynamics._run_chunks(lambda: done.append, ["only"])
+        dynamics._run_chunks(done.extend, ["only"])
         assert done == ["only"]
         _, field, spectra = small_system
         assert inversion_series(field, spectra, np.linspace(0.0, 1.0, 5)).shape == (5,)

@@ -312,6 +312,24 @@ class TestNonFiniteDensities:
             dynamics._of_densities(rho, observables)
 
 
+class TestNonDensities:
+    """A finite Hermitian matrix whose eigenvalues do not sum to 1, or one
+    of them negative, trips the guard in every kernel that solves it."""
+
+    KERNELS = {"concurrence": concurrence, "field_entropy": field_entropy,
+               "series": lambda rho: dynamics._of_densities(rho, ["entropy", "concurrence"])}
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @pytest.mark.parametrize("diagonal", [[1e308, 0.0, 0.0], [2.0, -0.5, -0.5]])
+    def test_rejected(self, kernel, diagonal):
+        bad = np.diag(diagonal).astype(complex)
+        for rho in (bad, np.stack([random_densities(np.random.default_rng(5), 1, 3)[0], bad])):
+            if kernel == "series" and rho.ndim == 2:
+                continue  # the series reads stacks
+            with pytest.raises(NumericalGuardError, match="unit-trace and positive"):
+                self.KERNELS[kernel](rho)
+
+
 class TestNonFiniteFactors:
     """A NaN or Inf in rho_F's factors or in a grid axis trips the guard in
     the Husimi kernels, in place of a NaN value or a window guard that
