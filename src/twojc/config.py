@@ -21,11 +21,6 @@ from .model import (FKind, HKind, ModelParams, NonlinearitySelector)
 
 OBSERVABLES = SERIES_OBSERVABLES + ("qfunction", "spectrum-dump")
 
-_H_KINDS = {"standard": HKind.STANDARD, "kerr": HKind.KERR, "custom": HKind.CUSTOM}
-_F_KINDS = {"linear": FKind.LINEAR, "buck_sukumar": FKind.BUCK_SUKUMAR,
-            "custom": FKind.CUSTOM}
-_ATOM_INITS = {"both_excited": AtomInit.BOTH_EXCITED, "symmetric": AtomInit.SYMMETRIC}
-
 # largest time_grid.count, q_grid.re_count/im_count, their product and n_max
 # (also an "auto" one): every count sizes an array, so a bigger one is a
 # config error rather than an allocation failure at run time
@@ -89,10 +84,11 @@ def _count(obj, key, path, default=None):
     return val
 
 
-def _choice(val, choices, where):
-    if not isinstance(val, str) or val not in choices:
-        raise ConfigError(f"{where}: expected one of {sorted(choices)}, got {val!r}")
-    return choices[val]
+def _choice(val, kinds, where):
+    names = [member.value for member in kinds]
+    if not isinstance(val, str) or val not in names:
+        raise ConfigError(f"{where}: expected one of {sorted(names)}, got {val!r}")
+    return kinds(val)
 
 
 # output file names are "<prefix>_<label>_<observable>.csv" inside output.dir
@@ -144,12 +140,12 @@ class RunConfig:
     raw: dict = field(repr=False, default=None)
 
 
-def _parse_selector(obj, name, kind_map, path, default):
+def _parse_selector(obj, name, kinds, path, default):
     """The <name>_kind selector of a model, with the <name>_table of values
     that only the custom kind takes."""
     table = _numbers(obj, f"{name}_table", path)
     key = f"{name}_kind"
-    kind = _choice(obj[key], kind_map, f"{path}.{key}") if key in obj else None
+    kind = _choice(obj[key], kinds, f"{path}.{key}") if key in obj else None
     custom = kind in (HKind.CUSTOM, FKind.CUSTOM)
     if table is not None and not custom:
         raise ConfigError(f"{path}.{name}_table: only {name}_kind \"custom\" "
@@ -173,8 +169,8 @@ def _parse_model(obj, path):
         chi=_number(obj, "chi", path, default=0.0),
         omega=_number(obj, "omega", path),
         delta=_number(obj, "delta", path),
-        h_kind=_parse_selector(obj, "h", _H_KINDS, path, NonlinearitySelector(HKind.STANDARD)),
-        f_kind=_parse_selector(obj, "f", _F_KINDS, path, NonlinearitySelector(FKind.LINEAR)),
+        h_kind=_parse_selector(obj, "h", HKind, path, NonlinearitySelector(HKind.STANDARD)),
+        f_kind=_parse_selector(obj, "f", FKind, path, NonlinearitySelector(FKind.LINEAR)),
     )
     return kwargs
 
@@ -248,7 +244,7 @@ def parse_config(doc: dict) -> RunConfig:
     base_field = _parse_field(doc["field"], "config.field", obs, q_grid)
 
     atom_init_name = doc.get("atom_init", "both_excited")
-    _choice(atom_init_name, _ATOM_INITS, "config.atom_init")
+    _choice(atom_init_name, AtomInit, "config.atom_init")
 
     base_model = _parse_model(doc["model"], "config.model")
 
@@ -287,7 +283,7 @@ def parse_config(doc: dict) -> RunConfig:
             c_mean, c_phase, n_max = _parse_field(
                 _merged(doc["field"], cd["field"], _FIELD_KEYS, f"{path}.field"),
                 f"{path}.field", obs, q_grid)
-        c_init = _choice(cd.get("atom_init", atom_init_name), _ATOM_INITS,
+        c_init = _choice(cd.get("atom_init", atom_init_name), AtomInit,
                          f"{path}.atom_init")
         curves.append(CurveSpec(label=label, params=params, mean_n=c_mean,
                                 phase=c_phase, n_max=n_max,

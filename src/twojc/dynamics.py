@@ -184,14 +184,11 @@ def _run_chunks(share, chunks):
 
 
 def _check_phases(energies, times):
-    """Abort when a time is NaN or a phase E t of the table is beyond
-    double range."""
-    if not len(times):
-        return
-    t_max = float(np.abs(times).max())  # NaN when any time is
+    """Abort on a NaN time or a phase E t of the table beyond double range."""
+    t_max = float(np.abs(times).max(initial=0.0))  # NaN when any time is
     if math.isnan(t_max):
         raise NumericalGuardError("times hold NaN")
-    if not math.isfinite(float(np.abs(energies).max()) * t_max):
+    if not math.isfinite(float(np.abs(energies).max(initial=0.0)) * t_max):
         raise NumericalGuardError("phases E t beyond double range")
 
 
@@ -398,8 +395,8 @@ def purity(rho):
 
 def hermitian_eigvals(mat) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix or of a stack of them
-    (last two axes)."""
-    return np.linalg.eigvalsh(np.asarray(mat, dtype=np.complex128))
+    (last two axes): those of the series' eigh, bit for bit."""
+    return np.linalg.eigh(np.asarray(mat, dtype=np.complex128))[0]
 
 
 def field_entropy(rho):
@@ -458,23 +455,19 @@ def concurrence(rho):
     state.
 
     Accepts a 3x3 density in the basis (|e,e>, sym, |g,g>), or a (T, 3, 3)
-    stack, for which it returns an array (an np.float64 for one 3x3).
-    Input that is not finite and Hermitian, or whose eigenvalues are not
-    those of a density, to 1e-8 aborts; see _concurrence_of for the rest.
+    stack, for which it returns an array (an np.float64 for one 3x3): the
+    series' own values (_of_densities), with its guards.
     """
     m = np.asarray(rho)
     if m.ndim not in (2, 3) or m.shape[-2:] != (3, 3):
         raise TwojcError("concurrence expects 3x3 symmetric-sector density matrices")
-    _check_hermitian(m)
-    w, V = np.linalg.eigh(m)
-    _check_density_eigvals(w)
-    return _concurrence_of(w, V)
+    return _of_densities(m, ("concurrence",))["concurrence"]
 
 
 def _check_hermitian(m):
     """Abort when a density (or a stack of them) is not Hermitian to 1e-8;
-    a NaN or Inf entry leaves a NaN or Inf defect, which aborts too."""
-    with np.errstate(invalid="ignore"):  # inf - inf
+    a NaN or Inf entry, or a difference beyond double range, aborts too."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf
         defect = np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0)
     if not defect <= 1e-8:
         raise NumericalGuardError(f"density is not finite and Hermitian: defect {defect:.2e}")
@@ -530,10 +523,9 @@ _HORNER_RESCALE_ABOVE = 1e150  # partial sums are rescaled once they pass this
 
 
 def corner_alpha_sq(re_axis, im_axis) -> float:
-    """max |alpha|^2 over the rectangle spanned by the end points of two
-    axes: its farthest corner."""
-    re = max(abs(float(re_axis[0])), abs(float(re_axis[-1])))
-    im = max(abs(float(im_axis[0])), abs(float(im_axis[-1])))
+    """max |alpha|^2 over the rectangle spanned by every point of two axes:
+    its farthest corner."""
+    re, im = (float(np.abs(axis).max()) for axis in (re_axis, im_axis))
     return re * re + im * im  # inf rather than OverflowError for huge bounds
 
 
@@ -555,23 +547,28 @@ def _check_window(rho_dim: int, alpha_sq_max: float):
 
 
 def coherent_vector(alpha: complex, dim: int) -> np.ndarray:
-    """Fock components <p|alpha> for p < dim, built in log space."""
-    return _coherent_amplitudes(abs(alpha) ** 2, np.angle(alpha), dim)
+    """Fock components <p|alpha> for p < dim, built in log space; a
+    non-finite |alpha|^2 (as corner_alpha_sq reads it) aborts."""
+    alpha_sq = corner_alpha_sq([alpha.real], [alpha.imag])
+    if not math.isfinite(alpha_sq):
+        raise NumericalGuardError(f"coherent amplitude {alpha!r}: |alpha|^2 is not finite")
+    return _coherent_amplitudes(alpha_sq, np.angle(alpha), dim)
 
 
 def _check_factors(factors):
-    """Abort when rho_F's factors hold a NaN or Inf."""
-    if not np.isfinite(factors).all():
-        raise NumericalGuardError("rho_F factors hold non-finite values")
+    """Abort when rho_F's factors hold a NaN or Inf or an entry beyond 2^500;
+    below it each Q (at most sum |chi|^2 / pi) and partial sum stays finite."""
+    if not np.abs(factors).max(initial=0.0) <= 2.0 ** 500:  # NaN or inf for a NaN or Inf
+        raise NumericalGuardError("rho_F factors hold non-finite values or values beyond 2^500")
 
 
 def husimi_q(factors, alpha: complex) -> float:
     """Q(alpha) = sum_k |<alpha|chi_k>|^2 / pi at one point, from rho_F's
     factors: the per-point reference for husimi_grid, also read by the
-    benchmark's phase-space check."""
+    benchmark's phase-space check.  It aborts where husimi_grid does."""
     _check_factors(factors)
     dim = factors.shape[1]
-    _check_window(dim, abs(alpha) ** 2)
+    _check_window(dim, corner_alpha_sq([alpha.real], [alpha.imag]))
     overlaps = factors @ coherent_vector(alpha, dim).conj()
     return float(np.sum(np.abs(overlaps) ** 2) / math.pi)
 
@@ -638,7 +635,7 @@ def _bargmann_amplitudes(rows, ratios, z, scratch):
         np.multiply(powers[1:more + 1], powers[known], out=powers[known + 1:known + more + 1])
         known += more
     np.matmul(rows.reshape(-1, _LEVELS), powers[:_LEVELS], out=sums)
-    sums = sums.reshape(blocks, snapshots, n_rows, -1)
+    sums = sums.reshape(blocks, snapshots, n_rows, width)
     acc = sums[-1]
     log_scale = np.zeros((snapshots, 1, acc.shape[-1]))  # acc holds the partial sums * e^{-log_scale}
     inv_scale = None                                     # e^{-log_scale}, once any point is rescaled
@@ -736,8 +733,8 @@ def series_windows(field: FieldInit, spectra, taus, observables, g=1.0):
 
 
 def _of_densities(rho, observables):
-    """{name: values} of the requested observables of a (T, 3, 3) stack;
-    entropy and concurrence read one eigh."""
+    """{name: values} of the requested observables of a (T, 3, 3) stack or one
+    3x3; entropy and concurrence read one eigh, guarded as in field_entropy."""
     out = {}
     if "inversion" in observables:
         out["inversion"] = _inversion_of(rho)

@@ -99,19 +99,14 @@ def beat_nodes(times, signal, period=math.pi):
     """Times where the slow beat envelope vanishes.
 
     The envelope is sampled by the revival heights h_m near tau = m *
-    period; nodes are local minima of that sequence with a sub-sample
-    vertex correction from the neighboring heights.
+    period; nodes are the maxima of -h (none next to a NaN height), with
+    a sub-sample vertex correction where the heights' parabola opens up.
     """
     h = _revival_heights(times, signal, period)
-    nodes = []
-    for m in range(1, len(h) - 1):
-        if np.isnan(h[m - 1:m + 2]).any():
-            continue
-        if h[m] < h[m - 1] and h[m] <= h[m + 1]:
-            denom = h[m - 1] + h[m + 1] - 2.0 * h[m]
-            shift = (h[m - 1] - h[m + 1]) / (2.0 * denom) if denom > 0 else 0.0
-            nodes.append((m + shift) * period)
-    return np.array(nodes)
+    m = _interior_maxima(-h)
+    denom = h[m - 1] + h[m + 1] - 2.0 * h[m]
+    shift = np.divide(h[m - 1] - h[m + 1], 2.0 * denom, out=np.zeros(len(m)), where=denom > 0)
+    return (m + shift) * period
 
 
 def nearest_extremum(target, extremum_times):

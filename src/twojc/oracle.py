@@ -118,8 +118,10 @@ def jacobi_eigh_cyclic(mat):
     rows and columns across the whole stack; a matrix that has converged,
     or whose (p, q) element is below the skip threshold, rotates with
     c = 1, s = 0, so every matrix follows its own single-matrix sequence.
-    A complex input must have a zero imaginary part, and is taken as real;
-    a NaN or Inf entry aborts.
+    Each matrix is solved as 2^-e A, max|A| < 2^e <= 2 max|A| (as in
+    spectral.solve_blocks).  A complex input must have a zero imaginary
+    part, and is taken as real; a NaN or Inf entry, or an eigenvalue
+    beyond double range, aborts.
     """
     if not np.isfinite(mat).all():
         raise NumericalGuardError("matrix holds non-finite entries")
@@ -131,9 +133,11 @@ def jacobi_eigh_cyclic(mat):
         raise ValueError(f"expected square matrices, got shape {shape}")
     n = shape[-1]
     A = A.reshape(-1, n, n)
+    e = np.frexp(np.abs(A).max(axis=(1, 2), initial=0.0))[1]
+    A = np.ldexp(A, -e[:, None, None])
     V = np.broadcast_to(np.eye(n), A.shape).copy()
     # the sum of squares in row-major order, one element at a time
-    tol = 1e-14 * np.sqrt(np.cumsum((A * A).reshape(len(A), -1), axis=1)[:, -1])
+    tol = 1e-14 * np.sqrt(np.cumsum((A * A).reshape(len(A), n * n), axis=1)[:, -1])
     iu, ju = np.triu_indices(n, 1)
     active = np.ones(len(A), dtype=bool)
     for _ in range(80):
@@ -151,7 +155,11 @@ def jacobi_eigh_cyclic(mat):
             for X in (A, A.swapaxes(1, 2), V):  # columns of A, rows of A, V
                 xp, xq = X[..., p], X[..., q]
                 X[..., p], X[..., q] = c * xp - s * xq, s * xp + c * xq
-    return np.diagonal(A, axis1=1, axis2=2).reshape(shape[:-1]), V.reshape(shape)
+    with np.errstate(over="ignore"):  # checked below
+        w = np.ldexp(np.diagonal(A, axis1=1, axis2=2), e[:, None])
+    if not np.isfinite(w).all():
+        raise NumericalGuardError("eigenvalues beyond double range")
+    return w.reshape(shape[:-1]), V.reshape(shape)
 
 
 class SectorPropagator:

@@ -984,6 +984,18 @@ class TestValidationSuites:
         assert tolerance == twojc.validation.APPROX_TOLERANCE
         assert near_max <= tolerance < far_max
 
+    def test_bench_tool_spreads_the_pair_ratios(self, monkeypatch):
+        tools = os.path.join(os.path.dirname(__file__), "..", "tools")
+        monkeypatch.syspath_prepend(tools)
+        spec = importlib.util.spec_from_file_location(
+            "bench_configs", os.path.join(tools, "bench_configs.py"))
+        bench_configs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench_configs)
+        # pair i is round i's two runs: ratios 0.5, 1, 1.5, 2, 3
+        ratio = bench_configs.pair_ratios([1.0, 2.0, 3.0, 4.0, 6.0], [2.0] * 5)
+        assert ratio == {"median": 1.5, "q1": 1.0, "q3": 2.0,
+                         "runs": [0.5, 1.0, 1.5, 2.0, 3.0]}
+
     def test_full_report(self, tmp_path, capsys):
         report = tmp_path / "report.json"
         assert main(["validate", "--level", "full", "--report", str(report)]) == 0

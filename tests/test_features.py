@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from twojc import features, inversion_series
 from twojc.dynamics import QGrid
 from twojc.features import (beat_nodes, collapse_width, find_peaks, grid_lobes,
                             nearest_extremum, revival_spacing)
+from twojc.validation import beat_reference_setup
 
 
 def synthetic_inversion(tau, mean_n=20.0, x=0.125):
@@ -60,6 +62,52 @@ def test_beat_node_spacing_kerr_style():
     nodes = beat_nodes(tau, sig)
     assert len(nodes) >= 2
     assert nodes[1] - nodes[0] == pytest.approx(32 * math.pi / 3.0, rel=0.1)
+
+
+def loop_beat_nodes(times, signal, period=math.pi):
+    """The per-m loop that beat_nodes replaced, frozen as its reference."""
+    h = features._revival_heights(times, signal, period)
+    nodes = []
+    for m in range(1, len(h) - 1):
+        if np.isnan(h[m - 1:m + 2]).any():
+            continue
+        if h[m] < h[m - 1] and h[m] <= h[m + 1]:
+            denom = h[m - 1] + h[m + 1] - 2.0 * h[m]
+            shift = (h[m - 1] - h[m + 1]) / (2.0 * denom) if denom > 0 else 0.0
+            nodes.append((m + shift) * period)
+    return np.array(nodes)
+
+
+def beat_signal(case):
+    """(times, signal) of a named beat-node case."""
+    rng = np.random.default_rng(len(case))
+    if case.startswith("beat reference"):
+        _, field, spectra = beat_reference_setup()
+        stop = 16.0 if case.endswith("16 pi") else 40.0
+        taus = np.linspace(0.0, stop * math.pi, 4001)
+        return taus, inversion_series(field, spectra, taus)
+    if case == "kerr-style":
+        tau = np.linspace(0.0, 24 * math.pi, 9000)
+        return tau, synthetic_inversion(tau, x=3.0 / 32.0)
+    if case == "gap":  # no sample near 2 pi or 5 pi: NaN heights
+        tau = np.linspace(0.0, 20 * math.pi, 5000)
+        keep = (np.abs(tau - 2 * math.pi) > 1.5) & (np.abs(tau - 5 * math.pi) > 1.5)
+        return tau[keep], synthetic_inversion(tau[keep], x=0.3)
+    if case == "ties":  # heights that repeat
+        tau = np.sort(rng.uniform(0.0, 30 * math.pi, 800))
+        return tau, rng.integers(0, 4, tau.size).astype(float)
+    tau = np.sort(rng.uniform(0.0, 30 * math.pi, 600))
+    return tau, rng.normal(size=tau.size)
+
+
+@pytest.mark.parametrize("case", ["beat reference 16 pi", "beat reference 40 pi",
+                                  "kerr-style", "gap", "ties", "random"])
+def test_beat_nodes_keep_the_bits_of_the_loop(case):
+    times, signal = beat_signal(case)
+    nodes = beat_nodes(times, signal)
+    ref = loop_beat_nodes(times, signal)
+    assert nodes.dtype == ref.dtype and nodes.shape == ref.shape
+    assert nodes.tobytes() == ref.tobytes()
 
 
 def test_local_extrema_roundtrip():

@@ -3,6 +3,7 @@
 import functools
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -15,15 +16,16 @@ from hypothesis import strategies as st
 
 import twojc
 from twojc import dynamics, oracle
-from twojc import (F_BUCK_SUKUMAR, ModelParams, NumericalGuardError, TwojcError,
-                   build_block, coherent_field, concurrence, field_entropy, husimi_grid,
-                   husimi_q, observable_series, purity, reduced_atom_density,
+from twojc import (F_BUCK_SUKUMAR, ModelParams, NumericalGuardError, QGrid, SpectrumTable,
+                   TwojcError, build_block, coherent_field, concurrence, field_entropy,
+                   husimi_grid, husimi_q, observable_series, purity, reduced_atom_density,
                    reduced_field_density, solve_blocks, spectrum_table)
 from twojc.dynamics import (SERIES_OBSERVABLES, coherent_vector, entropy_of_eigvals,
                             hermitian_eigvals)
 from twojc.oracle import (SectorPropagator, build_joint_hamiltonian,
                           evolve_numeric_sampled, jacobi_eigh_cyclic,
                           joint_initial_state)
+from twojc.validation import beat_reference_setup
 
 
 def random_densities(rng, count, dim, rank=None):
@@ -272,6 +274,96 @@ class TestBatchedSeries:
             with pytest.raises(twojc.TwojcError):
                 concurrence(np.zeros(shape))
 
+    def test_density_observables_are_the_series_bits(self):
+        # field_entropy and concurrence read the eigh of the series, so a
+        # stack of rho_A gives the series' values bit for bit
+        _, field, spectra = beat_reference_setup()
+        taus = np.linspace(0.0, 50.0, 4000)
+        series = observable_series(field, spectra, taus, ["entropy", "concurrence"])
+        rho = reduced_atom_density(field, spectra, taus)
+        assert field_entropy(rho).tobytes() == series["entropy"].tobytes()
+        assert concurrence(rho).tobytes() == series["concurrence"].tobytes()
+
+
+class TestAlphaGuard:
+    """|alpha|^2 is read as re re + im im, as the grid's window guard reads
+    it, so an alpha beyond the window or not finite trips the guard in
+    place of an OverflowError or NaN amplitudes."""
+
+    @pytest.mark.parametrize("alpha", [1e200, 1e160 + 1e160j, -1e308, complex(0.5, math.nan)])
+    def test_husimi_q(self, alpha):
+        chi = np.eye(3, 12, dtype=complex) / math.sqrt(3.0)
+        with pytest.raises(NumericalGuardError, match="outside the trusted window"):
+            husimi_q(chi, alpha)
+
+    @pytest.mark.parametrize("alpha", [1e200, complex(1e160, -1e160), math.nan,
+                                       complex(0.0, math.inf)])
+    def test_coherent_vector(self, alpha):
+        with pytest.raises(NumericalGuardError, match="not finite"):
+            coherent_vector(alpha, 5)
+
+
+class TestDegenerateShapes:
+    """An empty stack gives the empty result; blocks of another shape are
+    refused by name."""
+
+    def test_husimi_grid_empty_stack(self):
+        ax = np.linspace(-1.0, 1.0, 4)
+        grid = husimi_grid(np.zeros((0, 3, 33), dtype=complex), ax, ax[:3])
+        assert grid.values.shape == (0, 3, 4)
+
+    def test_jacobi_empty_stack(self):
+        w, V = jacobi_eigh_cyclic(np.zeros((0, 3, 3)))
+        assert w.shape == (0, 3) and V.shape == (0, 3, 3)
+
+    def test_solve_blocks_empty_stack(self):
+        table = solve_blocks(np.zeros((0, 3, 3)), np.arange(0))
+        assert len(table) == 0 and table.energies.shape == (0, 3)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3,), (4, 3, 4)])
+    def test_solve_blocks_other_shape(self, shape):
+        with pytest.raises(TwojcError, match=re.escape(f"got shape {shape}")):
+            solve_blocks(np.ones(shape), 0)
+
+
+class TestFiniteExtremes:
+    """Finite input at the edge of double range gives finite values or the
+    package's guard, and no numpy warning."""
+
+    def test_jacobi_scales_by_a_power_of_two(self):
+        w, _ = jacobi_eigh_cyclic(np.array([[1.0, 1e308], [1e308, 2.0]]))
+        np.testing.assert_allclose(w, [-1e308, 1e308], rtol=1e-15)
+        # tiny entries: the sum of squares underflowed, and tau * tau overflowed
+        w, _ = jacobi_eigh_cyclic(np.array([[1e-162, 5e-324], [5e-324, 0.0]]))
+        np.testing.assert_array_equal(w, [1e-162, 0.0])
+        # scaling by 2^-e moves no bit of an ordinary matrix's solution
+        a = np.random.default_rng(2).normal(size=(6, 4, 4))
+        a = a + a.swapaxes(1, 2)
+        w_a, V_a = jacobi_eigh_cyclic(a)
+        w_b, V_b = jacobi_eigh_cyclic(a * 2.0 ** 600)
+        assert (w_a * 2.0 ** 600).tobytes() == w_b.tobytes()
+        assert V_a.tobytes() == V_b.tobytes()
+
+    def test_jacobi_eigenvalue_beyond_range(self):
+        with pytest.raises(NumericalGuardError, match="beyond double range"):
+            jacobi_eigh_cyclic(np.full((2, 2), 1e308))
+
+    @pytest.mark.parametrize("scale", [1e308, 2.0 ** 501])
+    def test_husimi_factors_beyond_range(self, scale):
+        chi = np.eye(3, 12, dtype=complex) / math.sqrt(3.0) * scale
+        ax = np.linspace(-1.0, 1.0, 3)
+        for kernel in (lambda: husimi_grid(chi, ax, ax), lambda: husimi_q(chi, 0.5)):
+            with pytest.raises(NumericalGuardError, match="beyond 2\\^500"):
+                kernel()
+
+    def test_husimi_factors_at_the_bound_stay_finite(self):
+        rng = np.random.default_rng(1)
+        chi = rng.normal(size=(3, 1003)) + 1j * rng.normal(size=(3, 1003))
+        chi *= 0.999 * 2.0 ** 500 / np.abs(chi).max()
+        ax = np.linspace(-15.8, 15.8, 5)  # 2 |alpha|^2 up to 998.56 <= n_max
+        assert np.isfinite(husimi_grid(chi, ax, ax).values).all()
+        assert math.isfinite(husimi_q(chi, 15.8 - 15.8j))
+
 
 class TestNonFiniteDensities:
     """A NaN or Inf handed to an observable of rho_A trips the guard: none
@@ -351,10 +443,17 @@ class TestNonFiniteFactors:
         with pytest.raises(NumericalGuardError, match="non-finite"):
             husimi_q(chi, 0.5 + 0.5j)
 
+    def test_husimi_grid_interior_point_outside_the_window(self):
+        # the window guard reads every point of an axis, not its end points alone
+        chi = np.eye(3, 12, dtype=complex) / math.sqrt(3.0)
+        ax = np.array([0.0, 1e308, 1.0])
+        with pytest.raises(NumericalGuardError, match="outside the trusted window"):
+            husimi_grid(chi, ax, ax[::2])
+
     @pytest.mark.parametrize("where, value", [(-1, math.nan), (2, math.nan), (2, math.inf),
                                               (-1, -math.inf)])
     def test_husimi_grid_axes(self, where, value):
-        # the window guard reads only the end points, and max(0.0, nan) is 0.0
+        # the non-finite guard names the fault before the window guard reads it
         chi = np.eye(3, 12, dtype=complex) / math.sqrt(3.0)
         ax = np.linspace(0.0, 1.0, 5)
         bad = ax.copy()
@@ -524,26 +623,62 @@ def fuzz_cases():
     }
 
 
+def spoiled_call(data, values, kernels):
+    """(call, arrays): the fuzz case of a kernel drawn from `kernels`, with
+    one entry of one array argument set to a value drawn from `values`, in
+    its real or imaginary part."""
+    arrays, call = fuzz_cases()[data.draw(st.sampled_from(kernels), label="kernel")]
+    arrays = [np.array(a) for a in arrays]
+    flat = arrays[data.draw(st.integers(0, len(arrays) - 1), label="argument")].reshape(-1)
+    at = data.draw(st.integers(0, flat.size - 1), label="position")
+    value = data.draw(st.sampled_from(values), label="value")
+    if np.iscomplexobj(flat) and data.draw(st.booleans(), label="imaginary part"):
+        flat.imag[at] = value
+    else:
+        flat[at] = value
+    return call, arrays
+
+
+def all_finite(result):
+    """Whether every number a kernel returned is finite."""
+    if isinstance(result, dict):
+        return all(all_finite(v) for v in result.values())
+    if isinstance(result, tuple):
+        return all(all_finite(v) for v in result)
+    if isinstance(result, QGrid):
+        return all_finite(result.values)
+    if isinstance(result, SpectrumTable):
+        return all_finite((result.energies, result.coeffs))
+    return bool(np.isfinite(result).all())
+
+
 class TestNonFiniteFuzz:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_any_non_finite_entry_raises_a_package_error(self, data):
         """A NaN or +-Inf at any position of any array argument of a public
         kernel raises a TwojcError, and nothing warns on the way."""
-        cases = fuzz_cases()
-        arrays, call = cases[data.draw(st.sampled_from(sorted(cases)), label="kernel")]
-        arrays = [np.array(a) for a in arrays]
-        flat = arrays[data.draw(st.integers(0, len(arrays) - 1), label="argument")].reshape(-1)
-        at = data.draw(st.integers(0, flat.size - 1), label="position")
-        value = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]), label="value")
-        if np.iscomplexobj(flat) and data.draw(st.booleans(), label="imaginary part"):
-            flat.imag[at] = value
-        else:
-            flat[at] = value
+        call, arrays = spoiled_call(data, [math.nan, math.inf, -math.inf], sorted(fuzz_cases()))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(TwojcError):
                 call(*arrays)
+        assert not caught, [str(w.message) for w in caught]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_finite_extreme_gives_finite_values_or_a_package_error(self, data):
+        """+-1e308 or the least subnormal at any position of any array
+        argument of a public kernel but the oracle's propagators gives
+        finite values or raises a TwojcError, and nothing warns on the way."""
+        kernels = sorted(set(fuzz_cases()) - {"SectorPropagator.evolve", "evolve_numeric_sampled"})
+        call, arrays = spoiled_call(data, [1e308, -1e308, 5e-324], kernels)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                assert all_finite(call(*arrays))
+            except TwojcError:
+                pass
         assert not caught, [str(w.message) for w in caught]
 
 

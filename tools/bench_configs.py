@@ -22,7 +22,9 @@ the checkout at DIR (its `src/`), on the same config files, right before or
 after this checkout's run: the side that goes first alternates from round
 to round, so the RUNS rounds are alternating pairs.  The file then holds
 DIR's wall seconds and peak memory per config as well, under "against",
-and per config the number of pairs in which this checkout ran faster.
+and per config the number of pairs in which this checkout ran faster and the
+median and quartiles of the pairs' wall ratio (this / against), whose spread
+is the noise floor a gain or loss must clear.
 """
 
 import argparse
@@ -62,6 +64,11 @@ def spread(values):
     """Median and quartiles of a list of measurements."""
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def pair_ratios(this, against):
+    """Median and quartiles of this[i] / against[i] over the pairs i."""
+    return spread([a / b for a, b in zip(this, against)])
 
 
 def workload(config):
@@ -129,6 +136,7 @@ def main(argv=None):
                 "peak_rss_mb": spread(peaks["against"][name]),
                 "this_faster_in": sum(a < b for a, b in zip(seconds["this"][name],
                                                             seconds["against"][name])),
+                "wall_ratio": pair_ratios(seconds["this"][name], seconds["against"][name]),
             } for name in names},
         }
     path = os.path.normpath(os.path.join(ROOT, f"BENCH_{args.tag}.json"))
