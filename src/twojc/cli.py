@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, dynamics, spectral, validation
+from . import __version__, dynamics, spectral
 from .config import CurveSpec, RunConfig, load_config, resolved_lines
 from .errors import ConfigError, NumericalGuardError, TwojcError
 
@@ -443,7 +443,10 @@ def _cmd_run(args):
 def _cmd_validate(args):
     """The report is staged (`_staged`) and opened before the checks run, so
     a bad path costs no run and a failed run leaves an earlier report at the
-    path as it was."""
+    path as it was.  The check modules (validation and the oracle) load
+    here, so that `twojc run` never compiles or imports them."""
+    from . import validation
+
     with _staged("--report") as stage, \
             (open(stage(args.report), "w") if args.report else contextlib.nullcontext()) as fh:
         report = validation.run_level(args.level)

@@ -129,11 +129,15 @@ def _core_count() -> int:
 # every kernel they run, and no result depends on their number
 _WORKERS = min(4, _core_count())
 
-# units of work in flight over all workers: phases (times x levels x 3) for
-# rho_A, the complex values a Husimi point holds (its powers of z, block sums
-# and partial sums) x points for a Husimi grid; a unit takes about 60-70
-# bytes with its temporaries, so a kernel holds about 9 MB
+# units of work in flight over all workers, by which _chunks cuts the work:
+# phases (times x levels x 3) for rho_A, the complex values a Husimi point
+# holds (its powers of z, block sums and partial sums) x points for a Husimi
+# grid, which holds about 9 MB (60-70 bytes a unit with its temporaries)
 _CHUNK = 1 << 17
+
+# complex values per rho_A row buffer (_BranchRows), whatever the chunk; a
+# worker holds two, so at most _WORKERS x 2 x _ROWS x 16 bytes in all
+_ROWS = 1 << 14
 
 
 def _chunks(n_items: int, width: int):
@@ -208,34 +212,38 @@ class _BranchRows:
     With the weights of _fold_weights, row k is chi_k[n + k] = A_n D_k^(n)(t),
     the branch-k amplitudes on their Fock levels, and entries outside
     k .. k + N are zero; so rho_A = X X^dagger and rho_F = X^T X^*.  A call
-    takes up to `capacity` times and returns a view of buffers that the
-    next call overwrites, so the chunks of one share reuse the same memory.
-    The caller checks the phases first (_check_phases).
+    takes up to `capacity` times and returns a view of the rows, one of two
+    buffers that the next call overwrites: the other, the spare, takes the
+    phases, which each branch's sum over j reads into its band of the rows,
+    and then conj(X) for the Gram.  The caller checks the phases first
+    (_check_phases).
     """
 
     def __init__(self, weights, energies, capacity: int):
         self._weights = weights
         self._minus_i_energies = -1j * energies.T  # (3, N+1)
-        self._phases = np.empty((capacity,) + self._minus_i_energies.shape, dtype=np.complex128)
         self._rows = np.zeros((capacity, 3, energies.shape[0] + 2), dtype=np.complex128)
-        self._spare = np.empty_like(self._rows)  # the branch sums, then conj(X)
+        self._spare = np.empty_like(self._rows)  # the phases, then conj(X)
 
     def __call__(self, times):
         n_times = len(times)
-        n_levels = self._phases.shape[2]
-        phases = self._phases[:n_times]
-        branch, rows = self._spare[:n_times, :, :n_levels], self._rows[:n_times]
+        n_levels = self._minus_i_energies.shape[1]
+        phases = self._spare.reshape(-1)[:n_times * 3 * n_levels].reshape(n_times, 3, n_levels)
+        rows = self._rows[:n_times]
         np.exp(np.multiply.outer(times, self._minus_i_energies, out=phases), out=phases)
-        np.einsum("tjn,kjn->tkn", phases, self._weights, out=branch)
         for k in range(3):
-            rows[:, k, k:k + n_levels] = branch[:, k]
+            np.einsum("tjn,jn->tn", phases, self._weights[k], out=rows[:, k, k:k + n_levels])
         return rows
 
     def gram(self, times, out):
-        """X X^dagger of the rows at `times`, written to out (T, 3, 3)."""
-        X = self(times)
-        X_conj = np.conjugate(X, out=self._spare[:len(times)])
-        np.matmul(X, X_conj.swapaxes(1, 2), out=out)
+        """X X^dagger of the rows at `times`, written to out (T, 3, 3) in
+        pieces of `capacity` times."""
+        capacity = len(self._rows)
+        for lo in range(0, len(times), capacity):
+            piece = slice(lo, lo + capacity)
+            X = self(times[piece])
+            X_conj = np.conjugate(X, out=self._spare[:len(X)])
+            np.matmul(X, X_conj.swapaxes(1, 2), out=out[piece])
 
 
 def evolve_coeffs(spectra, atom_init: AtomInit, times) -> np.ndarray:
@@ -302,10 +310,11 @@ def _density_windows(field: FieldInit, spectra, taus, g=1.0):
     The chunks of one plan (_chunks) run on _WORKERS threads (_run_chunks),
     up to about _WINDOW samples at a time, in one pass per window.  Each
     thread builds its chunks' rho_A as the Gram of the branch rows
-    (_BranchRows) of the field's support (_support_weights) in row buffers
-    of its own, lets those go, and then reads the same chunks; so a window
-    peaks no higher than building its rho_A.  rho is a view that the next
-    window overwrites, and every entry is the same bits for any thread
+    (_BranchRows) of the field's support (_support_weights) in two row
+    buffers of its own, of about _ROWS values each (one time at least, a
+    chunk at most), lets those go, and then reads the same chunks; so a
+    window peaks no higher than building its rho_A.  rho is a view that the
+    next window overwrites, and every entry is the same bits for any thread
     count.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
@@ -316,6 +325,7 @@ def _density_windows(field: FieldInit, spectra, taus, g=1.0):
                                            np.array([taus.min(), taus.max()]) / g)
     chunks = _chunks(len(taus), 3 * len(support))
     size = chunks[0].stop
+    capacity = min(size, max(1, _ROWS // (3 * len(support))))
     per_window = _WORKERS * max(1, _WINDOW // (size * _WORKERS))
     rho = np.empty((min(len(taus), size * per_window), 3, 3), dtype=np.complex128)
     for first in range(0, len(chunks), per_window):
@@ -326,7 +336,7 @@ def _density_windows(field: FieldInit, spectra, taus, g=1.0):
         def run(read):
             def share(parts):
                 ats = [slice(part.start - lo, part.stop - lo) for part in parts]
-                rows = _BranchRows(weights, support.energies, size)
+                rows = _BranchRows(weights, support.energies, capacity)
                 for at in ats:
                     rows.gram(times[at], out=rho[at])
                 del rows

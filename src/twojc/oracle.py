@@ -36,6 +36,9 @@ from .model import ModelParams, ladder_factor, shift_factor
 BUFFER_TOL = 1e-10
 NORM_DRIFT_LIMIT = 1e-8
 _RK4_STEP_FRACTION = 0.02  # dt * (Gershgorin bound on |E|)
+# RK4 steps per span at most: each step's polynomial is within 3e-11 of
+# unitary, so even P^(2^40) stays far inside double range
+_RK4_MAX_STEPS = 2.0 ** 40
 
 # sigma_z weight per atomic basis state (gg, ge, eg, ee)
 _ATOM_WEIGHT = np.array([-1.0, 0.0, 0.0, 1.0])
@@ -162,6 +165,17 @@ def jacobi_eigh_cyclic(mat):
     return w.reshape(shape[:-1]), V.reshape(shape)
 
 
+def _check_entries(message, *arrays):
+    """Abort when an array holds a NaN or Inf, or a real or imaginary part
+    beyond 2^500 in size: below it the sums, products and norms of the
+    propagators stay finite.  Two reductions per part, no temporaries."""
+    for a in arrays:
+        for part in ((a.real, a.imag) if np.iscomplexobj(a) else (a,)):
+            # False for a NaN, which max and min pass on
+            if not -2.0 ** 500 <= part.min(initial=0.0) <= part.max(initial=0.0) <= 2.0 ** 500:
+                raise NumericalGuardError(message)
+
+
 class SectorPropagator:
     """Exact evolution by eigendecomposition of the joint H per connected
     block (per excitation sector for the model's H), with the blocks of one
@@ -176,14 +190,22 @@ class SectorPropagator:
         # (idx (S, d), w (S, d), V (S, d, d)) per block size d
         self._stacks = [(idx, *jacobi_eigh_cyclic(Hs))
                         for idx, Hs in _block_stacks(H)]
+        self._w_max = max((float(np.abs(w).max(initial=0.0)) for _, w, _ in self._stacks),
+                          default=0.0)
 
     def evolve(self, psi0: np.ndarray, t):
         """psi0 (4, M) a time t later: (4, M) for a scalar t, t.shape + (4, M)
-        for an array of times.  A NaN or Inf in psi0 or t aborts."""
+        for an array of times.  A NaN or Inf in psi0 or t, an entry of psi0
+        beyond 2^500 or a phase E t beyond double range aborts."""
         t = np.asarray(t, dtype=float)
-        flat = np.asarray(psi0, dtype=np.complex128).reshape(-1)
-        if not (np.isfinite(flat).all() and np.isfinite(t).all()):
-            raise NumericalGuardError("state or times hold non-finite values")
+        flat = np.ascontiguousarray(psi0, dtype=np.complex128).reshape(-1)
+        _check_entries("state holds non-finite values or values beyond 2^500",
+                       flat.view(np.float64))
+        t_max = float(np.abs(t).max(initial=0.0))  # NaN when any time is
+        if not math.isfinite(t_max):
+            raise NumericalGuardError("times hold non-finite values")
+        if not math.isfinite(self._w_max * t_max):
+            raise NumericalGuardError("phases E t beyond double range")
         out = np.zeros(t.shape + flat.shape, dtype=np.complex128)
         for idx, w, V in self._stacks:
             c = np.einsum("sji,sj->si", V, flat[idx])
@@ -234,8 +256,13 @@ def _matrix_power(P, n):
 
 
 def _rk4_power(H, span, dt):
-    """P(h)^n over `span`: n = ceil(span / dt) steps of h = span / n."""
-    n_steps = max(1, int(math.ceil(span / dt))) if math.isfinite(dt) else 1
+    """P(h)^n over `span`: n = ceil(span / dt) steps of h = span / n; more
+    than _RK4_MAX_STEPS steps abort."""
+    steps = span / dt  # inf rather than OverflowError for a huge span
+    if steps > _RK4_MAX_STEPS:
+        raise NumericalGuardError(f"RK4 needs {steps:.3g} steps over a span of {span!r}, "
+                                  f"more than 2^40")
+    n_steps = max(1, int(math.ceil(steps)))
     return _matrix_power(_rk4_step_matrix(H, span / n_steps), n_steps)
 
 
@@ -269,7 +296,8 @@ def evolve_numeric_sampled(H: np.ndarray, psi0: np.ndarray, times) -> np.ndarray
     the latest time (evenly spaced samples) are integrated with one common
     length, their mean.  One P^n is held at a time, and it is formed
     again only where the span changes.  A NaN or Inf in H, psi0 or the
-    times aborts.
+    times, an entry of H or psi0 beyond 2^500, or a span of more than
+    2^40 steps aborts.
     """
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError("Hamiltonian must be a square matrix")
@@ -280,8 +308,10 @@ def evolve_numeric_sampled(H: np.ndarray, psi0: np.ndarray, times) -> np.ndarray
             f"state dimension {psi.shape[0]} does not match the "
             f"{H.shape[0]}-dimensional Hamiltonian")
     times = np.asarray(times, dtype=float).reshape(-1)
-    if not (np.isfinite(H).all() and np.isfinite(psi).all() and np.isfinite(times).all()):
-        raise NumericalGuardError("Hamiltonian, state or times hold non-finite values")
+    _check_entries("Hamiltonian or state holds non-finite values or values beyond 2^500",
+                   H, psi.view(np.float64))
+    if not np.isfinite(times).all():
+        raise NumericalGuardError("times hold non-finite values")
     dt = _auto_dt(H)
     n0 = np.linalg.norm(psi)
     spans = np.diff(times, prepend=0.0)

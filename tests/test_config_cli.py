@@ -995,6 +995,44 @@ class TestValidationSuites:
         ratio = bench_configs.pair_ratios([1.0, 2.0, 3.0, 4.0, 6.0], [2.0] * 5)
         assert ratio == {"median": 1.5, "q1": 1.0, "q3": 2.0,
                          "runs": [0.5, 1.0, 1.5, 2.0, 3.0]}
+        # a config's pairs of peak memory go the way of its wall seconds
+        entry = bench_configs.paired({"this": [1.0, 2.0, 3.0, 4.0, 6.0], "against": [2.0] * 5},
+                                     {"this": [40.0, 44.0, 46.0, 50.0, 60.0],
+                                      "against": [50.0, 40.0, 46.0, 40.0, 50.0]})
+        assert entry["wall_ratio"] == ratio and entry["this_faster_in"] == 1
+        assert entry["this_smaller_in"] == 1  # a tie counts for neither side
+        assert entry["peak_ratio"] == {"median": 1.1, "q1": 1.0, "q3": 1.2,
+                                       "runs": [0.8, 1.1, 1.0, 1.25, 1.2]}
+        assert entry["peak_rss_mb"]["median"] == 46.0
+
+    def test_compare_tool_holds_tables_to_the_bound(self, tmp_path, capsys, monkeypatch):
+        path = os.path.join(os.path.dirname(__file__), "..", "tools", "compare_runs.py")
+        spec = importlib.util.spec_from_file_location("compare_runs", path)
+        compare_runs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(compare_runs)
+        doc = dict(BASE, observables=["inversion", "purity"],
+                   output={"dir": "out", "prefix": "t"})
+        runs = {}
+        for side in "ab":  # one config run from two directories
+            (tmp_path / side).mkdir()
+            monkeypatch.chdir(tmp_path / side)
+            runs[side] = run_config(parse_config(doc))
+        assert compare_runs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(runs["a"]["files"]) + 1  # the tables and the manifest
+        assert all(line.startswith("ok   ") and line.endswith(": same bytes") for line in lines)
+        table = tmp_path / "b" / "out" / runs["b"]["files"][0]["path"]
+        text = table.read_text()
+        last = text.rstrip("\n").rsplit("\n", 1)[1].split(",")
+        for shift, status in ((1e-15, 0), (1e-13, 1)):
+            moved = last[:-1] + ["%.17g" % (float(last[-1]) + shift)]
+            table.write_text(text.replace(",".join(last), ",".join(moved)))
+            assert compare_runs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == status
+            out = capsys.readouterr().out
+            assert f"{'ok  ' if status == 0 else 'FAIL'} out/{table.name}: worst |difference|" in out
+        table.write_text(text + "0,0\n")
+        assert compare_runs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+        assert "row counts differ" in capsys.readouterr().out
 
     def test_full_report(self, tmp_path, capsys):
         report = tmp_path / "report.json"

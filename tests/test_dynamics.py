@@ -743,6 +743,29 @@ class TestTimeChunks:
         for name in SERIES_OBSERVABLES:
             assert np.array_equal(out[name], ref[0][name]), name
         assert np.array_equal(reduced_atom_density(field, spectra, times), ref[1])
+        # row buffers of one time per piece, then of five
+        for rows in (rho_width(field), 5 * rho_width(field)):
+            monkeypatch.setattr(dynamics, "_ROWS", rows)
+            out = observable_series(field, spectra, times, SERIES_OBSERVABLES)
+            for name in SERIES_OBSERVABLES:
+                assert np.array_equal(out[name], ref[0][name]), (name, rows)
+            assert np.array_equal(reduced_atom_density(field, spectra, times), ref[1]), rows
+
+    def test_row_buffers_do_not_grow_with_the_chunk(self, large_n_kerr, monkeypatch):
+        # two buffers of about _ROWS values per worker; three buffers of a
+        # whole chunk each (500 times x 751 blocks x 3 values) peaked at
+        # about 7 MB in this test
+        (field, _), spectra = large_n_kerr
+        monkeypatch.setattr(dynamics, "_WORKERS", 2)
+        times = np.linspace(0.0, 50.0, 1000)
+        tracemalloc.start()
+        try:
+            rho = reduced_atom_density(field, spectra, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rho.shape == (1000, 3, 3)
+        assert peak < 3e6, f"peak {peak / 1e6:.2f} MB"
 
     def test_run_memory_does_not_grow_with_the_sample_count(self, tmp_path, monkeypatch):
         # every series observable at two sample counts 4x apart, each cut into

@@ -681,6 +681,27 @@ class TestNonFiniteFuzz:
                 pass
         assert not caught, [str(w.message) for w in caught]
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_oracle_propagators_at_finite_extremes(self, data):
+        """+-1e308 or the least subnormal at any position of any array
+        argument of the oracle's propagators gives finite states or raises a
+        TwojcError, and nothing warns on the way; RK4 sample times that no
+        longer ascend from 0 raise its documented ValueError instead."""
+        kernels = ["SectorPropagator.evolve", "evolve_numeric_sampled"]
+        call, arrays = spoiled_call(data, [1e308, -1e308, 5e-324], kernels)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                assert all_finite(call(*arrays))
+            except TwojcError:
+                pass
+            except ValueError as exc:
+                times = arrays[-1]
+                assert call is evolve_numeric_sampled and "ascending" in str(exc)
+                assert (np.diff(times, prepend=0.0) < 0).any()
+        assert not caught, [str(w.message) for w in caught]
+
 
 def test_cli_import_loads_no_scipy():
     # nor a pool: rho_A's worker threads come from threading, which numpy imports
@@ -688,6 +709,18 @@ def test_cli_import_loads_no_scipy():
     code = ("import sys, twojc.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] in "
             "('scipy', 'concurrent', 'multiprocessing')))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_check_module():
+    # `twojc validate` loads the checks and the oracle when it runs, so that
+    # `twojc run` neither compiles nor imports them
+    src = os.path.dirname(os.path.dirname(os.path.abspath(twojc.__file__)))
+    code = ("import sys, twojc.cli; "
+            "print(sorted(m for m in sys.modules if m in ('twojc.validation', 'twojc.oracle')))")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, check=True, timeout=120)

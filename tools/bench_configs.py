@@ -22,9 +22,11 @@ the checkout at DIR (its `src/`), on the same config files, right before or
 after this checkout's run: the side that goes first alternates from round
 to round, so the RUNS rounds are alternating pairs.  The file then holds
 DIR's wall seconds and peak memory per config as well, under "against",
-and per config the number of pairs in which this checkout ran faster and the
-median and quartiles of the pairs' wall ratio (this / against), whose spread
-is the noise floor a gain or loss must clear.
+and per config the number of pairs in which this checkout ran faster and
+the median and quartiles of the pairs' wall ratio (this / against), and
+likewise the number of pairs in which this checkout peaked lower and the
+pairs' peak-memory ratio.  A ratio's spread is the noise floor a gain or
+loss must clear.
 """
 
 import argparse
@@ -69,6 +71,20 @@ def spread(values):
 def pair_ratios(this, against):
     """Median and quartiles of this[i] / against[i] over the pairs i."""
     return spread([a / b for a, b in zip(this, against)])
+
+
+def paired(seconds, peaks):
+    """The "against" entry of one config, from its wall seconds and peak
+    memory per round, each a {"this": [...], "against": [...]}: DIR's
+    spreads, and the pairs' wins and ratios (this / against) of each."""
+    return {
+        "wall_s": spread(seconds["against"]),
+        "peak_rss_mb": spread(peaks["against"]),
+        "this_faster_in": sum(a < b for a, b in zip(seconds["this"], seconds["against"])),
+        "wall_ratio": pair_ratios(seconds["this"], seconds["against"]),
+        "this_smaller_in": sum(a < b for a, b in zip(peaks["this"], peaks["against"])),
+        "peak_ratio": pair_ratios(peaks["this"], peaks["against"]),
+    }
 
 
 def workload(config):
@@ -131,13 +147,9 @@ def main(argv=None):
     if "against" in sides:
         bench["against"] = {
             "checkout": os.path.basename(os.path.normpath(args.against)),
-            "configs": {name: {
-                "wall_s": spread(seconds["against"][name]),
-                "peak_rss_mb": spread(peaks["against"][name]),
-                "this_faster_in": sum(a < b for a, b in zip(seconds["this"][name],
-                                                            seconds["against"][name])),
-                "wall_ratio": pair_ratios(seconds["this"][name], seconds["against"][name]),
-            } for name in names},
+            "configs": {name: paired({side: seconds[side][name] for side in sides},
+                                     {side: peaks[side][name] for side in sides})
+                        for name in names},
         }
     path = os.path.normpath(os.path.join(ROOT, f"BENCH_{args.tag}.json"))
     with open(path, "w") as fh:
