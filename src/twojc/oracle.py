@@ -1,20 +1,22 @@
 """Brute-force cross-checks on the truncated joint Hilbert space.
 
-The joint Hamiltonian is assembled directly from kron products of the
-atomic and field operators (never from the 3x3 blocks), on the basis
-{|a> x |m>} with atoms ordered (|g,g>, |g,e>, |e,g>, |e,e>) and Fock
-levels m in [0, n_max + 2].  Two structurally different propagators are
-provided, and both work on the connected blocks of H's own nonzero
-pattern, found from H alone: exact per-block evolution (the blocks of one
-size are held as one stack, diagonalized once by the cyclic Jacobi, the
-package's one hand-written eigensolver, which takes a matrix or a stack
-and uses no LAPACK), and a fixed-step 4th-order Runge-Kutta integrator
-of the full matrix.  For the model's H, which conserves total
-excitation, the blocks are the excitation sectors, of dimension 1, 3 or
-4; a coupling across sectors merges them into one block and a dense H is
-a single block, so neither propagator assumes the conservation law.  The
-analytic layer is deliberately not imported for any numerics here, so
-agreement between the two code paths is meaningful.
+The joint Hamiltonian is assembled from the kron factors of its terms,
+the atomic and field operators (never from the 3x3 blocks): their
+nonzeros are added straight into one array, and the oracle holds no
+other array of H's size.  The basis is {|a> x |m>} with atoms ordered
+(|g,g>, |g,e>, |e,g>, |e,e>) and Fock levels m in [0, n_max + 2].  Two
+structurally different propagators are provided, and both work on the
+connected blocks of H's own nonzero pattern, found from H alone: exact
+per-block evolution (the blocks of one size are held as one stack,
+diagonalized once by the cyclic Jacobi, the package's one hand-written
+eigensolver, which takes a matrix or a stack and uses no LAPACK), and a
+fixed-step 4th-order Runge-Kutta integrator of the full matrix.  For the
+model's H, which conserves total excitation, the blocks are the
+excitation sectors, of dimension 1, 3 or 4; a coupling across sectors
+merges them into one block and a dense H is a single block, so neither
+propagator assumes the conservation law.  The analytic layer is
+deliberately not imported for any numerics here, so agreement between
+the two code paths is meaningful.
 
 A joint state is a complex array of shape (4, M): amplitudes over the
 atomic basis times the Fock levels.  Both propagators take an array of
@@ -45,26 +47,33 @@ _ATOM_WEIGHT = np.array([-1.0, 0.0, 0.0, 1.0])
 
 
 def build_joint_hamiltonian(params: ModelParams, n_max: int) -> np.ndarray:
-    """Dense Hermitian 4M x 4M joint Hamiltonian, M = n_max + 3."""
+    """Dense Hermitian 4M x 4M joint Hamiltonian, M = n_max + 3, with the
+    bits of the dense kron sum: its terms, in its order, add their nonzeros
+    in place.  A non-finite entry aborts."""
     M = n_max + 3
     sz = np.diag([-1.0, 1.0])
     sp = np.array([[0.0, 0.0], [1.0, 0.0]])  # |e><g|
-    sm = sp.T
     I2 = np.eye(2)
     sz1, sz2 = np.kron(sz, I2), np.kron(I2, sz)
     sp1, sp2 = np.kron(sp, I2), np.kron(I2, sp)
-    sm1, sm2 = np.kron(sm, I2), np.kron(I2, sm)
-    I4 = np.eye(4)
-    IM = np.eye(M)
-    # a f(n): |m> -> f(m) sqrt(m) |m-1>
-    lower = np.zeros((M, M))
+    sm1, sm2 = np.kron(sp.T, I2), np.kron(I2, sp.T)
     m = np.arange(M)
-    lower[m[:-1], m[1:]] = ladder_factor(params.f_kind, m[1:])
-    H = (np.kron(I4, np.diag(shift_factor(params.h_kind, params.omega0, params.chi, m)))
-         + 0.5 * params.delta * np.kron(sz1 + sz2, IM)
-         + params.g * (np.kron(sm1 + sm2, lower.T) + np.kron(sp1 + sp2, lower))
-         + 2.0 * params.kappa * np.kron(sm1 @ sp2 + sp1 @ sm2, IM)
-         + params.J_ising * np.kron(sz1 @ sz2, IM))
+    H = np.zeros((4 * M, 4 * M))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        # field factors as (rows, cols, values); a f(n): |m> -> f(m) sqrt(m) |m-1>
+        eye, f = (m, m, np.ones(M)), ladder_factor(params.f_kind, m[1:])
+        for scale, atom, (rows, cols, values) in (
+                (1.0, np.eye(4), (m, m, shift_factor(params.h_kind, params.omega0,
+                                                     params.chi, m))),
+                (0.5 * params.delta, sz1 + sz2, eye),
+                (params.g, sm1 + sm2, (m[1:], m[:-1], f)),  # a f(n) transposed
+                (params.g, sp1 + sp2, (m[:-1], m[1:], f)),  # a f(n)
+                (2.0 * params.kappa, sm1 @ sp2 + sp1 @ sm2, eye),
+                (params.J_ising, sz1 @ sz2, eye)):
+            for a, b in zip(*np.nonzero(atom)):
+                H[a * M + rows, b * M + cols] += scale * (atom[a, b] * values)
+    if not -math.inf < H.min() <= H.max() < math.inf:  # False for a NaN
+        raise NumericalGuardError("joint Hamiltonian entries overflow double range")
     return H
 
 
@@ -227,7 +236,10 @@ class SectorPropagator:
 # step size and step count still come from the whole of H.
 
 def _auto_dt(H):
-    bound = float(np.abs(H).sum(axis=1).max())  # Gershgorin bound on |E|
+    # Gershgorin bound on |E|, max row sum of |H|, in slabs of ~2^14 values
+    rows = 1 + 2 ** 14 // (1 + H.shape[1])
+    bound = max(float(np.abs(H[r:r + rows]).sum(axis=1).max())
+                for r in range(0, len(H), rows))
     if bound == 0.0:
         return math.inf
     return _RK4_STEP_FRACTION / bound
@@ -340,12 +352,6 @@ def evolve_numeric_sampled(H: np.ndarray, psi0: np.ndarray, times) -> np.ndarray
 # ---------------------------------------------------------------------------
 # reductions, each of one (4, M) state or over the last two axes of a stack
 
-def partial_trace_field(psi) -> np.ndarray:
-    """4x4 atomic density (computational basis), tracing the field: the
-    independent reference for rho_A, through embed_atom_density."""
-    return psi @ np.conj(psi).swapaxes(-1, -2)
-
-
 def partial_trace_atoms(psi) -> np.ndarray:
     """M x M field density, tracing the atoms."""
     return np.swapaxes(psi, -1, -2) @ np.conj(psi)
@@ -367,11 +373,3 @@ def require_buffer_empty(psi):
     if not pop <= BUFFER_TOL:  # a NaN population trips it too
         raise TruncationError(
             f"truncation buffer population {pop:.2e} exceeds {BUFFER_TOL:g}")
-
-
-def antisymmetric_leakage(psi):
-    """Population of the antisymmetric atomic state (zero for symmetric
-    initial conditions with identical atoms): the independent check that
-    the symmetric-sector frame of the analytic layer holds."""
-    anti = (psi[..., 1, :] - psi[..., 2, :]) / math.sqrt(2.0)
-    return np.sum(np.abs(anti) ** 2, axis=-1)

@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 
 import twojc
 from twojc import dynamics, oracle
-from twojc import (F_BUCK_SUKUMAR, ModelParams, NumericalGuardError, QGrid, SpectrumTable,
-                   TwojcError, build_block, coherent_field, concurrence, field_entropy,
-                   husimi_grid, husimi_q, observable_series, purity, reduced_atom_density,
-                   reduced_field_density, solve_blocks, spectrum_table)
+from twojc import (F_BUCK_SUKUMAR, F_LINEAR, H_KERR, ModelParams, NumericalGuardError, QGrid,
+                   SpectrumTable, TwojcError, build_block, coherent_field, concurrence,
+                   field_entropy, husimi_grid, husimi_q, observable_series, purity,
+                   reduced_atom_density, reduced_field_density, solve_blocks, spectrum_table)
 from twojc.dynamics import (SERIES_OBSERVABLES, coherent_vector, entropy_of_eigvals,
                             hermitian_eigvals)
 from twojc.oracle import (SectorPropagator, build_joint_hamiltonian,
@@ -700,6 +700,28 @@ class TestNonFiniteFuzz:
                 times = arrays[-1]
                 assert call is evolve_numeric_sampled and "ascending" in str(exc)
                 assert (np.diff(times, prepend=0.0) < 0).any()
+        assert not caught, [str(w.message) for w in caught]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_joint_hamiltonian_at_finite_extremes(self, data):
+        """+-1e308 or the least subnormal in any number of a ModelParams
+        gives a finite joint H or raises a TwojcError, and nothing warns on
+        the way."""
+        numbers = {"omega0": 1.0, "g": 1.0, "kappa": 0.25, "J_ising": 0.1, "chi": 0.05,
+                   "delta": -0.3}
+        name = data.draw(st.sampled_from([*numbers, "omega"]), label="number")
+        numbers[name] = data.draw(st.sampled_from([1e308, -1e308, 5e-324]), label="value")
+        if name == "omega":
+            del numbers["delta"]
+        f_kind = data.draw(st.sampled_from([F_LINEAR, F_BUCK_SUKUMAR]), label="f kind")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                params = ModelParams(**numbers, h_kind=H_KERR, f_kind=f_kind)
+                assert all_finite(build_joint_hamiltonian(params, 18))
+            except TwojcError:
+                pass
         assert not caught, [str(w.message) for w in caught]
 
 

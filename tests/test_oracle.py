@@ -1,22 +1,82 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from twojc import (F_BUCK_SUKUMAR, F_LINEAR, H_KERR, ModelParams,
-                   NumericalGuardError, TruncationError, build_block,
-                   coherent_field, reduced_atom_density, spectrum_table)
+from twojc import (F_BUCK_SUKUMAR, F_LINEAR, H_KERR, H_STANDARD, FKind, HKind,
+                   ModelParams, NonlinearitySelector, NumericalGuardError,
+                   TruncationError, build_block, coherent_field, inversion_series,
+                   ladder_factor, reduced_atom_density, spectrum_table)
 from twojc import oracle
 from twojc.dynamics import AtomInit, embed_atom_density
-from twojc.oracle import (SectorPropagator, _block_stacks,
-                          antisymmetric_leakage, buffer_population,
+from twojc.model import shift_factor
+from twojc.oracle import (SectorPropagator, _block_stacks, buffer_population,
                           build_joint_hamiltonian, evolve_numeric_sampled,
                           inversion_of,
                           jacobi_eigh_cyclic, joint_initial_state,
-                          partial_trace_atoms, partial_trace_field,
-                          require_buffer_empty)
+                          partial_trace_atoms, require_buffer_empty)
 
 SQRT2 = math.sqrt(2.0)
+
+
+def partial_trace_field(psi) -> np.ndarray:
+    """4x4 atomic density (computational basis), tracing the field: the
+    independent reference for rho_A, through embed_atom_density."""
+    return psi @ np.conj(psi).swapaxes(-1, -2)
+
+
+def antisymmetric_leakage(psi):
+    """Population of the antisymmetric atomic state (zero for symmetric
+    initial conditions with identical atoms): the independent check that
+    the symmetric-sector frame of the analytic layer holds."""
+    anti = (psi[..., 1, :] - psi[..., 2, :]) / math.sqrt(2.0)
+    return np.sum(np.abs(anti) ** 2, axis=-1)
+
+
+def kron_sum_hamiltonian(params, n_max):
+    """The joint H as the plain sum of six dense 4M x 4M krons, in the
+    order and association that build_joint_hamiltonian keeps: the bitwise
+    reference for its in-place build."""
+    M = n_max + 3
+    sz = np.diag([-1.0, 1.0])
+    sp = np.array([[0.0, 0.0], [1.0, 0.0]])  # |e><g|
+    sm = sp.T
+    I2 = np.eye(2)
+    sz1, sz2 = np.kron(sz, I2), np.kron(I2, sz)
+    sp1, sp2 = np.kron(sp, I2), np.kron(I2, sp)
+    sm1, sm2 = np.kron(sm, I2), np.kron(I2, sm)
+    I4 = np.eye(4)
+    IM = np.eye(M)
+    # a f(n): |m> -> f(m) sqrt(m) |m-1>
+    lower = np.zeros((M, M))
+    m = np.arange(M)
+    lower[m[:-1], m[1:]] = ladder_factor(params.f_kind, m[1:])
+    H = (np.kron(I4, np.diag(shift_factor(params.h_kind, params.omega0, params.chi, m)))
+         + 0.5 * params.delta * np.kron(sz1 + sz2, IM)
+         + params.g * (np.kron(sm1 + sm2, lower.T) + np.kron(sp1 + sp2, lower))
+         + 2.0 * params.kappa * np.kron(sm1 @ sp2 + sp1 @ sm2, IM)
+         + params.J_ising * np.kron(sz1 @ sz2, IM))
+    return H
+
+
+def random_params(rng, M):
+    """A ModelParams of a random h and f kind (a custom kind tabulates M
+    values, zeros of either sign among them) whose delta, kappa and J are
+    each a zero of either sign or +-10^U(-4, 1), and chi (Kerr only) the
+    size of one."""
+    def number():
+        return float(rng.choice([0.0, -0.0, -1.0, 1.0]) * 10.0 ** rng.uniform(-4, 1))
+
+    def table():
+        return tuple(rng.choice([0.0, -0.0, -1.5, 0.7, 1.0, 2.3], size=M))
+
+    h_kind = rng.choice([H_STANDARD, H_KERR, NonlinearitySelector(HKind.CUSTOM, table())])
+    f_kind = rng.choice([F_LINEAR, F_BUCK_SUKUMAR, NonlinearitySelector(FKind.CUSTOM, table())])
+    return ModelParams(omega0=10.0 ** rng.uniform(-2, 1), g=10.0 ** rng.uniform(-4, 1),
+                       kappa=number(), J_ising=number(), delta=number(),
+                       chi=abs(number()) if h_kind is H_KERR else 0.0,
+                       h_kind=h_kind, f_kind=f_kind)
 
 
 def bs_params(kmj=0.25, chi=0.0, delta=0.0):
@@ -76,6 +136,37 @@ class TestJointHamiltonian:
         exc = np.array([excitation_of(i // M, i % M) for i in range(4 * M)])
         off_sector = H[exc[:, None] != exc[None, :]]
         assert np.abs(off_sector).max() == 0.0
+
+    @pytest.mark.parametrize("n_max", [0, 1, 6, 33])
+    def test_same_bits_as_the_kron_sum(self, n_max):
+        rng = np.random.default_rng(4000 + n_max)
+        for _ in range(50):
+            p = random_params(rng, n_max + 3)
+            H, ref = build_joint_hamiltonian(p, n_max), kron_sum_hamiltonian(p, n_max)
+            assert np.array_equal(H, ref), p
+            assert np.array_equal(np.signbit(H), np.signbit(ref)), p
+
+    def test_kerr_curve_at_mean_n_200_holds_one_h(self):
+        # the chi/g = 1/2 Kerr curve of large_n at mean_n 200: the build and
+        # both propagators together hold H and less than 2 MB besides
+        g = 5e-4
+        p = ModelParams(omega0=1.0, g=g, chi=g / 2, h_kind=H_KERR, f_kind=F_BUCK_SUKUMAR)
+        field = coherent_field(200.0)
+        assert field.n_max == 390
+        times = np.linspace(0.0, 2.0 * math.pi, 9) / g
+        analytic = inversion_series(field, spectrum_table(p, field.n_max), times)
+        psi0 = joint_initial_state(field)
+        tracemalloc.start()
+        try:
+            H = build_joint_hamiltonian(p, field.n_max)
+            exact = SectorPropagator(H, field.n_max).evolve(psi0, times)
+            rk4 = evolve_numeric_sampled(H, psi0, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= H.nbytes + 2e6, f"peak {peak / 1e6:.1f} MB, H {H.nbytes / 1e6:.1f} MB"
+        assert np.abs(inversion_of(exact) - analytic).max() < 1e-8
+        assert np.abs(inversion_of(rk4) - analytic).max() < 1e-6
 
     def test_connected_blocks_are_the_excitation_sectors(self):
         # found from the nonzero pattern alone, checked against the sectors

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Time `twojc run` on every shipped and benchmark config; write BENCH_<tag>.json.
+"""Time `twojc run` on every shipped and benchmark config, and `twojc validate
+--level full`; write BENCH_<tag>.json.
 
 Each of `configs/*.json` and `perfbench/configs/*.json` is run RUNS times,
-each run a fresh process (tools/series_memory.py's runner) working in a
-temporary directory, so its tables go there.  The rounds go over every config
-in turn, so that a drift of the machine's speed spreads over all of them.
+and so is `twojc validate --level full` (the oracle's path), each run a fresh
+process (tools/series_memory.py's runner) working in a temporary directory,
+so its tables go there.  The rounds go over every command in turn, so that a
+drift of the machine's speed spreads over all of them.
 Wall seconds include starting the interpreter, importing numpy and twojc,
 and compiling twojc unless its bytecode is cached.  Run from anywhere:
 
@@ -15,14 +17,15 @@ BENCH_<tag>.json, at the root of the checkout, holds the machine (core
 count, CPU model), the Python and numpy versions, whether twojc's bytecode
 was cached, and per config its curves, each curve's n_max, the time sample
 count, the Husimi grid size, and the median and quartiles of the wall
-seconds and of the peak resident memory.
+seconds and of the peak resident memory; "validate" holds the same two
+spreads of the validate run.
 
-With --against DIR, each round also runs every config with the package of
+With --against DIR, each round also runs every command with the package of
 the checkout at DIR (its `src/`), on the same config files, right before or
 after this checkout's run: the side that goes first alternates from round
 to round, so the RUNS rounds are alternating pairs.  The file then holds
-DIR's wall seconds and peak memory per config as well, under "against",
-and per config the number of pairs in which this checkout ran faster and
+DIR's wall seconds and peak memory per command as well, under "against",
+and per command the number of pairs in which this checkout ran faster and
 the median and quartiles of the pairs' wall ratio (this / against), and
 likewise the number of pairs in which this checkout peaked lower and the
 pairs' peak-memory ratio.  A ratio's spread is the noise floor a gain or
@@ -41,7 +44,7 @@ import tempfile
 
 import numpy as np
 
-from series_memory import ROOT, twojc_run
+from series_memory import ROOT, twojc_cli
 
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
@@ -49,6 +52,7 @@ from twojc import dynamics  # noqa: E402
 from twojc.config import load_config  # noqa: E402
 
 RUNS = 5
+VALIDATE = "twojc validate --level full"
 
 
 def cpu_model():
@@ -113,19 +117,21 @@ def main(argv=None):
     configs = sorted(glob.glob(os.path.join(ROOT, "configs", "*.json"))) + sorted(
         glob.glob(os.path.join(ROOT, "perfbench", "configs", "*.json")))
     names = [os.path.relpath(c, ROOT) for c in configs]
+    commands = {name: ["run", config] for config, name in zip(configs, names)}
+    commands[VALIDATE] = VALIDATE.split()[1:]
     sides = {"this": ROOT}
     if args.against is not None:
         if not os.path.isdir(os.path.join(args.against, "src", "twojc")):
             ap.error(f"--against {args.against}: no src/twojc there")
         sides["against"] = args.against
-    seconds = {side: {name: [] for name in names} for side in sides}
-    peaks = {side: {name: [] for name in names} for side in sides}
+    seconds = {side: {name: [] for name in commands} for side in sides}
+    peaks = {side: {name: [] for name in commands} for side in sides}
     for round_ in range(RUNS):
         order = list(sides) if round_ % 2 == 0 else list(sides)[::-1]
-        for config, name in zip(configs, names):
+        for name, command in commands.items():
             for side in order:
                 with tempfile.TemporaryDirectory() as tmp:
-                    wall, peak = twojc_run(config, tmp, sides[side])
+                    wall, peak = twojc_cli(command, tmp, sides[side])
                 seconds[side][name].append(wall)
                 peaks[side][name].append(peak)
                 print(f"round {round_ + 1}/{RUNS} {side} {name}: {wall:.3f} s, {peak:.1f} MB")
@@ -143,13 +149,17 @@ def main(argv=None):
         "configs": {name: dict(workload(config), wall_s=spread(seconds["this"][name]),
                                peak_rss_mb=spread(peaks["this"][name]))
                     for config, name in zip(configs, names)},
+        "validate": {"command": VALIDATE, "wall_s": spread(seconds["this"][VALIDATE]),
+                     "peak_rss_mb": spread(peaks["this"][VALIDATE])},
     }
     if "against" in sides:
+        against = {name: paired({side: seconds[side][name] for side in sides},
+                                {side: peaks[side][name] for side in sides})
+                   for name in commands}
         bench["against"] = {
             "checkout": os.path.basename(os.path.normpath(args.against)),
-            "configs": {name: paired({side: seconds[side][name] for side in sides},
-                                     {side: peaks[side][name] for side in sides})
-                        for name in names},
+            "configs": {name: against[name] for name in names},
+            "validate": against[VALIDATE],
         }
     path = os.path.normpath(os.path.join(ROOT, f"BENCH_{args.tag}.json"))
     with open(path, "w") as fh:

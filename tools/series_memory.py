@@ -27,19 +27,19 @@ COUNTS = (10 ** 4, 10 ** 6)
 BOUND_MB = 20.0
 
 
-def twojc_run(config, cwd, root=ROOT):
-    """(seconds, peak RSS in MB) of `twojc run config` in a fresh process
-    working in `cwd`, with the package of the checkout at `root` (this one
-    by default); a failed run exits."""
+def twojc_cli(args, cwd, root=ROOT):
+    """(seconds, peak RSS in MB) of `twojc ARGS` in a fresh process working
+    in `cwd`, with the package of the checkout at `root` (this one by
+    default); a failed run exits."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "twojc.cli", "run", config],
+    proc = subprocess.Popen([sys.executable, "-m", "twojc.cli", *args],
                             cwd=cwd, env=env, stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     seconds = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode != 0:
-        raise SystemExit(f"{config}: twojc run exited {proc.returncode}")
+        raise SystemExit(f"twojc {' '.join(args)} exited {proc.returncode}")
     return seconds, usage.ru_maxrss / 1024.0  # kB on Linux
 
 
@@ -53,7 +53,7 @@ def run(count, tmp):
     config = os.path.join(tmp, f"series_{count}.json")
     with open(config, "w") as fh:
         json.dump(doc, fh)
-    return twojc_run(config, tmp)
+    return twojc_cli(["run", config], tmp)
 
 
 def main():
